@@ -11,10 +11,11 @@ Exit codes are part of the contract:
     4  truncation window overflow
     5  annihilation guard failed
     6  quadrature failure
+    7  usage or configuration error (bad argument or config value)
 
 Run configuration comes from an optional key=value file (``--config``) with
-flag overrides.  Recognized keys: n_max, degree_bound, quad_tol, check_tol,
-grid_start, grid_stop, grid_count, grid_imag, function, output.  Reports are
+flag overrides.  Recognized keys: n_max, quad_tol, check_tol, grid_start,
+grid_stop, grid_count, grid_imag, function, output.  Reports are
 JSON with sorted keys and no timestamps, so identical runs produce identical
 bytes on one platform.
 """
@@ -25,6 +26,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     IndexOutOfRange,
@@ -54,6 +57,7 @@ EXIT_ALGEBRA = 3
 EXIT_TRUNCATION = 4
 EXIT_GUARD = 5
 EXIT_QUADRATURE = 6
+EXIT_USAGE = 7
 
 
 @dataclass
@@ -61,7 +65,6 @@ class RunConfig:
     """Run parameters shared by the report-producing subcommands."""
 
     n_max: int = 12
-    degree_bound: int = 12
     quad_tol: float = ABS_TOL
     check_tol: float = 1e-8
     grid_start: float = 0.5
@@ -92,7 +95,6 @@ class RunConfig:
     def echo(self):
         return {
             "n_max": self.n_max,
-            "degree_bound": self.degree_bound,
             "quad_tol": self.quad_tol,
             "check_tol": self.check_tol,
             "grid": [self.grid_start, self.grid_stop, self.grid_count, self.grid_imag],
@@ -102,7 +104,6 @@ class RunConfig:
 
 _CONFIG_TYPES = {
     "n_max": int,
-    "degree_bound": int,
     "quad_tol": float,
     "check_tol": float,
     "grid_start": float,
@@ -208,34 +209,16 @@ def _cmd_moments(args, cfg, stream):
     return 0 if ok else EXIT_FAIL
 
 
-_EXPAND_FAMILIES = {}
-
-
-def _register_expand_families():
-    import numpy as np
-
-    def geometric(t, T):
-        return np.exp(-np.asarray(t, dtype=complex)) / (1.0 - T)
-
-    def linear(t, T):
-        return np.exp(-np.asarray(t, dtype=complex)) * T
-
-    def power2(t, T):
-        return np.asarray(t, dtype=complex) ** 2 / (1.0 - T)
-
-    _EXPAND_FAMILIES.update(geometric=geometric, linear=linear, power2=power2)
-
-
-_register_expand_families()
+_EXPAND_FAMILIES = {
+    "geometric": lambda t, T: np.exp(-np.asarray(t, dtype=complex)) / (1.0 - T),
+    "linear": lambda t, T: np.exp(-np.asarray(t, dtype=complex)) * T,
+    "power2": lambda t, T: np.asarray(t, dtype=complex) ** 2 / (1.0 - T),
+}
 
 
 def _cmd_expand(args, cfg, stream):
-    try:
-        family = _EXPAND_FAMILIES[args.function or "geometric"]
-    except KeyError as exc:
-        raise ValueError(f"unknown disc family {args.function!r}") from exc
     result = parameter_expansion(
-        family,
+        _EXPAND_FAMILIES[args.function],
         center=complex(args.T0),
         radius=args.R,
         alpha_max=args.alpha_max,
@@ -337,6 +320,10 @@ def main(argv=None, stream=None):
     except QuadratureFailure as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
+    except (ValueError, KeyError) as exc:
+        # str() of a KeyError is the repr of its key; print the message itself
+        print(f"usage error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .errors import (
     SingularEvaluation,
 )
 from .quadrature import bump, csum, geometric_edges, panel_nodes, periodic_nodes, uniform_edges
+from .quadrature import refine
 from .testfunctions import apply_operator_terms
 from .transform import apply_difference_terms, mellin_op
 from .syntax import format_operator
@@ -112,6 +113,9 @@ def _haar_grid(panel_width, order, n_theta, u_lo=-5.2, u_hi=5.2):
     return xi, weights, u
 
 
+_HAAR_LEVELS = ((0.9, 12, 64), (0.55, 16, 96))
+
+
 def _haar_integral_once(f, power, s, panel_width, order, n_theta):
     xi, w, u = _haar_grid(panel_width, order, n_theta)
     vals = f(xi, s)
@@ -127,14 +131,9 @@ def haar_integral(f, power, s=0j, tol=ABS_TOL):
         raise QuadratureFailure(
             f"{f.name}: no two-sided rapid-decay certificate for a Haar integral"
         )
-    coarse = _haar_integral_once(f, power, s, 0.9, 12, 64)
-    fine = _haar_integral_once(f, power, s, 0.55, 16, 96)
-    est = abs(fine - coarse)
-    if est > max(tol, 1e-8 * abs(fine)):
-        raise QuadratureFailure(
-            f"Haar integral estimate {est:.3e} above tolerance {tol:.3e}"
-        )
-    return fine, est
+    return refine(
+        _HAAR_LEVELS, lambda level: _haar_integral_once(f, power, s, *level), tol, 1e-8
+    )
 
 
 def haar_moment(f, k, side, s=0j, tol=ABS_TOL):
@@ -211,15 +210,13 @@ def _convolution_once(f, t, s, extra_power, level, mode="inf"):
     u_lo = min(-5.2, math.log(abs(t)) - 1.5)
     u_hi = max(5.2, math.log(2.5 * abs(t)))
     # far part: polar grid at the origin, kernel masked near xi = t
-    u, wu = panel_nodes(uniform_edges(u_lo, u_hi, panel_w), order)
-    theta, wth = periodic_nodes(n_theta)
-    xi = np.exp(u[:, None] + 1j * theta[None, :])
+    xi, w, _ = _haar_grid(panel_w, order, n_theta, u_lo, u_hi)
     mask = 1.0 - bump((np.abs(xi - t) / h - 0.5) * 2.0)
     kern = 1.0 / (1.0 - xi / t) if mode == "inf" else xi / (xi - t)
     vals = f(xi, s) * mask * kern
     if extra_power:
         vals = vals * xi ** extra_power
-    far = (-1.0 / math.pi) * csum(vals * (wu[:, None] * wth))
+    far = (-1.0 / math.pi) * csum(vals * w)
     # near part: polar grid centered at t; the kernel singularity cancels
     # against the area element, leaving a smooth integrand
     rho, wr = panel_nodes(np.linspace(0.0, h, near_panels + 1), near_order)
@@ -236,16 +233,11 @@ def _convolution_once(f, t, s, extra_power, level, mode="inf"):
 
 
 def _convolution_integral(f, t, s, extra_power, tol, rel_tol=1e-7, mode="inf"):
-    values = []
-    for level in _CONV_LEVELS:
-        values.append(_convolution_once(f, t, s, extra_power, level, mode))
-        if len(values) > 1:
-            est = abs(values[-1] - values[-2])
-            if est <= max(tol, rel_tol * abs(values[-1])):
-                return values[-1], est
-    raise QuadratureFailure(
-        f"convolution quadrature did not settle below {tol:.3e} "
-        f"(last increment {est:.3e})"
+    return refine(
+        _CONV_LEVELS,
+        lambda level: _convolution_once(f, t, s, extra_power, level, mode),
+        tol,
+        rel_tol,
     )
 
 
@@ -424,14 +416,7 @@ def ray_mellin(f, s, tol=ABS_TOL):
         vals = f(xc, s) * xc ** (s - 1)
         return csum(vals * w)
 
-    fine = integrate(24)
-    coarse = integrate(16)
-    est = abs(fine - coarse)
-    if est > max(tol, 1e-8 * abs(fine)):
-        raise QuadratureFailure(
-            f"ray transform estimate {est:.3e} above tolerance {tol:.3e} at s={s}"
-        )
-    return fine, est
+    return refine((16, 24), integrate, tol, 1e-8)
 
 
 def annihilation_guard(P, f, t_samples=None, tol=1e-8):
@@ -543,13 +528,18 @@ def parameter_expansion(
     ts = np.asarray(t_grid, dtype=complex)
     phis, _ = periodic_nodes(n_nodes)
     ring = center + radius * np.exp(1j * phis)
-    samples = np.array([np.asarray(f2(ts, xi), dtype=complex) for xi in ring])
-    sup_circle = float(np.max(np.abs(samples)))
 
-    coeffs = []
-    for alpha in range(alpha_max + 1):
-        w = np.exp(-1j * alpha * phis) / (n_nodes * radius ** alpha)
-        coeffs.append(tuple(complex(z) for z in (w[:, None] * samples).sum(axis=0)))
+    def disc_coefficients(g):
+        """Samples of g(ts, .) on the ring and their coefficients u_0..u_alpha_max."""
+        samples = np.array([np.asarray(g(ts, xi), dtype=complex) for xi in ring])
+        coeffs = []
+        for alpha in range(alpha_max + 1):
+            w = np.exp(-1j * alpha * phis) / (n_nodes * radius ** alpha)
+            coeffs.append(tuple(complex(z) for z in (w[:, None] * samples).sum(axis=0)))
+        return samples, tuple(coeffs)
+
+    samples, coeffs = disc_coefficients(f2)
+    sup_circle = float(np.max(np.abs(samples)))
 
     sup_alpha = [max(abs(v) for v in row) for row in coeffs]
     margin = max(
@@ -577,21 +567,14 @@ def parameter_expansion(
         worst = max(worst, float(np.max(np.abs(series - exact))))
     recon_rel = worst / max(sup_circle, 1e-300)
 
-    deriv = None
-    if dfdt is not None:
-        dsamples = np.array([np.asarray(dfdt(ts, xi), dtype=complex) for xi in ring])
-        deriv = []
-        for alpha in range(alpha_max + 1):
-            w = np.exp(-1j * alpha * phis) / (n_nodes * radius ** alpha)
-            deriv.append(tuple(complex(z) for z in (w[:, None] * dsamples).sum(axis=0)))
-        deriv = tuple(deriv)
+    deriv = None if dfdt is None else disc_coefficients(dfdt)[1]
 
     return ExpansionResult(
         center=complex(center),
         radius=float(radius),
         alpha_max=alpha_max,
         t_grid=t_grid,
-        coefficients=tuple(coeffs),
+        coefficients=coeffs,
         sup_on_circle=sup_circle,
         bound_ok=bound_ok,
         bound_margin=float(margin),

@@ -311,15 +311,33 @@ def multiply(P, Q):
     return P * Q
 
 
-def _infer_algebra(words):
-    kinds = {g.kind for _, word in words for g in word}
-    has_t = bool(kinds & T_SIDE)
-    has_s = bool(kinds & S_SIDE)
-    if has_t and has_s:
-        return Algebra.DTILDE
-    if has_s:
-        return Algebra.S
-    return Algebra.D
+def resolve_algebra(kinds, max_index, algebra, arity):
+    """(algebra, arity) for an operator written with generators of ``kinds``.
+
+    Without a hint the algebra is D or S by the side of the generators, and
+    kinds from both sides raise MixedAlgebra; with a hint only the combined
+    algebra admits both sides.  A single wrong-side generator under a
+    one-sided hint is left to :meth:`OreOperator.generator`.  The arity
+    defaults to ``max_index``; a larger index than a given arity raises
+    IndexOutOfRange.
+    """
+    mixed = bool(kinds & T_SIDE) and bool(kinds & S_SIDE)
+    if algebra is None:
+        if mixed:
+            raise MixedAlgebra(
+                "operator mixes torus-side and shift-side generators; "
+                "pass the combined-algebra hint to allow this"
+            )
+        algebra = Algebra.S if kinds & S_SIDE else Algebra.D
+    else:
+        algebra = Algebra(algebra)
+        if mixed and algebra is not Algebra.DTILDE:
+            raise MixedAlgebra("operator mixes torus-side and shift-side generators")
+    if arity is None:
+        arity = max_index
+    elif max_index > arity:
+        raise IndexOutOfRange(f"index {max_index} not in 1..{arity}")
+    return algebra, arity
 
 
 def normalize(raw_terms, algebra=None, arity=None):
@@ -332,32 +350,10 @@ def normalize(raw_terms, algebra=None, arity=None):
     """
     raw = [(as_fraction(c), tuple(Generator(GenKind(g.kind), g.index) for g in w))
            for c, w in raw_terms]
-    inferred = _infer_algebra(raw)
-    if algebra is None:
-        if inferred is Algebra.DTILDE:
-            raise MixedAlgebra(
-                "word mixes torus-side and shift-side generators; "
-                "pass the combined-algebra hint to allow this"
-            )
-        algebra = inferred
-    else:
-        algebra = Algebra(algebra)
-        if inferred is Algebra.DTILDE and algebra is not Algebra.DTILDE:
-            raise MixedAlgebra("word mixes torus-side and shift-side generators")
-        if inferred is Algebra.S and algebra is Algebra.D:
-            raise MixedAlgebra("shift-side generators in a D word")
-        if inferred is Algebra.D and algebra is Algebra.S:
-            # pure-scalar words are fine in S; torus generators are not
-            if any(g.kind in T_SIDE for _, w in raw for g in w):
-                raise MixedAlgebra("torus-side generators in an S word")
-    if inferred is Algebra.DTILDE and algebra is not Algebra.DTILDE:
-        raise MixedAlgebra("word mixes torus-side and shift-side generators")
-
-    max_index = max((g.index for _, w in raw for g in w), default=1)
-    if arity is None:
-        arity = max_index
-    elif max_index > arity:
-        raise IndexOutOfRange(f"index {max_index} not in 1..{arity}")
+    gens = [g for _, word in raw for g in word]
+    algebra, arity = resolve_algebra(
+        {g.kind for g in gens}, max((g.index for g in gens), default=1), algebra, arity
+    )
 
     total = OreOperator.zero(algebra, arity)
     for coeff, word in raw:

@@ -3,7 +3,9 @@
 All rules are tensor products of composite Gauss-Legendre panels with
 uniform periodic grids; node layouts are fixed functions of the parameters,
 and accumulation is compensated (math.fsum) in a fixed index order, so a
-given configuration always reproduces the same value.
+given configuration always reproduces the same value.  Every adaptive rule
+refines through :func:`refine`, the one place where a coarse value is
+compared with a finer one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from functools import lru_cache
 from math import fsum, pi
 
 import numpy as np
+
+from .errors import QuadratureFailure
 
 
 @lru_cache(maxsize=64)
@@ -58,6 +62,26 @@ def csum(values):
     """Compensated sum of a complex array in flat index order."""
     flat = np.ravel(np.asarray(values))
     return complex(fsum(flat.real.tolist()), fsum(flat.imag.tolist()))
+
+
+def refine(levels, evaluate, tol, rel_tol):
+    """Evaluate ``levels`` in order until two consecutive values agree.
+
+    Returns (value, increment) for the first level whose value differs from
+    the previous one by at most max(tol, rel_tol * |value|); raises
+    QuadratureFailure with the last increment when no pair settles.
+    """
+    previous = None
+    for level in levels:
+        value = evaluate(level)
+        if previous is not None:
+            increment = abs(value - previous)
+            if increment <= max(tol, rel_tol * abs(value)):
+                return value, increment
+        previous = value
+    raise QuadratureFailure(
+        f"quadrature did not settle below {tol:.3e} (last increment {increment:.3e})"
+    )
 
 
 def bump(x):

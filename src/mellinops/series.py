@@ -184,7 +184,7 @@ class TailSeries:
                 n = _actual_exponent(axis, idx[pos])
                 factor = ShiftPolynomial.constant(n - 1, self.coeff_arity) - \
                     ShiftPolynomial.variable(j, self.coeff_arity)
-                _accumulate(terms, idx, poly * factor, self.coeff_arity)
+                _accumulate(terms, idx, poly * factor)
             return self._like(terms)
 
         step = 1 if gen.kind is GenKind.T else -1
@@ -195,7 +195,7 @@ class TailSeries:
                 continue  # quotient kill or truncation defect zone
             new = list(idx)
             new[pos] = stored
-            _accumulate(terms, tuple(new), poly, self.coeff_arity)
+            _accumulate(terms, tuple(new), poly)
         return self._like(terms)
 
     def apply_word(self, word):
@@ -263,7 +263,7 @@ def _as_poly(value, arity):
     raise TypeError(f"coefficient must be exact, got {type(value).__name__}")
 
 
-def _accumulate(terms, idx, poly, arity):
+def _accumulate(terms, idx, poly):
     prev = terms.get(idx)
     terms[idx] = poly if prev is None else prev + poly
 

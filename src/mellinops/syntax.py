@@ -20,8 +20,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, MixedAlgebra, ParseError
-from .ore import Algebra, GenKind, OreOperator, S_SIDE, T_SIDE
+from .errors import ParseError
+from .ore import GenKind, OreOperator, resolve_algebra
 
 _TOKEN_RE = re.compile(
     r"""
@@ -140,18 +140,11 @@ class _Parser:
         if tok.kind == "gen":
             self.take()
             index = tok.index if tok.index is not None else 1
-            if not 1 <= index <= self.arity:
-                raise IndexOutOfRange(f"index {index} not in 1..{self.arity}")
             if tok.text == "Dt":
                 return OreOperator.generator(
                     GenKind.TINV, index, self.algebra, self.arity
                 ) * OreOperator.generator(GenKind.THETA, index, self.algebra, self.arity)
-            kind = _GEN_BY_NAME[tok.text]
-            if self.algebra is Algebra.D and kind in S_SIDE:
-                raise MixedAlgebra(f"{tok.text} is not a D generator")
-            if self.algebra is Algebra.S and kind in T_SIDE:
-                raise MixedAlgebra(f"{tok.text} is not an S generator")
-            return OreOperator.generator(kind, index, self.algebra, self.arity)
+            return OreOperator.generator(_GEN_BY_NAME[tok.text], index, self.algebra, self.arity)
         if tok.kind == "rat":
             self.take()
             return OreOperator.scalar(Fraction(tok.text), self.algebra, self.arity)
@@ -181,23 +174,7 @@ def parse(text, algebra=None, arity=None):
                 kinds.add(_GEN_BY_NAME[tok.text])
             if tok.index is not None:
                 max_index = max(max_index, tok.index)
-    has_t = bool(kinds & T_SIDE)
-    has_s = bool(kinds & S_SIDE)
-    if algebra is None:
-        if has_t and has_s:
-            raise MixedAlgebra(
-                "text mixes torus-side and shift-side generators; "
-                "pass the combined-algebra hint to allow this"
-            )
-        algebra = Algebra.S if has_s else Algebra.D
-    else:
-        algebra = Algebra(algebra)
-        if has_t and has_s and algebra is not Algebra.DTILDE:
-            raise MixedAlgebra("text mixes torus-side and shift-side generators")
-    if arity is None:
-        arity = max_index
-    elif max_index > arity:
-        raise IndexOutOfRange(f"index {max_index} not in 1..{arity}")
+    algebra, arity = resolve_algebra(kinds, max_index, algebra, arity)
 
     parser = _Parser(tokens, algebra, arity)
     out = parser.parse_expr()

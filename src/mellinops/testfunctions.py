@@ -21,6 +21,7 @@ checks, not by the Haar-measure ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -53,19 +54,9 @@ class SFactor:
         out = [0j] * n
         for k, c in enumerate(self.coeffs):
             for i in range(k + 1):
-                out[i] += c * _binom(k, i) * delta ** (k - i)
+                out[i] += c * comb(k, i) * delta ** (k - i)
         scale = np.exp(self.beta * delta) if self.beta else 1.0
         return SFactor(tuple(v * scale for v in out), self.beta)
-
-    def describe(self):
-        return {"coeffs": [[z.real, z.imag] for z in self.coeffs],
-                "beta": [self.beta.real, self.beta.imag]}
-
-
-def _binom(n, k):
-    from math import comb
-
-    return comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -106,9 +97,6 @@ class TestFunction:
 
     def __setattr__(self, key, value):
         raise AttributeError("TestFunction is immutable")
-
-    def renamed(self, name):
-        return TestFunction(self.terms, name, self.separable)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -211,22 +199,16 @@ class TestFunction:
 
 def apply_operator(P, f):
     """Apply a torus-algebra operator with the plain action th = t d/dt."""
+    parts = apply_operator_terms(P, f)
+    return TestFunction(tuple(term for part in parts for term in part.terms), f.name)
+
+
+def apply_operator_terms(P, f):
+    """Per-monomial applications t^a th^b f, for relative scales in guard checks."""
     if P.algebra is not Algebra.D:
         raise MixedAlgebra("only torus-algebra operators act on test functions")
     if P.arity != 1:
         raise MixedAlgebra("test functions live over one torus variable")
-    total = []
-    for (a, b, _c, _d), coeff in P.terms.items():
-        part = f
-        for _ in range(b[0]):
-            part = part.euler()
-        part = part.times_t(a[0]).scale(complex(coeff))
-        total.extend(part.terms)
-    return TestFunction(tuple(total), f.name)
-
-
-def apply_operator_terms(P, f):
-    """Per-monomial applications, for relative scales in guard checks."""
     out = []
     for (a, b, _c, _d), coeff in P.terms.items():
         part = f

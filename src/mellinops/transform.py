@@ -86,12 +86,18 @@ def mellin_presentation(mat):
 
 
 def apply_difference(Q, F, s):
-    """Evaluate (Q.F)(s) for a difference operator Q and a grid function F.
+    """Evaluate (Q.F)(s); the sum of :func:`apply_difference_terms`."""
+    return sum(apply_difference_terms(Q, F, s), 0j)
+
+
+def apply_difference_terms(Q, F, s):
+    """Each normal monomial's contribution to (Q.F)(s), in term order.
 
     tau acts by (tau F)(s) = F(s+1) and s by pointwise multiplication, so the
     normal monomial tau^a s^b (multiply by s^b first, then shift) contributes
     (s+a)^b F(s+a).  For several variables, shifts and multiplications apply
-    per index and F takes the coordinate tuple.
+    per index and F takes the coordinate tuple.  Residual reports use the
+    parts to set a relative scale.
     """
     if Q.algebra is not Algebra.S:
         raise MixedAlgebra("difference action expects an S operator")
@@ -101,7 +107,7 @@ def apply_difference(Q, F, s):
     if len(point) != p:
         raise ValueError(f"expected {p} coordinates, got {len(point)}")
 
-    total = 0j
+    out = []
     for (_a, _b, c, d), coeff in Q.terms.items():
         shifted = tuple(z + cj for z, cj in zip(point, c))
         weight = complex(coeff)
@@ -117,30 +123,5 @@ def apply_difference(Q, F, s):
         value = complex(value)
         if value != value:  # NaN
             raise EvaluationFailure(f"grid function returned NaN at {shifted}")
-        total += weight * value
-    return total
-
-
-def apply_difference_terms(Q, F, s):
-    """Like :func:`apply_difference` but returning each term's contribution.
-
-    Used by residual reports to set a sensible relative scale.
-    """
-    if Q.algebra is not Algebra.S:
-        raise MixedAlgebra("difference action expects an S operator")
-    p = Q.arity
-    scalar_mode = p == 1 and not isinstance(s, (tuple, list))
-    point = (s,) if scalar_mode else tuple(s)
-    out = []
-    for (_a, _b, c, d), coeff in Q.terms.items():
-        shifted = tuple(z + cj for z, cj in zip(point, c))
-        weight = complex(coeff)
-        for z, cj, dj in zip(point, c, d):
-            if dj:
-                weight *= (z + cj) ** dj
-        try:
-            value = complex(F(shifted[0]) if scalar_mode else F(shifted))
-        except Exception as exc:  # noqa: BLE001
-            raise EvaluationFailure(f"grid function failed at {shifted}: {exc}") from exc
         out.append(weight * value)
     return out

@@ -9,6 +9,7 @@ from mellinops.cli import (
     EXIT_PARSE,
     EXIT_QUADRATURE,
     EXIT_TRUNCATION,
+    EXIT_USAGE,
     RunConfig,
     load_config,
     main,
@@ -50,6 +51,10 @@ def test_algebra_mismatch_exit_code():
     code, _ = run(["transform", "tau + t"])
     assert code == EXIT_ALGEBRA
     code, _ = run(["transform", "s"])  # shift-side text on the forward map
+    assert code == EXIT_ALGEBRA
+    # test functions have one variable: a p=2 operator is a mismatch, not a
+    # failed annihilation guard
+    code, _ = run(["verify", "th_2 + t_2", "--function", "gamma"])
     assert code == EXIT_ALGEBRA
 
 
@@ -147,6 +152,26 @@ def test_config_file_and_overrides(tmp_path):
     bad.write_text("nonsense = 1\n")
     with pytest.raises(ValueError):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["koszul", "--I", "1", "--J", "1"], None),
+        (["koszul", "--I", "a"], None),
+        (["verify", "th + t"], "grid_count = abc\n"),
+        (["verify", "th + t"], "function = nosuch\n"),
+        (["verify", "th + t"], "degree_bound = 12\n"),  # removed key
+    ],
+)
+def test_usage_error_exit_code(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config)
+        argv = argv + ["--config", str(cfg_file)]
+    code, out = run(argv)
+    assert code == EXIT_USAGE and out == ""
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_runconfig_validation():

@@ -4,6 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from mellinops import (
     PreconditionFailed,
@@ -284,10 +285,25 @@ def test_ray_mellin_against_scipy_oracle():
     assert ray_mellin(f, 1.0)[0] == pytest.approx(0.2797317636330449, abs=1e-10)
 
 
+GRID = tuple(0.5 + i * (2.5 / 19) for i in range(20))  # the CLI's default verify grid
+
+
+@pytest.mark.parametrize(
+    "name, closed_form",
+    [
+        ("gamma", scipy.special.gamma),
+        ("gaussian", lambda s: scipy.special.gamma(s / 2) / 2),
+        ("bessel", lambda s: 2 * scipy.special.kv(s, 2.0)),
+    ],
+)
+def test_ray_mellin_closed_forms_on_verify_grid(name, closed_form):
+    f = build_builtin(name)
+    for s in GRID:
+        exact = closed_form(s)
+        assert abs(ray_mellin(f, s)[0] - exact) <= 1e-12 * abs(exact)
+
+
 # -- the end-to-end commutation shadow ------------------------------------------------------
-
-
-GRID = tuple(0.5 + i * (2.5 / 19) for i in range(20))
 
 
 def test_verify_commutation_gamma():

@@ -18,6 +18,7 @@ from mellinops import (
     parse,
 )
 from mellinops.ore import Algebra, GenKind, Generator, normalize
+from mellinops.transform import apply_difference_terms
 
 
 def random_operator(rng, algebra="D", p=1, degree=4, n_terms=3):
@@ -179,3 +180,8 @@ def test_apply_difference_failures():
         apply_difference(Q, lambda s: float("nan"), 1.0)
     with pytest.raises(MixedAlgebra):
         apply_difference(parse("t"), lambda s: s, 1.0)
+    # the per-term form, which the commutation harness uses, keeps the guards
+    with pytest.raises(EvaluationFailure):
+        apply_difference_terms(parse("tau - s"), lambda s: float("nan"), 1.0)
+    with pytest.raises(ValueError):
+        apply_difference_terms(parse("tau - s"), lambda s: s, (1.0, 2.0))
