@@ -21,7 +21,6 @@ from .series import (
     INF_TYPE,
     TailSeries,
     ZERO_TYPE,
-    apply_twisted,
     monomial,
     shift_cycle,
 )

@@ -11,7 +11,8 @@ Exit codes are part of the contract:
     4  truncation window overflow
     5  annihilation guard failed
     6  quadrature failure
-    7  usage or configuration error (bad argument or config value)
+    7  usage or configuration error (bad argument or config value, unreadable
+       config file, unwritable output path)
 
 Run configuration comes from an optional key=value file (``--config``) with
 flag overrides.  Recognized keys: n_max, quad_tol, check_tol, grid_start,
@@ -118,17 +119,21 @@ _CONFIG_TYPES = {
 def load_config(path=None, overrides=None):
     cfg = RunConfig()
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, value = (x.strip() for x in line.split("=", 1))
-                if key not in _CONFIG_TYPES:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                setattr(cfg, key, _CONFIG_TYPES[key](value))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, value = (x.strip() for x in line.split("=", 1))
+            if key not in _CONFIG_TYPES:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            setattr(cfg, key, _CONFIG_TYPES[key](value))
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
@@ -139,8 +144,11 @@ def _emit_report(report, cfg, stream):
     payload = {"config": cfg.echo(), "report": report}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write output {cfg.output}: {exc.strerror}") from exc
     print(text, file=stream)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .ore import GenKind, Generator
 from .series import (
     Axis,
     INF_TYPE,
@@ -32,6 +33,29 @@ from .series import (
 from .shiftpoly import ShiftPolynomial
 
 
+def _solve_cycle(g, var, kind):
+    """Solve (tau t^-1 - 1) x = g along one axis, column by column.
+
+    The recursion x_n = tau x_prev - g_n starts from x_prev = 0 and walks an
+    ``inf`` axis upward from 0 and a ``zero`` axis downward from N.
+    """
+    pos, axis = g.axis_for(var)
+    if axis.kind != kind:
+        raise ValueError(f"variable {var} is not an axis of type {kind}")
+    indices = range(0, axis.n_max + 1) if kind == INF_TYPE else range(axis.n_max, 0, -1)
+    columns = {idx[:pos] + idx[pos + 1 :] for idx in g.terms}
+    terms = {}
+    for col in columns:
+        prev = ShiftPolynomial.zero(g.coeff_arity)
+        for n in indices:
+            idx = col[:pos] + (n,) + col[pos:]
+            x_n = prev.shift(var, 1) - g.coefficient(idx)
+            if not x_n.is_zero():
+                terms[idx] = x_n
+            prev = x_n
+    return TailSeries(g.coeff_arity, g.axes, terms)
+
+
 def solve_inf(g, var):
     """Invert the shift-cycle operator on an ``inf`` axis.
 
@@ -39,21 +63,7 @@ def solve_inf(g, var):
     recursion a_0 = -g_0, a_n = tau a_(n-1) - g_n.  The map is bijective at
     truncation: solving after applying recovers the input exactly.
     """
-    pos, axis = g.axis_for(var)
-    if axis.kind != INF_TYPE:
-        raise ValueError(f"variable {var} is not an inf-type axis")
-    columns = {idx[:pos] + idx[pos + 1 :] for idx in g.terms}
-    terms = {}
-    for col in columns:
-        prev = None
-        for n in range(0, axis.n_max + 1):
-            idx = col[:pos] + (n,) + col[pos:]
-            g_n = g.coefficient(idx)
-            a_n = -g_n if prev is None else prev.shift(var, 1) - g_n
-            if not a_n.is_zero():
-                terms[idx] = a_n
-            prev = a_n
-    return TailSeries(g.coeff_arity, g.axes, terms)
+    return _solve_cycle(g, var, INF_TYPE)
 
 
 def solve_zero(g, var):
@@ -63,20 +73,12 @@ def solve_zero(g, var):
     b_n = tau b_(n+1) - g_n.  This witnesses surjectivity; the solution is
     exact on the window interior (and, with this seed, at the top as well).
     """
-    pos, axis = g.axis_for(var)
-    if axis.kind != ZERO_TYPE:
-        raise ValueError(f"variable {var} is not a zero-type axis")
-    columns = {idx[:pos] + idx[pos + 1 :] for idx in g.terms}
-    terms = {}
-    for col in columns:
-        prev = ShiftPolynomial.zero(g.coeff_arity)
-        for n in range(axis.n_max, 0, -1):
-            idx = col[:pos] + (n,) + col[pos:]
-            b_n = prev.shift(var, 1) - g.coefficient(idx)
-            if not b_n.is_zero():
-                terms[idx] = b_n
-            prev = b_n
-    return TailSeries(g.coeff_arity, g.axes, terms)
+    return _solve_cycle(g, var, ZERO_TYPE)
+
+
+def _as_coefficient(phi, coeff_arity):
+    """phi as a ShiftPolynomial; an int becomes a constant."""
+    return ShiftPolynomial.constant(phi, coeff_arity or 1) if isinstance(phi, int) else phi
 
 
 def kernel_element(phi, var, n_max, coeff_arity=None):
@@ -85,20 +87,12 @@ def kernel_element(phi, var, n_max, coeff_arity=None):
     Coefficients are b_n = tau^(1-n) phi for n in 1..N, so b_1 = phi and
     b_n = tau b_(n+1) holds at every interior index.
     """
-    if isinstance(phi, int):
-        phi = ShiftPolynomial.constant(phi, coeff_arity or 1)
-    arity = coeff_arity or phi.arity
-    axes = (Axis(var, ZERO_TYPE, n_max),)
-    terms = {}
-    for n in range(1, n_max + 1):
-        b_n = phi.shift(var, 1 - n)
-        if not b_n.is_zero():
-            terms[(n,)] = b_n
-    return TailSeries(arity, axes, terms)
+    return product_kernel(phi, (var,), n_max, coeff_arity)
 
 
 def product_kernel(phi, variables, n_max, coeff_arity=None):
     """Joint kernel representative across several ``zero`` axes."""
+    phi = _as_coefficient(phi, coeff_arity)
     arity = coeff_arity or phi.arity
     variables = tuple(sorted(variables))
     axes = tuple(Axis(v, ZERO_TYPE, n_max) for v in variables)
@@ -143,10 +137,7 @@ def induced_action_congruence(phi, action, var=1, n_max=12, coeff_arity=None):
     image membership carries no information here: the differential is
     exactly surjective inside the window.)
     """
-    from .ore import Generator, GenKind
-
-    if isinstance(phi, int):
-        phi = ShiftPolynomial.constant(phi, coeff_arity or 1)
+    phi = _as_coefficient(phi, coeff_arity)
     arity = coeff_arity or phi.arity
     k = kernel_element(phi, var, n_max, arity)
     if action == "t":

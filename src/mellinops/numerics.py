@@ -439,6 +439,8 @@ def annihilation_guard(P, f, t_samples=None, tol=1e-8):
 def verify_commutation(P, f, s_grid, tol=1e-8, guard_tol=1e-8, quad_tol=ABS_TOL):
     """End-to-end commutation check: P annihilates f on the ray, so the
     transform image of P must annihilate the ray transform of f."""
+    if P.is_zero():
+        raise ValueError("the zero operator annihilates every function; there is nothing to verify")
     annihilation_guard(P, f, tol=guard_tol)
     Q = mellin_op(P)
     cache = {}

@@ -28,11 +28,11 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, MixedAlgebra
-from .shiftpoly import as_fraction
+from .shiftpoly import as_fraction, binomial_shift
+from .sparse import SparseSum
 
 
 class Algebra(str, enum.Enum):
@@ -93,48 +93,23 @@ def _mono_mul(key1, key2):
 
     Returns a tuple of (key, Fraction) pairs.  Moving the right factor's
     t-powers left past th-powers transports th_j to (th_j + a_j); moving its
-    tau-powers past s-powers transports s_j to (s_j - c_j).
+    tau-powers past s-powers transports s_j to (s_j - c_j).  Each variable
+    contributes (x + k)^e1 x^e2 for x = th_j, then for x = s_j; every
+    resulting degree tuple is distinct, so no two terms collect.
     """
     a1, b1, c1, d1 = key1
     a2, b2, c2, d2 = key2
     p = len(a1)
     a = tuple(x + y for x, y in zip(a1, a2))
     c = tuple(x + y for x, y in zip(c1, c2))
-
-    # Per-variable expansions: (th_j + a2_j)^b1_j th_j^b2_j and
-    # (s_j - c2_j)^d1_j s_j^d2_j, each a list of (degree, Fraction).
     terms = {(): Fraction(1)}
-    for j in range(p):
-        opts = []
-        for i in range(b1[j] + 1):
-            opts.append((i + b2[j], Fraction(comb(b1[j], i)) * Fraction(a2[j]) ** (b1[j] - i)))
-        terms = {
-            key + (deg,): coeff * w
-            for key, coeff in terms.items()
-            for deg, w in opts
-            if coeff * w
-        }
-    for j in range(p):
-        opts = []
-        for i in range(d1[j] + 1):
-            opts.append((i + d2[j], Fraction(comb(d1[j], i)) * Fraction(-c2[j]) ** (d1[j] - i)))
-        terms = {
-            key + (deg,): coeff * w
-            for key, coeff in terms.items()
-            for deg, w in opts
-            if coeff * w
-        }
-
-    out = {}
-    for degs, coeff in terms.items():
-        b = degs[:p]
-        d = degs[p:]
-        key = (a, b, c, d)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return tuple((k, v) for k, v in out.items() if v)
+    for e1, e2, k in zip(b1 + d1, b2 + d2, a2 + tuple(-x for x in c2)):
+        opts = [(i + e2, w) for i, w in binomial_shift(e1, k) if w]
+        terms = {degs + (deg,): coeff * w for degs, coeff in terms.items() for deg, w in opts}
+    return tuple(((a, degs[:p], c, degs[p:]), coeff) for degs, coeff in terms.items())
 
 
-class OreOperator:
+class OreOperator(SparseSum):
     """An exact operator in normal form.
 
     ``terms`` maps monomial keys to nonzero Fractions.  Instances are
@@ -142,7 +117,7 @@ class OreOperator:
     ``add``/``negate``/``multiply``/``normalize``.
     """
 
-    __slots__ = ("algebra", "arity", "terms")
+    __slots__ = ("algebra", "arity")
 
     def __init__(self, algebra, arity, terms):
         algebra = Algebra(algebra)
@@ -171,9 +146,6 @@ class OreOperator:
             raise MixedAlgebra("shift-side generators in a D operator")
         if algebra is Algebra.S and (any(a) or any(b)):
             raise MixedAlgebra("torus-side generators in an S operator")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OreOperator is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -208,12 +180,20 @@ class OreOperator:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def support(self, slot):
         """Exponent vectors appearing in the given key slot (0=t,1=th,2=tau,3=s)."""
         return {key[slot] for key in self.terms}
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _shape(self):
+        return (self.algebra, self.arity)
+
+    def _like(self, terms):
+        return OreOperator(self.algebra, self.arity, terms)
+
+    def _lift(self, value):
+        return OreOperator.scalar(value, self.algebra, self.arity)
 
     def _compatible(self, other):
         if not isinstance(other, OreOperator):
@@ -224,34 +204,9 @@ class OreOperator:
                 f"{other.algebra.value} (p={other.arity})"
             )
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = OreOperator.scalar(other, self.algebra, self.arity)
-        self._compatible(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return OreOperator(self.algebra, self.arity, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OreOperator(self.algebra, self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = OreOperator.scalar(other, self.algebra, self.arity)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return OreOperator(self.algebra, self.arity, {k: c * v for k, v in self.terms.items()})
+            return self.scale(other)
         self._compatible(other)
         terms = {}
         for k1, c1 in self.terms.items():
@@ -260,32 +215,7 @@ class OreOperator:
                     terms[key] = terms.get(key, Fraction(0)) + c1 * c2 * w
         return OreOperator(self.algebra, self.arity, terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative operator power")
-        out = OreOperator.one(self.algebra, self.arity)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    # -- comparisons ---------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, OreOperator):
-            return NotImplemented
-        return (
-            self.algebra is other.algebra
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.arity, frozenset(self.terms.items())))
+    __rmul__ = __mul__  # reached by scalars, which commute with every operator
 
     def __str__(self):
         from .syntax import format_operator

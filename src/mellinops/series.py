@@ -37,6 +37,7 @@ from typing import NamedTuple
 from .errors import MixedAlgebra, TruncationOverflow
 from .ore import Algebra, GenKind, Generator
 from .shiftpoly import ShiftPolynomial
+from .sparse import SparseSum
 
 ZERO_TYPE = "zero"
 INF_TYPE = "inf"
@@ -63,10 +64,10 @@ def _actual_exponent(axis, n):
     return -n if axis.kind == INF_TYPE else n
 
 
-class TailSeries:
+class TailSeries(SparseSum):
     """Finite window of a one-sided formal series, one axis per variable."""
 
-    __slots__ = ("coeff_arity", "axes", "terms")
+    __slots__ = ("coeff_arity", "axes")
 
     def __init__(self, coeff_arity, axes, terms=None):
         axes = tuple(Axis(a.var, a.kind, a.n_max) for a in axes)
@@ -99,9 +100,6 @@ class TailSeries:
                 clean[idx] = poly
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TailSeries is immutable")
-
     # -- basics --------------------------------------------------------------
 
     def axis_for(self, var):
@@ -114,43 +112,18 @@ class TailSeries:
         idx = tuple(idx) if isinstance(idx, (tuple, list)) else (idx,)
         return self.terms.get(idx, ShiftPolynomial.zero(self.coeff_arity))
 
-    def is_zero(self):
-        return not self.terms
+    def _shape(self):
+        return (self.coeff_arity, self.axes)
 
     def _like(self, terms):
         return TailSeries(self.coeff_arity, self.axes, terms)
 
+    def _lift(self, value):
+        return NotImplemented  # series combine only with series of the same shape
+
     def _compatible(self, other):
         if self.coeff_arity != other.coeff_arity or self.axes != other.axes:
             raise MixedAlgebra("tail series shapes differ")
-
-    def __add__(self, other):
-        self._compatible(other)
-        terms = dict(self.terms)
-        for idx, poly in other.terms.items():
-            terms[idx] = terms.get(idx, ShiftPolynomial.zero(self.coeff_arity)) + poly
-        return self._like(terms)
-
-    def __neg__(self):
-        return self._like({i: -p for i, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, value):
-        return self._like({i: p * value for i, p in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TailSeries):
-            return NotImplemented
-        return (
-            self.coeff_arity == other.coeff_arity
-            and self.axes == other.axes
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.coeff_arity, self.axes, frozenset(self.terms.items())))
 
     def __repr__(self):
         names = {ZERO_TYPE: "t", INF_TYPE: "1/t", FULL_TYPE: "t"}
@@ -216,16 +189,11 @@ class TailSeries:
             raise MixedAlgebra("operator arity does not match coefficient arity")
         total = self._like({})
         for (a, b, _c, _d), coeff in P.terms.items():
-            part = self
-            # normal order t^a th^b: th acts first, then the exponent shifts
-            for j, bj in enumerate(b, start=1):
-                for _ in range(bj):
-                    part = part.apply_generator(Generator(GenKind.THETA, j))
-            for j, aj in enumerate(a, start=1):
-                kind = GenKind.T if aj > 0 else GenKind.TINV
-                for _ in range(abs(aj)):
-                    part = part.apply_generator(Generator(kind, j))
-            total = total + part.scale(coeff)
+            # the normal word t^a th^b: th acts first, then the exponent shifts
+            word = [Generator(GenKind.T if aj > 0 else GenKind.TINV, j)
+                    for j, aj in enumerate(a, start=1) for _ in range(abs(aj))]
+            word += [Generator(GenKind.THETA, j) for j, bj in enumerate(b, start=1) for _ in range(bj)]
+            total = total + self.apply_word(word).scale(coeff)
         return total
 
     # -- window helpers ----------------------------------------------------------
@@ -283,7 +251,3 @@ def shift_cycle(series, var):
     word = (Generator(GenKind.TAU, var), Generator(GenKind.TINV, var))
     return series.apply_word(word) - series
 
-
-def apply_twisted(P, x):
-    """Function form of :meth:`TailSeries.apply_twisted`."""
-    return x.apply_twisted(P)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from .sparse import SparseSum
+
 
 def as_fraction(x):
     if isinstance(x, Fraction):
@@ -21,14 +23,20 @@ def as_fraction(x):
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 
-class ShiftPolynomial:
+def binomial_shift(degree, k):
+    """The Taylor shift of one power: (x + k)^degree as ((i, weight), ...),
+    weight = C(degree, i) * k^(degree - i), for i = 0..degree."""
+    return tuple((i, comb(degree, i) * k ** (degree - i)) for i in range(degree + 1))
+
+
+class ShiftPolynomial(SparseSum):
     """Sparse polynomial in s_1..s_p over the rationals.
 
     Terms map exponent tuples to nonzero Fractions.  Values are immutable;
     all operations return new instances.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, arity, terms=None):
         if arity < 1:
@@ -43,9 +51,6 @@ class ShiftPolynomial:
             if coeff:
                 clean[expo] = coeff
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftPolynomial is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -92,42 +97,25 @@ class ShiftPolynomial:
             return max(sum(e) for e in self.terms)
         return max(e[j - 1] for e in self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other):
+    def _shape(self):
+        return (self.arity,)
+
+    def _like(self, terms):
+        return ShiftPolynomial(self.arity, terms)
+
+    def _lift(self, value):
+        return ShiftPolynomial.constant(value, self.arity)
+
+    def _compatible(self, other):
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ShiftPolynomial.constant(other, self.arity)
-        self._check(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return ShiftPolynomial(self.arity, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ShiftPolynomial(self.arity, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ShiftPolynomial.constant(other, self.arity)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return ShiftPolynomial(self.arity, {e: c * v for e, v in self.terms.items()})
-        self._check(other)
+            return self.scale(other)
+        self._compatible(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -136,14 +124,6 @@ class ShiftPolynomial:
         return ShiftPolynomial(self.arity, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = ShiftPolynomial.constant(1, self.arity)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- the translation action --------------------------------------------
 
@@ -156,14 +136,9 @@ class ShiftPolynomial:
         terms = {}
         jj = j - 1
         for expo, coeff in self.terms.items():
-            e = expo[jj]
-            # (s_j + steps)^e expanded by the binomial theorem
-            for i in range(e + 1):
-                new = list(expo)
-                new[jj] = i
-                key = tuple(new)
-                add = coeff * comb(e, i) * Fraction(steps) ** (e - i)
-                terms[key] = terms.get(key, Fraction(0)) + add
+            for i, w in binomial_shift(expo[jj], steps):
+                key = expo[:jj] + (i,) + expo[jj + 1 :]
+                terms[key] = terms.get(key, Fraction(0)) + coeff * w
         return ShiftPolynomial(self.arity, terms)
 
     # -- evaluation ----------------------------------------------------------
@@ -179,18 +154,6 @@ class ShiftPolynomial:
             val = coeff if all(e == 0 for e in expo) else coeff * _prod_pow(point, expo)
             total = total + val
         return total
-
-    # -- comparisons ---------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ShiftPolynomial.constant(other, self.arity)
-        if not isinstance(other, ShiftPolynomial):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:

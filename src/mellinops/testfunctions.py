@@ -21,11 +21,11 @@ checks, not by the Haar-measure ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .ore import Algebra
+from .shiftpoly import binomial_shift
 from .errors import MixedAlgebra
 
 
@@ -53,8 +53,8 @@ class SFactor:
         n = len(self.coeffs)
         out = [0j] * n
         for k, c in enumerate(self.coeffs):
-            for i in range(k + 1):
-                out[i] += c * comb(k, i) * delta ** (k - i)
+            for i, w in binomial_shift(k, delta):
+                out[i] += c * w
         scale = np.exp(self.beta * delta) if self.beta else 1.0
         return SFactor(tuple(v * scale for v in out), self.beta)
 

@@ -162,9 +162,12 @@ def test_config_file_and_overrides(tmp_path):
         (["verify", "th + t"], "grid_count = abc\n"),
         (["verify", "th + t"], "function = nosuch\n"),
         (["verify", "th + t"], "degree_bound = 12\n"),  # removed key
+        (["verify", "th + t", "--config", "{tmp}/missing.conf"], None),
+        (["koszul", "--I", "1", "--N", "6", "--output", "{tmp}"], None),  # a directory
     ],
 )
 def test_usage_error_exit_code(tmp_path, capsys, argv, config):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     if config is not None:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(config)

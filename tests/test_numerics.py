@@ -328,6 +328,11 @@ def test_verify_commutation_guard_failure():
         verify_commutation(parse("th + t"), build_builtin("gaussian"), GRID)
 
 
+def test_verify_commutation_rejects_zero_operator():
+    with pytest.raises(ValueError, match="zero operator"):
+        verify_commutation(parse("t - t"), build_builtin("gamma"), GRID)
+
+
 def test_guard_accepts_true_annihilator():
     assert annihilation_guard(parse("th + t"), build_builtin("gamma")) <= 1e-12
 
