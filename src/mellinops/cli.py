@@ -10,7 +10,7 @@ Exit codes are part of the contract:
     3  algebra mismatch (mixed or wrong-side generators)
     4  truncation window overflow
     5  annihilation guard failed
-    6  quadrature failure
+    6  quadrature failure (unsettled estimate, no decay certificate, failed grid function)
     7  usage or configuration error (bad argument or config value, unreadable
        config file, unwritable output path)
 
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EvaluationFailure,
     IndexOutOfRange,
     MixedAlgebra,
     ParseError,
@@ -325,7 +326,7 @@ def main(argv=None, stream=None):
     except PreconditionFailed as exc:
         print(f"guard failure: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except QuadratureFailure as exc:
+    except (QuadratureFailure, EvaluationFailure) as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
     except (ValueError, KeyError) as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -116,24 +117,29 @@ def _haar_grid(panel_width, order, n_theta, u_lo=-5.2, u_hi=5.2):
 _HAAR_LEVELS = ((0.9, 12, 64), (0.55, 16, 96))
 
 
-def _haar_integral_once(f, power, s, panel_width, order, n_theta):
-    xi, w, u = _haar_grid(panel_width, order, n_theta)
+def _haar_integral_once(f, powers, s, level):
+    xi, w, u = _haar_grid(*level)
     vals = f(xi, s)
-    if power:
-        vals = vals * np.exp(power * u)[:, None] * np.exp(1j * power * np.angle(xi))
-    return (-1.0 / math.pi) * csum(vals * w)
+    phase = np.angle(xi)
+    out = []
+    for p in powers:
+        vp = vals * np.exp(p * u)[:, None] * np.exp(1j * p * phase) if p else vals
+        out.append((-1.0 / math.pi) * csum(vp * w))
+    # object dtype keeps Python complex entries, so refine takes Python abs of
+    # each, bit for bit as for a single order (np.abs differs in the last ulp)
+    return np.array(out, dtype=object)
 
 
-def haar_integral(f, power, s=0j, tol=ABS_TOL):
-    """(1/2i*pi) integral of xi^power * f over the Haar measure, with estimate."""
+def haar_integral(f, powers, s=0j, tol=ABS_TOL):
+    """(1/2i*pi) integral of xi^p * f over the Haar measure for each p in
+    ``powers``, as (values, estimates) tuples; one evaluation of f per level."""
     flat0, flat_inf = f.decay()
     if not (flat0 and flat_inf):
         raise QuadratureFailure(
             f"{f.name}: no two-sided rapid-decay certificate for a Haar integral"
         )
-    return refine(
-        _HAAR_LEVELS, lambda level: _haar_integral_once(f, power, s, *level), tol, 1e-8
-    )
+    values, increments = refine(_HAAR_LEVELS, partial(_haar_integral_once, f, powers, s), tol, 1e-8)
+    return tuple(values), tuple(increments)
 
 
 def haar_moment(f, k, side, s=0j, tol=ABS_TOL):
@@ -141,29 +147,21 @@ def haar_moment(f, k, side, s=0j, tol=ABS_TOL):
     if side in ("infinity", "inf"):
         if k < 0:
             raise ValueError("k must be >= 0 on the infinity side")
-        value, est = haar_integral(f, k, s, tol)
+        (value,), (est,) = haar_integral(f, (k,), s, tol)
         return value, est
     if side in ("zero", "0"):
         if k < 1:
             raise ValueError("k must be >= 1 on the zero side")
-        value, est = haar_integral(f, -k, s, tol)
+        (value,), (est,) = haar_integral(f, (-k,), s, tol)
         return -value, est
     raise ValueError(f"unknown side {side!r}")
 
 
 def moment_table(f, k_max, s=0j, tol=ABS_TOL):
-    zero = []
-    inf_side = []
-    err = 0.0
-    for k in range(1, k_max + 1):
-        v, e = haar_moment(f, k, "zero", s, tol)
-        zero.append(v)
-        err = max(err, e)
-    for k in range(0, k_max + 1):
-        v, e = haar_moment(f, k, "infinity", s, tol)
-        inf_side.append(v)
-        err = max(err, e)
-    return MomentTable(complex(s), k_max, tuple(zero), tuple(inf_side), err)
+    orders = tuple(-k for k in range(1, k_max + 1)) + tuple(range(k_max + 1))
+    values, errors = haar_integral(f, orders, s, tol)
+    zero = tuple(-v for v in values[:k_max])
+    return MomentTable(complex(s), k_max, zero, values[k_max:], max(errors))
 
 
 def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL, scale_floor=0.0):
@@ -175,8 +173,8 @@ def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL, scale_floor=0.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    lhs, e1 = haar_integral(f.wirtinger_t(), k + 1, s, quad_tol)
-    base, e2 = haar_integral(f, k, s, quad_tol)
+    (lhs,), (e1,) = haar_integral(f.wirtinger_t(), (k + 1,), s, quad_tol)
+    (base,), (e2,) = haar_integral(f, (k,), s, quad_tol)
     rhs = -k * base
     scale = max(abs(base), abs(lhs), scale_floor, 1e-300)
     residual = abs(lhs - rhs)
@@ -204,7 +202,7 @@ _CONV_LEVELS = (
 )
 
 
-def _convolution_once(f, t, s, extra_power, level, mode="inf"):
+def _convolution_once(f, t, s, extra_power, level):
     panel_w, order, n_theta, near_panels, near_order, n_phi = level
     h = 0.5 * abs(t)
     u_lo = min(-5.2, math.log(abs(t)) - 1.5)
@@ -212,8 +210,7 @@ def _convolution_once(f, t, s, extra_power, level, mode="inf"):
     # far part: polar grid at the origin, kernel masked near xi = t
     xi, w, _ = _haar_grid(panel_w, order, n_theta, u_lo, u_hi)
     mask = 1.0 - bump((np.abs(xi - t) / h - 0.5) * 2.0)
-    kern = 1.0 / (1.0 - xi / t) if mode == "inf" else xi / (xi - t)
-    vals = f(xi, s) * mask * kern
+    vals = f(xi, s) * mask * (1.0 / (1.0 - xi / t))
     if extra_power:
         vals = vals * xi ** extra_power
     far = (-1.0 / math.pi) * csum(vals * w)
@@ -224,21 +221,14 @@ def _convolution_once(f, t, s, extra_power, level, mode="inf"):
     xi_n = t + rho[:, None] * np.exp(1j * phi[None, :])
     chi = bump((rho / h - 0.5) * 2.0)[:, None]
     vals_n = f(xi_n, s) * chi * np.exp(-1j * phi)[None, :] / np.abs(xi_n) ** 2
-    power = extra_power if mode == "inf" else extra_power + 1
-    if power:
-        vals_n = vals_n * xi_n ** power
-    prefactor = t / math.pi if mode == "inf" else -1.0 / math.pi
-    near = prefactor * csum(vals_n * (wr[:, None] * wp))
+    if extra_power:
+        vals_n = vals_n * xi_n ** extra_power
+    near = t / math.pi * csum(vals_n * (wr[:, None] * wp))
     return far + near
 
 
-def _convolution_integral(f, t, s, extra_power, tol, rel_tol=1e-7, mode="inf"):
-    return refine(
-        _CONV_LEVELS,
-        lambda level: _convolution_once(f, t, s, extra_power, level, mode),
-        tol,
-        rel_tol,
-    )
+def _convolution_integral(f, t, s, extra_power, tol, rel_tol=1e-7):
+    return refine(_CONV_LEVELS, partial(_convolution_once, f, t, s, extra_power), tol, rel_tol)
 
 
 def cauchy_convolve(f, t, s=0j, tol=1e-9):
@@ -254,19 +244,17 @@ def cauchy_convolve(f, t, s=0j, tol=1e-9):
 
 def convolution_remainder(f, t, s=0j, n=0, side="infinity", tol=1e-9):
     """Exact tail after n expansion terms, as a single well-conditioned
-    integral: at infinity the remainder is
-    t^-(n+1) (1/2i*pi) int xi^(n+1) f / (1 - xi/t) dmu, and symmetrically
-    with negative powers at zero."""
+    integral t^-q (1/2i*pi) int xi^q f / (1 - xi/t) dmu with q = n + 1 at
+    infinity and q = -n at zero (there xi/(xi - t) = -(xi/t)/(1 - xi/t)
+    turns the zero-side kernel into the same one, one power up)."""
     t = complex(t)
     if t == 0:
         raise SingularEvaluation("remainders are evaluated away from 0")
     # the raw integral is O(1); relative accuracy carries through the
-    # division by t^(n+1), which is what the ratio checks need
-    if side in ("infinity", "inf"):
-        value, est = _convolution_integral(f, t, s, n + 1, tol, rel_tol=3e-6)
-        return value / t ** (n + 1), est / abs(t) ** (n + 1)
-    value, est = _convolution_integral(f, t, s, -(n + 1), tol, rel_tol=3e-6, mode="zero")
-    return -value * t ** (n + 1), est * abs(t) ** (n + 1)
+    # division by t^q, which is what the ratio checks need
+    q = n + 1 if side in ("infinity", "inf") else -n
+    value, est = _convolution_integral(f, t, s, q, tol, rel_tol=3e-6)
+    return value / t ** q, est / abs(t) ** q
 
 
 def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
@@ -382,12 +370,22 @@ def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
 
 
 def _ray_window(f, re_s, tol):
+    """Window on the ray from dyadic probes.  An active end probe needs the mass
+    beyond it, w_end / a at the rate a = log2(w_inner / w_end) per doubling,
+    to be at most ``tol``; a non-finite probe has no certificate."""
     k = np.arange(-84.0, 85.0)
     probes = np.exp2(k)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        weight = np.abs(f(probes.astype(complex), 0j)) * probes ** (re_s)
-    weight = np.nan_to_num(weight, nan=0.0, posinf=0.0, neginf=0.0)
-    active = np.nonzero(weight > tol * 1e-4)[0]
+    vals = f(probes.astype(complex), 0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.where(vals == 0, 0.0, np.abs(vals) * probes ** re_s)
+    threshold = tol * 1e-4
+    certified = bool(np.all(np.isfinite(weight)))
+    for w_end, w_inner in (weight[:2], weight[:-3:-1]):  # (end, next inner) probes
+        if certified and w_end > threshold:
+            certified = w_inner > w_end and w_end / math.log2(w_inner / w_end) <= tol
+    if not certified:
+        raise QuadratureFailure(f"{f.name}: no ray-decay certificate at Re s = {re_s:g}")
+    active = np.nonzero(weight > threshold)[0]
     if active.size == 0:
         return None
     return 2.0 ** (k[active[0]] - 2), 2.0 ** (k[active[-1]] + 2)

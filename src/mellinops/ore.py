@@ -196,8 +196,6 @@ class OreOperator(SparseSum):
         return OreOperator.scalar(value, self.algebra, self.arity)
 
     def _compatible(self, other):
-        if not isinstance(other, OreOperator):
-            raise TypeError("OreOperator expected")
         if self.algebra is not other.algebra or self.arity != other.arity:
             raise MixedAlgebra(
                 f"cannot combine {self.algebra.value} (p={self.arity}) with "
@@ -207,7 +205,7 @@ class OreOperator(SparseSum):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._compatible(other)
+        self._check(other)
         terms = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

@@ -67,20 +67,20 @@ def csum(values):
 def refine(levels, evaluate, tol, rel_tol):
     """Evaluate ``levels`` in order until two consecutive values agree.
 
-    Returns (value, increment) for the first level whose value differs from
-    the previous one by at most max(tol, rel_tol * |value|); raises
-    QuadratureFailure with the last increment when no pair settles.
+    Returns (value, increment) for the first level at which every entry of the
+    value (a number or an array) moved by at most max(tol, rel_tol * |entry|);
+    raises QuadratureFailure with the largest last increment when none does.
     """
     previous = None
     for level in levels:
         value = evaluate(level)
         if previous is not None:
             increment = abs(value - previous)
-            if increment <= max(tol, rel_tol * abs(value)):
+            if np.all(increment <= np.maximum(tol, rel_tol * abs(value))):
                 return value, increment
         previous = value
     raise QuadratureFailure(
-        f"quadrature did not settle below {tol:.3e} (last increment {increment:.3e})"
+        f"quadrature did not settle below {tol:.3e} (last increment {np.max(increment):.3e})"
     )
 
 

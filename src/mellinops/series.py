@@ -207,7 +207,7 @@ class TailSeries(SparseSum):
         return {i: p for i, p in self.terms.items() if lo <= i[pos] <= hi - 1}
 
     def agrees_on_interior(self, other, var):
-        self._compatible(other)
+        self._check(other)
         return self.interior_terms(var) == other.interior_terms(var)
 
     def slice_at(self, var, n):

@@ -115,7 +115,7 @@ class ShiftPolynomial(SparseSum):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._compatible(other)
+        self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

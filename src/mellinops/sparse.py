@@ -5,7 +5,7 @@ coefficients in a space fixed by a shape.  Subclasses supply four hooks:
 ``_shape()`` (compared by ``==``), ``_like(terms)`` (a value of the same
 shape; zero terms drop), ``_lift(value)`` (a rational scalar in the same
 space, or ``NotImplemented``) and ``_compatible(other)`` (raises the class's
-own error when ``other`` cannot be combined with this value).
+own error when ``other``, of the same class, cannot be combined with this one).
 """
 
 from __future__ import annotations
@@ -22,13 +22,18 @@ class SparseSum:
     def is_zero(self):
         return not self.terms
 
+    def _check(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"{type(self).__name__} expected, got {type(other).__name__}")
+        self._compatible(other)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self._lift(other)
             if other is NotImplemented:
                 return NotImplemented
         else:
-            self._compatible(other)
+            self._check(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             prev = terms.get(key)

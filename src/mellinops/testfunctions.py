@@ -122,7 +122,7 @@ class TestFunction:
                     expo = expo + c * r ** k
                 if term.exp_t or term.exp_r:
                     val = val * np.exp(expo)
-                total = total + np.nan_to_num(val, nan=0.0, posinf=0.0, neginf=0.0)
+                total = total + val
         return total
 
     # -- algebra ---------------------------------------------------------------

@@ -122,6 +122,21 @@ def test_moments_quadrature_failure_exit_code():
     assert code == EXIT_QUADRATURE
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        "grid_start = -0.5\ngrid_stop = 0.5\n",  # no ray-decay certificate below Re s = 0
+        "grid_imag = 60\n",  # the ray transform does not settle
+    ],
+)
+def test_verify_grid_function_failure_exit_code(tmp_path, capsys, config):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config)
+    code, out = run(["verify", "th + t", "--function", "gamma", "--config", str(cfg_file)])
+    assert code == EXIT_QUADRATURE and out == ""
+    assert capsys.readouterr().err.startswith("quadrature failure: grid function failed at ")
+
+
 def test_expand_geometric(tmp_path):
     out_file = tmp_path / "e.json"
     code, _ = run(["expand", "--function", "geometric", "--R", "0.5", "--output", str(out_file)])

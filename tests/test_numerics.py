@@ -23,8 +23,8 @@ from mellinops import (
     stokes_identity_check,
     verify_commutation,
 )
-from mellinops.numerics import annihilation_guard
-from mellinops.testfunctions import TestFunction, envelope_mode
+from mellinops.numerics import _HAAR_LEVELS, annihilation_guard
+from mellinops.testfunctions import TestFunction, envelope_mode, ray_exponential
 
 # frozen oracle values (scipy.integrate.quad on the radial reductions):
 #   int_0^inf r^(k-1) exp(-r - 1/r) dr  for k = 1, 2, 3
@@ -103,6 +103,42 @@ def test_moment_table_layout():
     assert all(abs(v) < 1e-10 for v in tab.zero_side)
 
 
+class CountingFunction:
+    """Duck-typed test function that counts its grid evaluations."""
+
+    def __init__(self, f):
+        self.f, self.name, self.calls = f, f.name, 0
+
+    def __call__(self, t, s=0j):
+        self.calls += 1
+        return self.f(t, s)
+
+    def decay(self):
+        return self.f.decay()
+
+
+def test_moment_table_evaluates_once_per_level():
+    f = CountingFunction(build_builtin("mode2"))
+    moment_table(f, 8, 1.0)
+    assert f.calls == len(_HAAR_LEVELS)
+
+
+@pytest.mark.parametrize("name, s", [("modeblend", 0.5), ("sep-modeblend", 1.0 + 0.25j)])
+def test_moment_table_matches_haar_moment(name, s):
+    f = build_builtin(name)
+    tab = moment_table(f, 5, s)
+    errors = []
+    for k in range(1, 6):
+        value, est = haar_moment(f, k, "zero", s)
+        assert tab.at_zero(k) == value
+        errors.append(est)
+    for k in range(6):
+        value, est = haar_moment(f, k, "infinity", s)
+        assert tab.at_inf(k) == value
+        errors.append(est)
+    assert tab.error == max(errors)
+
+
 # -- the moment transport identity ----------------------------------------------------
 
 
@@ -166,6 +202,24 @@ def test_convolve_decomposition_consistency():
     partial = sum(haar_moment(f, k, "infinity")[0] * t ** (-k) for k in range(n + 1))
     rem, _ = convolution_remainder(f, t, n=n)
     assert abs(total - (partial + rem)) <= 2e-9
+
+
+# the innerblend of test_remainder_ratios_zero_side: inner angular modes only
+INNERBLEND = TestFunction(
+    tuple(envelope_mode(-mm, weight=1.0 / factorial(mm), radial={2: -1.0, -2: -1.0})
+          for mm in range(5)),
+    "innerblend",
+)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.08 + 0.03j])
+@pytest.mark.parametrize("n", [1, 2])
+def test_convolve_decomposition_zero_side(t, n):
+    # near 0, K*f is sum_k zero-moment_k t^k plus the zero-side remainder
+    total = cauchy_convolve(INNERBLEND, t)
+    partial = sum(haar_moment(INNERBLEND, k, "zero")[0] * t ** k for k in range(1, n + 1))
+    rem, _ = convolution_remainder(INNERBLEND, t, n=n, side="zero")
+    assert abs(total - (partial + rem)) <= 1e-12
 
 
 def test_remainder_scaling_bound_across_radii():
@@ -266,6 +320,21 @@ def test_ray_mellin_functional_equation():
         lhs = ray_mellin(f, s + 1)[0]
         rhs = s * ray_mellin(f, s)[0]
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+
+
+# gamma at s = 0.5 also leaves its innermost probe active, but with about
+# 5e-13 of mass below it; the closed-form test on the verify grid covers it
+@pytest.mark.parametrize(
+    "f, s",
+    [
+        (build_builtin("gamma"), 0.05),  # the mass below the probes is about 1.1
+        (build_builtin("gamma"), -0.5),  # diverges at 0
+        (ray_exponential({1: 1}, "growth"), 1.0),  # exp(+t) overflows on the probes
+    ],
+)
+def test_ray_mellin_requires_a_decay_certificate(f, s):
+    with pytest.raises(QuadratureFailure, match="ray-decay certificate"):
+        ray_mellin(f, s)
 
 
 def test_ray_mellin_zero_function():

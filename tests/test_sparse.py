@@ -3,10 +3,11 @@ binomial Taylor shift and the one additive structure (SparseSum)."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mellinops import Axis, OreOperator, ShiftPolynomial, TailSeries, ZERO_TYPE
+from mellinops import Axis, OreOperator, ShiftPolynomial, TailSeries, ZERO_TYPE, parse
 from mellinops.shiftpoly import binomial_shift
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -97,3 +98,30 @@ def test_scalar_valued_elements_hash_like_their_scalar():
     assert len({OreOperator.one("D"), 1}) == 1
     assert hash(ShiftPolynomial.constant(Fraction(3, 2), 2)) == hash(Fraction(3, 2))
     assert hash(ShiftPolynomial.zero()) == hash(0)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (ShiftPolynomial.variable(1), parse("th")),
+        (parse("th"), ShiftPolynomial.variable(1)),
+        (TailSeries(1, AXES, {(1,): 1}), ShiftPolynomial.variable(1)),
+        (ShiftPolynomial.variable(1), TailSeries(1, AXES, {(1,): 1})),
+        (parse("th"), TailSeries(1, AXES, {(1,): 1})),
+        (ShiftPolynomial.variable(1), 1.5),
+        (parse("th"), 1.5),
+    ],
+)
+def test_other_operand_types_are_rejected(x, y):
+    expected = f"{type(x).__name__} expected, got {type(y).__name__}"
+    with pytest.raises(TypeError, match=expected):
+        x + y
+    if not isinstance(x, TailSeries):
+        with pytest.raises(TypeError, match=expected):
+            x * y
+
+
+def test_agrees_on_interior_rejects_other_types():
+    g = TailSeries(1, AXES, {(1,): 1})
+    with pytest.raises(TypeError, match="TailSeries expected, got ShiftPolynomial"):
+        g.agrees_on_interior(ShiftPolynomial.variable(1), 1)
