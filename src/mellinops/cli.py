@@ -10,15 +10,18 @@ Exit codes are part of the contract:
     3  algebra mismatch (mixed or wrong-side generators)
     4  truncation window overflow
     5  annihilation guard failed
-    6  quadrature failure (unsettled estimate, no decay certificate, failed grid function)
-    7  usage or configuration error (bad argument or config value, unreadable
-       config file, unwritable output path)
+    6  quadrature failure (unsettled estimate, no decay certificate, failed grid
+       function, a non-finite ``expand`` sample)
+    7  usage or configuration error (malformed argument, bad config key or value,
+       unreadable config file, unwritable output path, negative order; for
+       ``expand``, a function that is not a family or a bad radius)
 
-Run configuration comes from an optional key=value file (``--config``) with
-flag overrides.  Recognized keys: n_max, quad_tol, check_tol, grid_start,
-grid_stop, grid_count, grid_imag, function, output.  Reports are
-JSON with sorted keys and no timestamps, so identical runs produce identical
-bytes on one platform.
+Run configuration: RunConfig's defaults (``function``: gamma for verify, mode2
+for moments, geometric for expand), then the optional key=value file
+(``--config``), then the flags ``--N`` (n_max), ``--function`` and ``--output``.
+Recognized keys: n_max, quad_tol, check_tol, grid_start, grid_stop, grid_count,
+grid_imag, function, output.  Reports are JSON with sorted keys and no
+timestamps, so identical runs produce identical bytes on one platform.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,7 +77,7 @@ class RunConfig:
     grid_count: int = 20
     grid_imag: float = 0.0
     function: str = "gamma"
-    output: str | None = None
+    output: str = ""
 
     def validate(self):
         if self.n_max < 4:
@@ -86,13 +89,9 @@ class RunConfig:
         return self
 
     def s_grid(self):
-        if self.grid_count == 1:
-            return (complex(self.grid_start, self.grid_imag),)
-        step = (self.grid_stop - self.grid_start) / (self.grid_count - 1)
-        return tuple(
-            complex(self.grid_start + i * step, self.grid_imag)
-            for i in range(self.grid_count)
-        )
+        n = self.grid_count
+        step = (self.grid_stop - self.grid_start) / (n - 1) if n > 1 else 0.0
+        return tuple(complex(self.grid_start + i * step, self.grid_imag) for i in range(n))
 
     def echo(self):
         return {
@@ -104,21 +103,12 @@ class RunConfig:
         }
 
 
-_CONFIG_TYPES = {
-    "n_max": int,
-    "quad_tol": float,
-    "check_tol": float,
-    "grid_start": float,
-    "grid_stop": float,
-    "grid_count": int,
-    "grid_imag": float,
-    "function": str,
-    "output": str,
-}
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
-def load_config(path=None, overrides=None):
-    cfg = RunConfig()
+def load_config(path=None, overrides=None, defaults=None):
+    """``defaults``, then the key=value file at ``path``, then non-None ``overrides``."""
+    cfg = RunConfig(**(defaults or {}))
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -154,68 +144,44 @@ def _emit_report(report, cfg, stream):
 
 
 # -- subcommand handlers -------------------------------------------------------
+# transform and parse return canonical text; the report subcommands take the
+# run configuration and return (report dict, whether every check passed).
 
 
-def _cmd_transform(args, stream):
+def _cmd_transform(args):
     if args.inverse:
-        op = parse(args.expr, algebra="S")
-        print(format_operator(inverse_mellin_op(op)), file=stream)
-    else:
-        op = parse(args.expr, algebra="D")
-        print(format_operator(mellin_op(op)), file=stream)
-    return 0
+        return format_operator(inverse_mellin_op(parse(args.expr, algebra="S")))
+    return format_operator(mellin_op(parse(args.expr, algebra="D")))
 
 
-def _cmd_parse(args, stream):
-    op = parse(args.expr, algebra=args.algebra)
-    print(format_operator(op), file=stream)
-    return 0
+def _cmd_parse(args):
+    return format_operator(parse(args.expr, algebra=args.algebra))
 
 
-def _cmd_koszul(args, cfg, stream):
-    if args.N is not None:
-        cfg.n_max = args.N
-        cfg.validate()
-    i_set = _parse_index_set(args.I)
-    j_set = _parse_index_set(args.J)
-    report = koszul_reduce(i_set, j_set, cfg.n_max)
-    _emit_report(report.to_dict(), cfg, stream)
-    return 0 if (report.matches_prediction and report.checks_passed) else EXIT_FAIL
+def _cmd_koszul(args, cfg):
+    report = koszul_reduce(_parse_index_set(args.I), _parse_index_set(args.J), cfg.n_max)
+    return report.to_dict(), report.matches_prediction and report.checks_passed
 
 
-def _cmd_verify(args, cfg, stream):
-    op = parse(args.operator, algebra="D")
-    f = build_builtin(args.function or cfg.function)
-    report = verify_commutation(
-        op, f, cfg.s_grid(), tol=cfg.check_tol, quad_tol=cfg.quad_tol
-    )
-    _emit_report(report.to_dict(), cfg, stream)
-    return 0 if report.verdict else EXIT_FAIL
+def _cmd_verify(args, cfg):
+    op, f = parse(args.operator, algebra="D"), build_builtin(cfg.function)
+    report = verify_commutation(op, f, cfg.s_grid(), tol=cfg.check_tol, quad_tol=cfg.quad_tol)
+    return report.to_dict(), report.verdict
 
 
-def _cmd_moments(args, cfg, stream):
-    f = build_builtin(args.function or cfg.function)
+def _cmd_moments(args, cfg):
+    f = build_builtin(cfg.function)
     s = complex(args.s, cfg.grid_imag)
     table = moment_table(f, args.kmax, s, cfg.quad_tol)
     floor = max(abs(v) for v in table.inf_side + table.zero_side)
-    checks = []
-    ok = True
-    for k in range(args.kmax + 1):
-        rep = stokes_identity_check(
-            f, k, s, tol=1e-6, quad_tol=cfg.quad_tol, scale_floor=floor
-        )
-        checks.append(rep.to_dict())
-        ok &= rep.verdict
+    reports = [stokes_identity_check(f, k, s, tol=1e-6, quad_tol=cfg.quad_tol, scale_floor=floor)
+               for k in range(args.kmax + 1)]
     if args.remainders:
-        rem = asymptotic_remainder_check(f, args.order, (10.0, 20.0, 40.0), s=s)
-        checks.append(rem.to_dict())
-        ok &= rem.verdict
+        reports.append(asymptotic_remainder_check(f, args.order, (10.0, 20.0, 40.0), s=s))
     if args.commutation:
-        com = epsilon_commutation_check(f, s, args.kmax, tol=1e-6, quad_tol=cfg.quad_tol)
-        checks.append(com.to_dict())
-        ok &= com.verdict
-    _emit_report({"moments": table.to_dict(), "checks": checks}, cfg, stream)
-    return 0 if ok else EXIT_FAIL
+        reports.append(epsilon_commutation_check(f, s, args.kmax, tol=1e-6, quad_tol=cfg.quad_tol))
+    checks = [rep.to_dict() for rep in reports]
+    return {"moments": table.to_dict(), "checks": checks}, all(rep.verdict for rep in reports)
 
 
 _EXPAND_FAMILIES = {
@@ -225,22 +191,21 @@ _EXPAND_FAMILIES = {
 }
 
 
-def _cmd_expand(args, cfg, stream):
+def _cmd_expand(args, cfg):
+    if cfg.function not in _EXPAND_FAMILIES:
+        families = ", ".join(_EXPAND_FAMILIES)
+        raise ValueError(f"expand has no function {cfg.function!r}; choose from {families}")
     result = parameter_expansion(
-        _EXPAND_FAMILIES[args.function],
+        _EXPAND_FAMILIES[cfg.function],
         center=complex(args.T0),
         radius=args.R,
         alpha_max=args.alpha_max,
         recon_tol=cfg.check_tol,
     )
-    _emit_report(result.to_dict(), cfg, stream)
-    return 0 if (result.bound_ok and result.reconstruction_ok) else EXIT_FAIL
+    return result.to_dict(), result.bound_ok and result.reconstruction_ok
 
 
 def _parse_index_set(text):
-    text = (text or "").strip()
-    if not text:
-        return ()
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
@@ -248,6 +213,9 @@ def _parse_index_set(text):
 
 
 def build_parser():
+    # Each subparser sets ``run``, its handler.  A flag whose dest is a RunConfig
+    # field defaults to None and overrides the config file; a report
+    # subcommand's own default for such a field goes in ``config_defaults``.
     ap = argparse.ArgumentParser(
         prog="mellinops",
         description="Exact operator transforms, tail-series reductions, and "
@@ -256,83 +224,84 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value run configuration file")
     common.add_argument("--output", help="write the JSON report to this path")
+    common.set_defaults(config_defaults={})
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="map operator text across the correspondence")
     p.add_argument("expr")
     p.add_argument("--inverse", action="store_true", help="map from the shift side back")
+    p.set_defaults(run=_cmd_transform)
 
     p = sub.add_parser("parse", help="parse and reprint in canonical form")
     p.add_argument("expr")
     p.add_argument("--algebra", choices=["D", "S", "Dtilde"], default=None)
+    p.set_defaults(run=_cmd_parse)
 
     p = sub.add_parser("koszul", parents=[common],
                        help="run a tail-series reduction for a partition")
     p.add_argument("--I", default="", help="comma-separated zero-type variables")
     p.add_argument("--J", default="", help="comma-separated infinity-type variables")
-    p.add_argument("--N", type=int, default=None, help="truncation window top")
+    p.add_argument("--N", dest="n_max", metavar="N", type=int, help="truncation window top")
+    p.set_defaults(run=_cmd_koszul)
 
     p = sub.add_parser("verify", parents=[common],
                        help="commutation check for an annihilating pair")
     p.add_argument("operator")
-    p.add_argument("--function", default=None, choices=list(BUILTIN_NAMES))
+    p.add_argument("--function", choices=list(BUILTIN_NAMES), help="default: gamma")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("moments", parents=[common],
                        help="moment table plus transport identities")
-    p.add_argument("--function", default="mode2", choices=list(BUILTIN_NAMES))
+    p.add_argument("--function", choices=list(BUILTIN_NAMES), help="default: mode2")
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--remainders", action="store_true")
     p.add_argument("--order", type=int, default=2, help="remainder expansion order")
     p.add_argument("--commutation", action="store_true")
+    p.set_defaults(run=_cmd_moments, config_defaults={"function": "mode2"})
 
     p = sub.add_parser("expand", parents=[common],
                        help="disc-coefficient extraction and bounds")
-    p.add_argument("--function", default="geometric", choices=sorted(_EXPAND_FAMILIES))
+    p.add_argument("--function", choices=list(_EXPAND_FAMILIES), help="default: geometric")
     p.add_argument("--T0", type=float, default=0.0)
     p.add_argument("--R", type=float, default=0.5)
     p.add_argument("--alpha-max", dest="alpha_max", type=int, default=12)
+    p.set_defaults(run=_cmd_expand, config_defaults={"function": "geometric"})
 
     return ap
 
 
+# (exception types, exit code, stderr label); the first match wins
+_EXIT_TABLE = (
+    ((ParseError,), EXIT_PARSE, "parse error"),
+    ((MixedAlgebra, IndexOutOfRange), EXIT_ALGEBRA, "algebra error"),
+    ((TruncationOverflow,), EXIT_TRUNCATION, "truncation error"),
+    ((PreconditionFailed,), EXIT_GUARD, "guard failure"),
+    ((QuadratureFailure, EvaluationFailure), EXIT_QUADRATURE, "quadrature failure"),
+    ((ValueError, KeyError), EXIT_USAGE, "usage error"),
+)
+
+
 def main(argv=None, stream=None):
+    """Run one subcommand and return its exit code; never raises SystemExit."""
     stream = stream or sys.stdout
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        if args.command in ("transform", "parse"):
-            handler = _cmd_transform if args.command == "transform" else _cmd_parse
-            return handler(args, stream)
-        cfg = load_config(getattr(args, "config", None), {"output": getattr(args, "output", None)})
-        if args.command == "koszul":
-            return _cmd_koszul(args, cfg, stream)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg, stream)
-        if args.command == "moments":
-            return _cmd_moments(args, cfg, stream)
-        if args.command == "expand":
-            return _cmd_expand(args, cfg, stream)
-        raise AssertionError("unreachable")
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (MixedAlgebra, IndexOutOfRange) as exc:
-        print(f"algebra error: {exc}", file=sys.stderr)
-        return EXIT_ALGEBRA
-    except TruncationOverflow as exc:
-        print(f"truncation error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except PreconditionFailed as exc:
-        print(f"guard failure: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (QuadratureFailure, EvaluationFailure) as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
-    except (ValueError, KeyError) as exc:
+        args = build_parser().parse_args(argv)
+        if "config" not in args:  # transform, parse: canonical text, no report
+            print(args.run(args), file=stream)
+            return 0
+        overrides = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES}
+        cfg = load_config(args.config, overrides, args.config_defaults)
+        report, passed = args.run(args, cfg)
+        _emit_report(report, cfg, stream)
+        return 0 if passed else EXIT_FAIL
+    except SystemExit as exc:  # argparse has printed the help (0) or the argument error
+        return EXIT_USAGE if exc.code else 0
+    except tuple(t for types, _, _ in _EXIT_TABLE for t in types) as exc:
+        code, label = next((c, lab) for types, c, lab in _EXIT_TABLE if isinstance(exc, types))
         # str() of a KeyError is the repr of its key; print the message itself
-        print(f"usage error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"{label}: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 import io
 import json
+import re
+from dataclasses import fields
 
 import pytest
 
+from mellinops import cli
 from mellinops.cli import (
     EXIT_ALGEBRA,
     EXIT_GUARD,
@@ -200,3 +203,91 @@ def test_runconfig_validation():
     grid = RunConfig(grid_start=0.5, grid_stop=3.0, grid_count=20, grid_imag=0.25).s_grid()
     assert len(grid) == 20
     assert grid[0] == 0.5 + 0.25j and grid[-1] == 3.0 + 0.25j
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--kmax", "abc"],  # malformed flag value
+        ["nosuch"],  # unknown subcommand
+        ["verify", "th + t", "--function", "nosuch"],  # not a choice
+        ["koszul", "--N"],  # missing flag value
+    ],
+)
+def test_argument_errors_exit_usage(capsys, argv):
+    code, out = run(argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["moments", "--help"]])
+def test_help_returns_zero(capsys, argv):
+    assert run(argv)[0] == 0
+    assert "usage: mellinops" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, function",
+    [
+        (["verify", "th + t - tinv", "--function", "bessel"], "bessel"),
+        (["moments", "--function", "mode2", "--kmax", "2"], "mode2"),
+        (["moments", "--kmax", "2"], "mode2"),
+        (["expand", "--function", "power2"], "power2"),
+        (["expand"], "geometric"),
+    ],
+)
+def test_echo_names_the_function_that_ran(argv, function):
+    code, out = run(argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["config"]["function"] == function
+    if argv[0] != "expand":
+        assert payload["report"].get("function", function) == function
+        assert all(c["function"] == function for c in payload["report"].get("checks", []))
+
+
+def test_config_function_runs_and_flag_overrides(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("function = radial\n")
+    for argv, function in [([], "radial"), (["--function", "mode1"], "mode1")]:
+        code, out = run(["moments", "--kmax", "2", "--config", str(cfg_file), *argv])
+        payload = json.loads(out)
+        assert code == 0 and payload["config"]["function"] == function
+        assert {c["function"] for c in payload["report"]["checks"]} == {function}
+
+
+def test_expand_config_function_must_be_a_family(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("function = gamma\n")
+    code, out = run(["expand", "--config", str(cfg_file)])
+    assert code == EXIT_USAGE and out == ""
+    assert "'gamma'" in capsys.readouterr().err
+
+
+def test_moments_remainders_on_a_single_mode_pass():
+    code, out = run(["moments", "--function", "mode2", "--kmax", "8", "--remainders"])
+    rem = json.loads(out)["report"]["checks"][-1]
+    assert code == 0 and rem["verdict"] is True and rem["one_sided"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["moments", "--kmax", "-1"], EXIT_USAGE, "k_max"),
+        (["moments", "--kmax", "2", "--remainders", "--order", "-3"], EXIT_USAGE, "order n"),
+        (["expand", "--alpha-max", "-1"], EXIT_USAGE, "alpha_max"),
+        (["expand", "--R", "0"], EXIT_USAGE, "radius"),
+        (["expand", "--R", "1"], EXIT_QUADRATURE, "not finite"),
+    ],
+)
+def test_bad_orders_and_radii_exit_with_a_named_cause(capsys, argv, code, message):
+    assert run(argv) == (code, "")
+    assert message in capsys.readouterr().err
+
+
+def test_docstring_matches_config_keys_and_exit_codes():
+    doc = cli.__doc__
+    keys = re.search(r"Recognized keys:\s+([^.]*)\.", doc).group(1)
+    assert [k.strip() for k in keys.split(",")] == [f.name for f in fields(cli.RunConfig)]
+    table = {int(m) for m in re.findall(r"^    (\d)  ", doc, flags=re.MULTILINE)}
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert codes and codes | {0} <= table

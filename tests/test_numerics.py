@@ -7,6 +7,7 @@ import scipy.integrate
 import scipy.special
 
 from mellinops import (
+    EvaluationFailure,
     PreconditionFailed,
     QuadratureFailure,
     SingularEvaluation,
@@ -260,6 +261,53 @@ def test_remainder_radius_validation():
         asymptotic_remainder_check(build_builtin("gaussblend"), 1, (0.5, 2.0))
 
 
+@pytest.mark.parametrize("name", ["radial", "mode1", "mode2", "sep-mode2"])
+def test_remainder_order_single_modes(name):
+    # every moment past order 2 vanishes for one angular mode, so the tail after
+    # two terms decays faster than radius^-3: at least past the moment table
+    rep = asymptotic_remainder_check(build_builtin(name), 2, (10.0, 20.0, 40.0), s=1.0)
+    assert rep.verdict, rep.extras
+    assert rep.extras["one_sided"] and rep.extras["predicted_order"] == 7
+    assert all(order >= 6.5 for order in rep.extras["observed_orders"])
+
+
+def test_remainder_order_predicted_from_moments():
+    rep = asymptotic_remainder_check(build_builtin("mode3"), 2, (10.0, 20.0, 40.0), s=1.0)
+    assert rep.verdict and rep.extras["predicted_order"] == 3 and not rep.extras["one_sided"]
+    assert all(abs(order - 3) <= 0.5 for order in rep.extras["observed_orders"])
+    rep = asymptotic_remainder_check(INNERBLEND, 1, (10.0, 20.0, 40.0), side="zero")
+    assert rep.verdict and rep.extras["predicted_order"] == 2 and not rep.extras["one_sided"]
+    # nothing past order 8 is tabulated: the band stays at n + 1
+    rep = asymptotic_remainder_check(build_builtin("gaussblend"), 8, (10.0, 20.0, 40.0))
+    assert rep.extras["predicted_order"] == 9 and not rep.extras["one_sided"]
+
+
+def test_negative_orders_are_named():
+    f = build_builtin("modeblend")
+    with pytest.raises(ValueError, match="k_max"):
+        moment_table(f, -1)
+    with pytest.raises(ValueError, match="order n"):
+        asymptotic_remainder_check(f, -3, (10.0, 20.0))
+
+
+def test_sides_are_spelled_out():
+    f = build_builtin("modeblend")
+    for side in ("inf", "0", "infinty"):
+        with pytest.raises(ValueError, match="unknown side"):
+            haar_moment(f, 1, side)
+        with pytest.raises(ValueError, match="unknown side"):
+            convolution_remainder(f, 0.1, n=1, side=side)
+        with pytest.raises(ValueError, match="unknown side"):
+            asymptotic_remainder_check(f, 1, (10.0, 20.0), side=side)
+
+
+def test_convolution_requires_two_sided_decay():
+    gamma = build_builtin("gamma")
+    for call in (lambda: cauchy_convolve(gamma, 10.0), lambda: convolution_remainder(gamma, 10.0)):
+        with pytest.raises(QuadratureFailure, match="two-sided rapid-decay certificate"):
+            call()
+
+
 # -- commutation of the expansion map ---------------------------------------------------
 
 
@@ -455,3 +503,21 @@ def test_expansion_coefficients_inherit_annihilator():
         for t, u, du in zip(res.t_grid, u_row, du_row):
             residual = t * du - 2.0 * u
             assert abs(residual) <= 1e-8 * max(abs(u), 1e-30)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.5, math.inf, math.nan])
+def test_expansion_rejects_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        parameter_expansion(geometric, 0j, radius, 12)
+
+
+def test_expansion_rejects_negative_alpha_max():
+    with pytest.raises(ValueError, match="alpha_max"):
+        parameter_expansion(geometric, 0j, 0.5, -1)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_expansion_through_a_pole_fails(radius):
+    # R = 1 puts the pole T = 1 on the ring, R = 2 on the reconstruction circle
+    with pytest.raises(EvaluationFailure, match="not finite"):
+        parameter_expansion(geometric, 0j, radius, 12)
