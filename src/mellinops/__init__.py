@@ -13,15 +13,13 @@ from .errors import (
     SingularEvaluation,
     TruncationOverflow,
 )
-from .ore import Algebra, GenKind, Generator, OreOperator, add, multiply, negate, normalize
+from .ore import Algebra, GenKind, Generator, OreOperator, normalize
 from .shiftpoly import ShiftPolynomial
 from .series import (
     Axis,
-    FULL_TYPE,
     INF_TYPE,
     TailSeries,
     ZERO_TYPE,
-    monomial,
     shift_cycle,
 )
 from .koszul import (
@@ -34,15 +32,9 @@ from .koszul import (
     solve_inf,
     solve_zero,
 )
-from .transform import (
-    PresentationMatrix,
-    apply_difference,
-    inverse_mellin_op,
-    mellin_op,
-    mellin_presentation,
-)
+from .transform import apply_difference, inverse_mellin_op, mellin_op
 from .syntax import format_operator, parse
-from .testfunctions import BUILTIN_NAMES, SFactor, TestFunction, apply_operator, build_builtin
+from .testfunctions import BUILTIN_NAMES, SFactor, TestFunction, build_builtin
 from .numerics import (
     ExpansionResult,
     MomentTable,

@@ -8,13 +8,14 @@ Exit codes are part of the contract:
     1  a check ran but did not pass
     2  operator text did not parse
     3  algebra mismatch (mixed or wrong-side generators)
-    4  truncation window overflow
+    4  truncation window overflow (n_max below 4, or too large to index)
     5  annihilation guard failed
     6  quadrature failure (unsettled estimate, no decay certificate, failed grid
        function, a non-finite ``expand`` sample)
     7  usage or configuration error (malformed argument, bad config key or value,
        unreadable config file, unwritable output path, negative order; for
-       ``expand``, a function that is not a family or a bad radius)
+       ``expand``, a function that is not a family, a bad radius, or an
+       ``alpha_max`` whose coefficients overflow at that radius)
 
 Run configuration: RunConfig's defaults (``function``: gamma for verify, mode2
 for moments, geometric for expand), then the optional key=value file
@@ -49,7 +50,7 @@ from .numerics import (
     epsilon_commutation_check,
     moment_table,
     parameter_expansion,
-    stokes_identity_check,
+    stokes_checks,
     verify_commutation,
 )
 from .syntax import format_operator, parse
@@ -82,6 +83,9 @@ class RunConfig:
     def validate(self):
         if self.n_max < 4:
             raise TruncationOverflow(f"truncation window n_max={self.n_max} is below 4")
+        if self.n_max >= sys.maxsize:  # range(n_max + 1) has no length
+            raise TruncationOverflow(
+                f"truncation window n_max={self.n_max} is above {sys.maxsize - 1}")
         if self.quad_tol <= 0 or self.check_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.grid_count < 1:
@@ -173,9 +177,7 @@ def _cmd_moments(args, cfg):
     f = build_builtin(cfg.function)
     s = complex(args.s, cfg.grid_imag)
     table = moment_table(f, args.kmax, s, cfg.quad_tol)
-    floor = max(abs(v) for v in table.inf_side + table.zero_side)
-    reports = [stokes_identity_check(f, k, s, tol=1e-6, quad_tol=cfg.quad_tol, scale_floor=floor)
-               for k in range(args.kmax + 1)]
+    reports = stokes_checks(f, table, tol=1e-6, quad_tol=cfg.quad_tol)
     if args.remainders:
         reports.append(asymptotic_remainder_check(f, args.order, (10.0, 20.0, 40.0), s=s))
     if args.commutation:

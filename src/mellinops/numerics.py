@@ -81,13 +81,19 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Expansion coefficients at both boundary circles for one s value."""
+    """Expansion coefficients at both boundary circles for one s value, each
+    with its quadrature estimate (``zero_error``, ``inf_error``)."""
 
     s: complex
     k_max: int
     zero_side: tuple  # k = 1..k_max
     inf_side: tuple  # k = 0..k_max
-    error: float
+    zero_error: tuple
+    inf_error: tuple
+
+    @property
+    def error(self):
+        return max(self.zero_error + self.inf_error)
 
     def at_zero(self, k):
         return self.zero_side[k - 1]
@@ -172,7 +178,7 @@ def moment_table(f, k_max, s=0j, tol=ABS_TOL):
     orders = tuple(-k for k in range(1, k_max + 1)) + tuple(range(k_max + 1))
     values, errors = haar_integral(f, orders, s, tol)
     zero = tuple(-v for v in values[:k_max])
-    return MomentTable(complex(s), k_max, zero, values[k_max:], max(errors))
+    return MomentTable(complex(s), k_max, zero, values[k_max:], errors[:k_max], errors[k_max:])
 
 
 def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL, scale_floor=0.0):
@@ -186,6 +192,22 @@ def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL, scale_floor=0.
         raise ValueError("k must be >= 0")
     (lhs,), (e1,) = haar_integral(f.wirtinger_t(), (k + 1,), s, quad_tol)
     (base,), (e2,) = haar_integral(f, (k,), s, quad_tol)
+    return _stokes_report(f, k, complex(s), lhs, base, max(e1, e2), tol, scale_floor)
+
+
+def stokes_checks(f, table, tol=1e-6, quad_tol=ABS_TOL):
+    """:func:`stokes_identity_check` for k = 0..table.k_max, reading each moment
+    of f from ``table`` (f's moment table at ``table.s``) and every moment of
+    the derivative from one integral; the scale floor is the largest entry of
+    the table."""
+    lhs, est = haar_integral(f.wirtinger_t(), range(1, table.k_max + 2), table.s, quad_tol)
+    floor = max(abs(v) for v in table.inf_side + table.zero_side)
+    return [_stokes_report(f, k, table.s, lhs[k], table.at_inf(k),
+                           max(est[k], table.inf_error[k]), tol, floor)
+            for k in range(table.k_max + 1)]
+
+
+def _stokes_report(f, k, s, lhs, base, quad_error, tol, scale_floor):
     rhs = -k * base
     scale = max(abs(base), abs(lhs), scale_floor, 1e-300)
     residual = abs(lhs - rhs)
@@ -193,12 +215,12 @@ def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL, scale_floor=0.
     return ResidualReport(
         operator=f"moment transport order {k}",
         function_id=f.name,
-        grid=(complex(s),),
+        grid=(s,),
         residuals=(residual,),
         relative=(rel,),
         tolerance=tol,
         verdict=rel <= tol,
-        extras={"lhs": _cpx(lhs), "rhs": _cpx(rhs), "quad_error": max(e1, e2)},
+        extras={"lhs": _cpx(lhs), "rhs": _cpx(rhs), "quad_error": quad_error},
     )
 
 
@@ -554,6 +576,15 @@ def parameter_expansion(
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if alpha_max < 0:
         raise ValueError(f"alpha_max must be >= 0, got {alpha_max}")
+    # the circle rule divides by radius ** alpha; past the float range that
+    # quotient and the coefficient sums overflow
+    overflow = f"coefficients up to alpha_max={alpha_max} overflow at radius={radius}"
+    try:
+        top = radius ** alpha_max
+    except OverflowError:
+        top = math.inf
+    if not 0 < top < math.inf:
+        raise ValueError(overflow)
     t_grid = tuple(complex(t) for t in t_grid)
     ts = np.asarray(t_grid, dtype=complex)
     phis, _ = periodic_nodes(n_nodes)
@@ -570,9 +601,12 @@ def parameter_expansion(
         """Samples of g(ts, .) on the ring and their coefficients u_0..u_alpha_max."""
         samples = np.array([evaluate(g, xi) for xi in ring])
         coeffs = []
-        for alpha in range(alpha_max + 1):
-            w = np.exp(-1j * alpha * phis) / (n_nodes * radius ** alpha)
-            coeffs.append(tuple(complex(z) for z in (w[:, None] * samples).sum(axis=0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for alpha in range(alpha_max + 1):
+                w = np.exp(-1j * alpha * phis) / (n_nodes * radius ** alpha)
+                coeffs.append(tuple(complex(z) for z in (w[:, None] * samples).sum(axis=0)))
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(overflow)
         return samples, tuple(coeffs)
 
     samples, coeffs = disc_coefficients(f2)

@@ -113,8 +113,8 @@ class OreOperator(SparseSum):
     """An exact operator in normal form.
 
     ``terms`` maps monomial keys to nonzero Fractions.  Instances are
-    immutable; arithmetic goes through +, -, *, ** or the module functions
-    ``add``/``negate``/``multiply``/``normalize``.
+    immutable; arithmetic goes through +, -, * and **, and :func:`normalize`
+    builds an operator from generator words.
     """
 
     __slots__ = ("algebra", "arity")
@@ -178,12 +178,6 @@ class OreOperator(SparseSum):
         key = _bump(_unit_key(arity), slot, index, amount)
         return cls(algebra, arity, {key: Fraction(1)})
 
-    # -- queries -----------------------------------------------------------
-
-    def support(self, slot):
-        """Exponent vectors appearing in the given key slot (0=t,1=th,2=tau,3=s)."""
-        return {key[slot] for key in self.terms}
-
     # -- arithmetic ----------------------------------------------------------
 
     def _shape(self):
@@ -222,21 +216,6 @@ class OreOperator(SparseSum):
 
     def __repr__(self):
         return f"<{self.algebra.value} p={self.arity}: {self}>"
-
-
-# -- module-level operations ------------------------------------------------
-
-
-def add(P, Q):
-    return P + Q
-
-
-def negate(P):
-    return -P
-
-
-def multiply(P, Q):
-    return P * Q
 
 
 def resolve_algebra(kinds, max_index, algebra, arity):

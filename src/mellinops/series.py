@@ -7,26 +7,22 @@ modeled variable:
 * ``zero`` axes hold positive powers of t_j with stored indices 1..N
   (the class of an expansion at 0, with constants killed);
 * ``inf`` axes hold powers of 1/t_j with stored indices 0..N (the class of
-  an expansion at infinity, constants kept);
-* ``full`` axes hold unconstrained signed powers of t_j, used for exact
-  Laurent-monomial checks where no quotient or window applies.
+  an expansion at infinity, constants kept).
 
 Coefficients are :class:`~mellinops.shiftpoly.ShiftPolynomial` values in
 s_1..s_p.  The torus operators act "twisted": t_j moves the actual exponent
 up by one, the Euler operator th_j multiplies the coefficient at actual
 exponent n by (n - s_j - 1), the auxiliary shift symbol tau_j translates
 coefficients by s_j -> s_j + 1 without touching exponents, and s_j
-multiplies coefficients.  On windowed axes, terms leaving the window (or
+multiplies coefficients.  Terms leaving the window (or
 landed on by the quotient: non-positive powers on ``zero`` axes, positive
 powers on ``inf`` axes) are dropped; exactness claims are therefore made on
 the window interior only, with the top exponent a declared defect zone.
 
-Operators in the torus algebra act monomial-wise (the twisted rules satisfy
-the algebra's relations).  Words mixing tau with th must be applied
-generator by generator, in word order: the twisted model realizes
-th as (t d/dt - s - 1), and that operator does not commute with the bare
-coefficient shift even though th and tau commute in the combined algebra.
-Use :meth:`TailSeries.apply_word` (or :func:`shift_cycle`) for those.
+Operators act generator by generator, in word order
+(:meth:`TailSeries.apply_word`, :func:`shift_cycle`): the twisted model
+realizes th as (t d/dt - s - 1), and that operator does not commute with the
+bare coefficient shift even though th and tau commute in the combined algebra.
 """
 
 from __future__ import annotations
@@ -35,13 +31,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import MixedAlgebra, TruncationOverflow
-from .ore import Algebra, GenKind, Generator
+from .ore import GenKind, Generator
 from .shiftpoly import ShiftPolynomial
 from .sparse import SparseSum
 
 ZERO_TYPE = "zero"
 INF_TYPE = "inf"
-FULL_TYPE = "full"
 
 
 class Axis(NamedTuple):
@@ -49,15 +44,11 @@ class Axis(NamedTuple):
 
     var: int
     kind: str
-    n_max: int | None = None
+    n_max: int
 
 
 def _axis_window(axis):
-    if axis.kind == ZERO_TYPE:
-        return 1, axis.n_max
-    if axis.kind == INF_TYPE:
-        return 0, axis.n_max
-    return None, None
+    return (1 if axis.kind == ZERO_TYPE else 0), axis.n_max
 
 
 def _actual_exponent(axis, n):
@@ -73,10 +64,10 @@ class TailSeries(SparseSum):
         axes = tuple(Axis(a.var, a.kind, a.n_max) for a in axes)
         seen = set()
         for axis in axes:
-            if axis.kind not in (ZERO_TYPE, INF_TYPE, FULL_TYPE):
+            if axis.kind not in (ZERO_TYPE, INF_TYPE):
                 raise ValueError(f"unknown axis kind {axis.kind!r}")
-            if axis.kind != FULL_TYPE and (axis.n_max is None or axis.n_max < 1):
-                raise ValueError("windowed axes need n_max >= 1")
+            if axis.n_max < 1:
+                raise ValueError("axes need n_max >= 1")
             if not 1 <= axis.var <= coeff_arity:
                 raise ValueError(f"axis variable {axis.var} not in 1..{coeff_arity}")
             if axis.var in seen:
@@ -91,7 +82,7 @@ class TailSeries(SparseSum):
                 raise ValueError("index length does not match axes")
             for axis, n in zip(axes, idx):
                 lo, hi = _axis_window(axis)
-                if lo is not None and not lo <= n <= hi:
+                if not lo <= n <= hi:
                     raise TruncationOverflow(
                         f"index {n} outside window [{lo}, {hi}] on variable {axis.var}"
                     )
@@ -126,7 +117,7 @@ class TailSeries(SparseSum):
             raise MixedAlgebra("tail series shapes differ")
 
     def __repr__(self):
-        names = {ZERO_TYPE: "t", INF_TYPE: "1/t", FULL_TYPE: "t"}
+        names = {ZERO_TYPE: "t", INF_TYPE: "1/t"}
         bits = []
         for idx in sorted(self.terms):
             mono = "*".join(
@@ -164,7 +155,7 @@ class TailSeries(SparseSum):
         lo, hi = _axis_window(axis)
         for idx, poly in self.terms.items():
             stored = idx[pos] + (-step if axis.kind == INF_TYPE else step)
-            if lo is not None and not lo <= stored <= hi:
+            if not lo <= stored <= hi:
                 continue  # quotient kill or truncation defect zone
             new = list(idx)
             new[pos] = stored
@@ -178,32 +169,12 @@ class TailSeries(SparseSum):
             out = out.apply_generator(gen)
         return out
 
-    def apply_twisted(self, P):
-        """Apply a torus-algebra operator monomial-wise (D operators only)."""
-        if P.algebra is not Algebra.D:
-            raise MixedAlgebra(
-                "monomial-wise twisted action is defined for D operators; "
-                "apply mixed words with apply_word"
-            )
-        if P.arity != self.coeff_arity:
-            raise MixedAlgebra("operator arity does not match coefficient arity")
-        total = self._like({})
-        for (a, b, _c, _d), coeff in P.terms.items():
-            # the normal word t^a th^b: th acts first, then the exponent shifts
-            word = [Generator(GenKind.T if aj > 0 else GenKind.TINV, j)
-                    for j, aj in enumerate(a, start=1) for _ in range(abs(aj))]
-            word += [Generator(GenKind.THETA, j) for j, bj in enumerate(b, start=1) for _ in range(bj)]
-            total = total + self.apply_word(word).scale(coeff)
-        return total
-
     # -- window helpers ----------------------------------------------------------
 
     def interior_terms(self, var):
         """Terms with the given variable's index in the window interior."""
         pos, axis = self.axis_for(var)
         lo, hi = _axis_window(axis)
-        if lo is None:
-            return dict(self.terms)
         return {i: p for i, p in self.terms.items() if lo <= i[pos] <= hi - 1}
 
     def agrees_on_interior(self, other, var):
@@ -234,11 +205,6 @@ def _as_poly(value, arity):
 def _accumulate(terms, idx, poly):
     prev = terms.get(idx)
     terms[idx] = poly if prev is None else prev + poly
-
-
-def monomial(coeff_arity, axes, idx, poly):
-    """A one-term series: poly * t^(idx) over the given axes."""
-    return TailSeries(coeff_arity, axes, {tuple(idx): poly})
 
 
 def shift_cycle(series, var):

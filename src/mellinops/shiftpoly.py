@@ -70,33 +70,6 @@ class ShiftPolynomial(SparseSum):
         expo = tuple(1 if i == j - 1 else 0 for i in range(arity))
         return cls(arity, {expo: Fraction(1)})
 
-    @classmethod
-    def from_coefficients(cls, coeffs):
-        """Univariate polynomial from the dense list [c0, c1, ...]."""
-        return cls(1, {(k,): c for k, c in enumerate(coeffs)})
-
-    # -- views -------------------------------------------------------------
-
-    def coefficients(self):
-        """Dense coefficient list (univariate only)."""
-        if self.arity != 1:
-            raise ValueError("dense view only defined for one variable")
-        if not self.terms:
-            return [Fraction(0)]
-        d = max(e[0] for e in self.terms)
-        out = [Fraction(0)] * (d + 1)
-        for (k,), c in self.terms.items():
-            out[k] = c
-        return out
-
-    def degree(self, j=None):
-        """Total degree, or degree in variable j; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        if j is None:
-            return max(sum(e) for e in self.terms)
-        return max(e[j - 1] for e in self.terms)
-
     # -- ring operations ---------------------------------------------------
 
     def _shape(self):
@@ -141,20 +114,6 @@ class ShiftPolynomial(SparseSum):
                 terms[key] = terms.get(key, Fraction(0)) + coeff * w
         return ShiftPolynomial(self.arity, terms)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def __call__(self, *point):
-        """Evaluate at a point (exact for Fractions, complex otherwise)."""
-        if len(point) == 1 and isinstance(point[0], (tuple, list)):
-            point = tuple(point[0])
-        if len(point) != self.arity:
-            raise ValueError("wrong number of coordinates")
-        total = 0
-        for expo, coeff in self.terms.items():
-            val = coeff if all(e == 0 for e in expo) else coeff * _prod_pow(point, expo)
-            total = total + val
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -177,10 +136,3 @@ class ShiftPolynomial(SparseSum):
                 bits.append(f"{coeff}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
 
-
-def _prod_pow(point, expo):
-    out = 1
-    for x, e in zip(point, expo):
-        if e:
-            out = out * x ** e
-    return out

@@ -1,4 +1,4 @@
-"""Smooth test functions on the punctured plane with exact Wirtinger partials.
+"""Smooth test functions on the punctured plane with an exact Wirtinger derivative.
 
 Functions are finite sums of terms
 
@@ -169,19 +169,6 @@ class TestFunction:
                 out.append(tm.scaled(k * c / 2).with_powers(dtb=1, dr=k - 2))
         return TestFunction(tuple(out), self.name, self.separable)
 
-    def wirtinger_tbar(self):
-        """The (0,1) Wirtinger derivative d/dtbar, term by term."""
-        out = []
-        for tm in self.terms:
-            if tm.tbar_pow:
-                out.append(tm.scaled(tm.tbar_pow).with_powers(dtb=-1))
-            # d r / d tbar = t / (2 r)
-            if tm.r_pow:
-                out.append(tm.scaled(tm.r_pow / 2).with_powers(dt=1, dr=-2))
-            for k, c in tm.exp_r:
-                out.append(tm.scaled(k * c / 2).with_powers(dt=1, dr=k - 2))
-        return TestFunction(tuple(out), self.name, self.separable)
-
     def euler(self):
         """t * d/dt."""
         return self.wirtinger_t().times_t(1)
@@ -195,12 +182,6 @@ class TestFunction:
         flat0 = all(any(k < 0 and c.real < 0 for k, c in tm.exp_r) for tm in self.terms)
         flat_inf = all(any(k > 0 and c.real < 0 for k, c in tm.exp_r) for tm in self.terms)
         return flat0, flat_inf
-
-
-def apply_operator(P, f):
-    """Apply a torus-algebra operator with the plain action th = t d/dt."""
-    parts = apply_operator_terms(P, f)
-    return TestFunction(tuple(term for part in parts for term in part.terms), f.name)
 
 
 def apply_operator_terms(P, f):

@@ -13,8 +13,6 @@ e^{2i*pi*s}.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EvaluationFailure, MixedAlgebra
 from .ore import Algebra, OreOperator
 
@@ -43,46 +41,6 @@ def inverse_mellin_op(Q):
     for (_a, _b, c, d), coeff in Q.terms.items():
         terms[(c, d, z, z)] = coeff * _parity_sign(d)
     return OreOperator(Algebra.D, Q.arity, terms)
-
-
-@dataclass(frozen=True)
-class PresentationMatrix:
-    """A rectangular grid of operators sharing one algebra and arity."""
-
-    algebra: Algebra
-    arity: int
-    entries: tuple
-
-    def __post_init__(self):
-        rows = self.entries
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("entries must form a non-empty rectangle")
-        for row in rows:
-            for op in row:
-                if op.algebra is not self.algebra or op.arity != self.arity:
-                    raise MixedAlgebra("matrix entries must share algebra and arity")
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = tuple(tuple(r) for r in rows)
-        first = rows[0][0]
-        return cls(first.algebra, first.arity, rows)
-
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]))
-
-    def map_entries(self, fn):
-        return PresentationMatrix.from_rows(
-            tuple(tuple(fn(op) for op in row) for row in self.entries)
-        )
-
-
-def mellin_presentation(mat):
-    """Entry-wise forward transform of a torus-side presentation matrix."""
-    if mat.algebra is not Algebra.D:
-        raise MixedAlgebra("presentation transport expects a D matrix")
-    return mat.map_entries(mellin_op)
 
 
 def apply_difference(Q, F, s):

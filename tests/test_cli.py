@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from mellinops import cli
+from mellinops import TestFunction, build_builtin, cli, stokes_identity_check
 from mellinops.cli import (
     EXIT_ALGEBRA,
     EXIT_GUARD,
@@ -291,3 +291,41 @@ def test_docstring_matches_config_keys_and_exit_codes():
     table = {int(m) for m in re.findall(r"^    (\d)  ", doc, flags=re.MULTILINE)}
     codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
     assert codes and codes | {0} <= table
+
+
+@pytest.mark.parametrize("function, kmax, s", [("mode2", 4, 1.0), ("sep-modeblend", 3, 0.3)])
+def test_moments_checks_equal_stokes_identity_check(function, kmax, s):
+    code, out = run(["moments", "--function", function, "--kmax", str(kmax), "--s", str(s)])
+    report = json.loads(out)["report"]
+    table = report["moments"]
+    floor = max(abs(complex(*z)) for z in table["inf_side"] + table["zero_side"])
+    f = build_builtin(function)
+    want = [stokes_identity_check(f, k, complex(s), scale_floor=floor).to_dict()
+            for k in range(kmax + 1)]
+    assert code == 0 and report["checks"] == json.loads(json.dumps(want))
+
+
+def test_moments_evaluates_f_and_its_derivative_once_per_level(monkeypatch):
+    calls = []
+    evaluate = TestFunction.__call__
+    monkeypatch.setattr(TestFunction, "__call__", lambda f, *a: calls.append(1) or evaluate(f, *a))
+    assert run(["moments", "--function", "mode2", "--kmax", "8"])[0] == 0
+    assert len(calls) == 4  # the table of f and the derivative moments, two levels each
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["expand", "--alpha-max", "1074"], EXIT_USAGE, "alpha_max=1074 overflow at radius=0.5"),
+        (["expand", "--R", "4", "--alpha-max", "600"], EXIT_USAGE, "alpha_max=600 overflow at radius=4.0"),
+        (["koszul", "--I", "1", "--N", str(10 ** 20)], EXIT_TRUNCATION, "n_max=100000000000000000000"),
+    ],
+)
+def test_overflowing_windows_and_orders_exit_with_a_named_cause(capsys, argv, code, message):
+    assert run(argv) == (code, "")
+    assert message in capsys.readouterr().err
+
+
+def test_expand_high_order_within_float_range_passes():
+    code, out = run(["expand", "--alpha-max", "1000"])
+    assert code == 0 and "NaN" not in out and "Infinity" not in out

@@ -10,9 +10,6 @@ from mellinops import (
     IndexOutOfRange,
     MixedAlgebra,
     OreOperator,
-    add,
-    multiply,
-    negate,
     normalize,
     parse,
 )
@@ -97,17 +94,11 @@ def test_normalize_uniqueness_under_single_relation_steps():
 
 def test_multiply_examples():
     s, tau = parse("s"), parse("tau")
-    assert multiply(s, tau) == parse("tau*s - tau")
-    assert multiply(tau, s) == parse("tau*s")
-    assert multiply(parse("th"), parse("t")) == parse("t*th + t")
-
-
-def test_add_negate_examples():
-    tth = parse("t*th")
-    assert add(tth, negate(tth)).is_zero()
-    assert add(parse("th"), parse("t")) == parse("th + t")
+    assert s * tau == parse("tau*s - tau")
+    assert tau * s == parse("tau*s")
+    assert parse("th") * parse("t") == parse("t*th + t")
     # the commutator [th, t] = t
-    assert add(multiply(parse("th"), parse("t")), negate(multiply(parse("t"), parse("th")))) == parse("t")
+    assert parse("th") * parse("t") - parse("t") * parse("th") == parse("t")
 
 
 def test_commutators_multi_variable():
@@ -124,8 +115,8 @@ def test_commutators_multi_variable():
 
 
 def test_inverses_cancel():
-    assert multiply(parse("t"), parse("tinv")) == parse("1")
-    assert multiply(parse("tauinv"), parse("tau")) == OreOperator.one("S")
+    assert parse("t") * parse("tinv") == parse("1")
+    assert parse("tauinv") * parse("tau") == OreOperator.one("S")
 
 
 def test_associativity_200_random_triples():
@@ -140,7 +131,7 @@ def test_associativity_200_random_triples():
             ]
             ops.append(normalize(terms, algebra="Dtilde", arity=p))
         a, b, c = ops
-        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+        assert (a * b) * c == a * (b * c)
 
 
 def test_mixed_algebra_errors():
@@ -149,7 +140,7 @@ def test_mixed_algebra_errors():
     with pytest.raises(MixedAlgebra):
         normalize([(1, gens((T, 1), (TAU, 1)))])  # no combined hint
     with pytest.raises(MixedAlgebra):
-        multiply(parse("t"), parse("s"))
+        parse("t") * parse("s")
     # the combined algebra accepts both sides
     both = normalize([(1, gens((T, 1), (S, 1)))], algebra="Dtilde")
     assert not both.is_zero()

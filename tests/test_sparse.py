@@ -22,7 +22,8 @@ def test_binomial_shift_expands_the_power(e, k):
     power = ShiftPolynomial.constant(1)
     for _ in range(e):
         power = power * (s + k)
-    assert binomial_shift(e, k) == tuple(enumerate(power.coefficients()))
+    assert binomial_shift(e, k) == tuple((i, power.terms.get((i,), 0)) for i in range(e + 1))
+    assert set(power.terms) <= {(i,) for i in range(e + 1)}
 
 
 def shift_polys(arity=2):
