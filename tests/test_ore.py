@@ -97,8 +97,14 @@ def test_multiply_examples():
     assert s * tau == parse("tau*s - tau")
     assert tau * s == parse("tau*s")
     assert parse("th") * parse("t") == parse("t*th + t")
+
+
+def test_add_negate_examples():
+    tth = parse("t*th")
+    assert (tth + (-tth)).is_zero()
+    assert parse("th") + parse("t") == parse("th + t")
     # the commutator [th, t] = t
-    assert parse("th") * parse("t") - parse("t") * parse("th") == parse("t")
+    assert parse("th") * parse("t") + (-(parse("t") * parse("th"))) == parse("t")
 
 
 def test_commutators_multi_variable():
