@@ -1,10 +1,15 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import mellinops
 from mellinops import TestFunction, build_builtin, cli, stokes_identity_check
 from mellinops.cli import (
     EXIT_ALGEBRA,
@@ -156,6 +161,39 @@ def test_reports_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+FRESH_PROCESS_ARGV = (
+    ("moments", "--function", "modeblend", "--kmax", "8", "--remainders"),
+    ("moments", "--function", "sep-modeblend", "--kmax", "6", "--commutation"),
+    ("verify", "th + t", "--function", "gamma"),
+)
+
+
+@pytest.fixture(scope="module")
+def fresh_process_runs():
+    """(process, stdout, stderr) of two fresh CLI processes per argv, all started at once."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mellinops.__file__).parents[1])}
+    procs = {argv: [subprocess.Popen([sys.executable, "-m", "mellinops.cli", *argv], env=env,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                    for _ in range(2)]
+             for argv in FRESH_PROCESS_ARGV}
+    return {argv: [(p, *p.communicate(timeout=120)) for p in pair] for argv, pair in procs.items()}
+
+
+@pytest.mark.parametrize("argv", FRESH_PROCESS_ARGV)
+def test_fresh_processes_write_identical_reports(fresh_process_runs, argv):
+    (proc_a, out_a, err_a), (proc_b, out_b, err_b) = fresh_process_runs[argv]
+    assert (proc_a.returncode, proc_b.returncode) == (0, 0), (err_a, err_b)
+    assert out_a and out_a == out_b
+
+
+@pytest.mark.parametrize("kmax", [12, 40])
+def test_moments_of_unsettled_orders_never_pass(kmax):
+    # past order 10 the weight e^(p u) outruns the radial panels, and past half
+    # the angular node count an order aliases onto a lower one; neither settles,
+    # and no report may claim them
+    assert run(["moments", "--function", "modeblend", "--kmax", str(kmax)])[0] != 0
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("n_max = 10\ngrid_count = 5\nfunction = gamma\n# comment\n")
@@ -261,6 +299,18 @@ def test_expand_config_function_must_be_a_family(tmp_path, capsys):
     code, out = run(["expand", "--config", str(cfg_file)])
     assert code == EXIT_USAGE and out == ""
     assert "'gamma'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2])
+def test_moments_of_a_mode_below_and_at_its_order_pass(kmax):
+    # below order 2 every moment of mode2 vanishes, so both sides of each Stokes
+    # identity are rounding, judged against the integral of |xi^k f|
+    code, out = run(["moments", "--function", "mode2", "--kmax", str(kmax)])
+    report = json.loads(out)["report"]
+    table = report["moments"]["inf_side"] + report["moments"]["zero_side"]
+    assert (max(abs(complex(*z)) for z in table) < 1e-15) == (kmax < 2)
+    assert code == 0 and len(report["checks"]) == kmax + 1
+    assert all(c["verdict"] and c["relative_residuals"][0] < 1e-12 for c in report["checks"])
 
 
 def test_moments_remainders_on_a_single_mode_pass():

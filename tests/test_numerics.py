@@ -16,6 +16,7 @@ from mellinops import (
     cauchy_convolve,
     convolution_remainder,
     epsilon_commutation_check,
+    haar_integral,
     haar_moment,
     moment_table,
     parameter_expansion,
@@ -24,7 +25,13 @@ from mellinops import (
     stokes_identity_check,
     verify_commutation,
 )
-from mellinops.numerics import _HAAR_LEVELS, annihilation_guard
+from mellinops.numerics import (
+    _HAAR_LEVELS,
+    _haar_grid,
+    _haar_integral_once,
+    annihilation_guard,
+    stokes_checks,
+)
 from mellinops.testfunctions import TestFunction, envelope_mode, ray_exponential
 
 # frozen oracle values (scipy.integrate.quad on the radial reductions):
@@ -61,6 +68,53 @@ def test_moment_mismatched_modes_vanish():
     assert abs(haar_moment(radial, 1, "infinity", 0)[0]) < 1e-12
     # zero-side moments couple to the opposite angular sign
     assert abs(haar_moment(f1, 1, "zero", 0)[0]) < 1e-12
+
+
+# angular modes (weight) of the envelope built-ins, all on exp(-r - 1/r)
+ENVELOPE_MODES = {
+    "radial": {0: 1.0},
+    "mode1": {1: 1.0},
+    "mode2": {2: 1.0},
+    "mode3": {3: 1.0},
+    "modeblend": {m: 1.0 / factorial(m) for m in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_MODES))
+def test_haar_integral_against_bessel_closed_form(name):
+    # (1/2i*pi) int xi^p e^(-i m theta) exp(-r - 1/r) dmu is -2 int r^(m-1)
+    # exp(-r - 1/r) dr = -4 K_m(2) for p = m and 0 otherwise; no code shared
+    # with the quadrature
+    modes = ENVELOPE_MODES[name]
+    values, _, _ = haar_integral(build_builtin(name), range(-4, 6))
+    for p, value in zip(range(-4, 6), values):
+        if p in modes:
+            exact = -4.0 * modes[p] * scipy.special.kv(p, 2.0)
+            assert abs(value - exact) <= 1e-12 * abs(exact), (p, value, exact)
+        elif p <= 4:
+            assert abs(value) <= 1e-12, (p, value)
+
+
+@pytest.mark.parametrize("name, s", [("modeblend", 0.5), ("sep-modeblend", 1.0 + 0.25j)])
+def test_haar_transform_matches_the_direct_sum_on_its_grid(name, s):
+    # reference: each order summed over the grid with its own e^(i p theta);
+    # the FFT sums in another order, so they agree to rounding of the scale
+    f, powers = build_builtin(name), range(-9, 10)
+    for level in _HAAR_LEVELS:
+        values, scales = _haar_integral_once(f, powers, s, level)
+        xi, w, _ = _haar_grid(*level)
+        vals = f(xi, s)
+        for p, value, scale in zip(powers, values, scales):
+            direct = -np.sum(vals * xi ** p * w) / math.pi
+            assert abs(value - direct) <= 1e-13 * scale, (p, value, direct)
+            assert scale == pytest.approx(np.sum(np.abs(vals * xi ** p) * w) / math.pi, rel=1e-13)
+
+
+def test_moment_table_scale_is_the_integral_of_the_modulus():
+    # |xi^k mode2| = r^k exp(-r - 1/r), whose Haar integral over pi is 4 K_k(2)
+    table = moment_table(build_builtin("mode2"), 6, 1.0)
+    for k, scale in enumerate(table.inf_scale):
+        assert scale == pytest.approx(4.0 * scipy.special.kv(k, 2.0), rel=1e-12)
 
 
 def test_moment_negative_mode_couples_on_zero_side():
@@ -164,6 +218,24 @@ def test_stokes_zero_function():
     zero = TestFunction((envelope_mode(1, weight=0.0),), "null")
     rep = stokes_identity_check(zero, 2, 0)
     assert rep.verdict
+
+
+class ScaledDerivative(TestFunction):
+    """A test function whose d/dt is off by the factor 1 + 1e-4."""
+
+    def wirtinger_t(self):
+        return super().wirtinger_t().scale(1 + 1e-4)
+
+
+@pytest.mark.parametrize("name, coupling", [("mode2", {2}), ("modeblend", {1, 2, 3, 4, 5})])
+def test_stokes_checks_fail_a_broken_identity_at_coupling_orders(name, coupling):
+    f = build_builtin(name)
+    broken = ScaledDerivative(f.terms, f.name)
+    table = moment_table(f, 6, 1.0)
+    verdicts = [rep.verdict for rep in stokes_checks(broken, table)]
+    assert [k for k, ok in enumerate(verdicts) if not ok] == sorted(coupling)
+    assert all(rep.verdict for rep in stokes_checks(f, table))
+    assert not stokes_identity_check(broken, 2, 1.0).verdict
 
 
 # -- the singular convolution ---------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mellinops import (
     EvaluationFailure,
@@ -19,17 +20,24 @@ from mellinops.ore import Algebra, GenKind, Generator, normalize
 from mellinops.transform import apply_difference_terms
 
 
-def random_operator(rng, algebra="D", p=1, degree=4, n_terms=3):
+def operators(algebra, p, degree=4, n_terms=3):
+    """Sums of n_terms words of up to ``degree`` generators in p variables."""
     kinds = (
         [GenKind.T, GenKind.TINV, GenKind.THETA]
         if algebra == "D"
         else [GenKind.TAU, GenKind.TAUINV, GenKind.S]
     )
-    terms = []
-    for _ in range(n_terms):
-        word = [Generator(rng.choice(kinds), rng.randint(1, p)) for _ in range(rng.randint(0, degree))]
-        terms.append((Fraction(rng.randint(-5, 5), rng.randint(1, 4)), word))
-    return normalize(terms, algebra=algebra, arity=p)
+    word = st.lists(st.sampled_from([Generator(k, i) for k in kinds for i in range(1, p + 1)]),
+                    max_size=degree)
+    coeff = st.sampled_from([Fraction(n, d) for n in range(-5, 6) for d in range(1, 5)])
+    return st.lists(st.tuples(coeff, word), min_size=n_terms, max_size=n_terms).map(
+        lambda terms: normalize(terms, algebra=algebra, arity=p)
+    )
+
+
+def operator_pairs(first, second):
+    """Two operators in one number of variables p = 1..3."""
+    return st.one_of([st.tuples(operators(first, p), operators(second, p)) for p in (1, 2, 3)])
 
 
 def test_forward_examples():
@@ -51,33 +59,27 @@ def test_unit_inverse_preservation():
     assert mellin_op(parse("tinv")) == parse("tauinv")
 
 
-def test_roundtrip_random():
-    rng = random.Random(41)
-    for _ in range(200):
-        p = rng.randint(1, 3)
-        P = random_operator(rng, "D", p)
-        assert inverse_mellin_op(mellin_op(P)) == P
-        Q = random_operator(rng, "S", p)
-        assert mellin_op(inverse_mellin_op(Q)) == Q
+@settings(max_examples=200, deadline=None, database=None)
+@given(operator_pairs("D", "S"))
+def test_roundtrip_random(pair):
+    P, Q = pair
+    assert inverse_mellin_op(mellin_op(P)) == P
+    assert mellin_op(inverse_mellin_op(Q)) == Q
 
 
-def test_ring_morphism_200_pairs():
-    rng = random.Random(42)
-    for _ in range(200):
-        p = rng.randint(1, 3)
-        P = random_operator(rng, "D", p)
-        Q = random_operator(rng, "D", p)
-        assert mellin_op(P * Q) == mellin_op(P) * mellin_op(Q)
+@settings(max_examples=200, deadline=None, database=None)
+@given(operator_pairs("D", "D"))
+def test_ring_morphism_200_pairs(pair):
+    P, Q = pair
+    assert mellin_op(P * Q) == mellin_op(P) * mellin_op(Q)
 
 
-def test_degree_transport():
-    rng = random.Random(43)
-    for _ in range(50):
-        p = rng.randint(1, 3)
-        P = random_operator(rng, "D", p)
-        Q = mellin_op(P)
-        # t exponents -> tau exponents, th degrees -> s degrees
-        assert {(a, b) for a, b, _, _ in P.terms} == {(c, d) for _, _, c, d in Q.terms}
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.one_of([operators("D", p) for p in (1, 2, 3)]))
+def test_degree_transport(P):
+    Q = mellin_op(P)
+    # t exponents -> tau exponents, th degrees -> s degrees
+    assert {(a, b) for a, b, _, _ in P.terms} == {(c, d) for _, _, c, d in Q.terms}
 
 
 def test_wrong_side_rejected():
