@@ -30,7 +30,7 @@ from .series import (
     ZERO_TYPE,
     shift_cycle,
 )
-from .shiftpoly import ShiftPolynomial
+from .shiftpoly import ShiftPolynomial, as_poly
 
 
 def _solve_cycle(g, var, kind):
@@ -76,11 +76,6 @@ def solve_zero(g, var):
     return _solve_cycle(g, var, ZERO_TYPE)
 
 
-def _as_coefficient(phi, coeff_arity):
-    """phi as a ShiftPolynomial; an int becomes a constant."""
-    return ShiftPolynomial.constant(phi, coeff_arity or 1) if isinstance(phi, int) else phi
-
-
 def kernel_element(phi, var, n_max, coeff_arity=None):
     """The kernel representative with first-slice extraction phi.
 
@@ -92,8 +87,7 @@ def kernel_element(phi, var, n_max, coeff_arity=None):
 
 def product_kernel(phi, variables, n_max, coeff_arity=None):
     """Joint kernel representative across several ``zero`` axes."""
-    phi = _as_coefficient(phi, coeff_arity)
-    arity = coeff_arity or phi.arity
+    phi = as_poly(phi, coeff_arity)
     variables = tuple(sorted(variables))
     axes = tuple(Axis(v, ZERO_TYPE, n_max) for v in variables)
     terms = {}
@@ -103,7 +97,7 @@ def product_kernel(phi, variables, n_max, coeff_arity=None):
             poly = poly.shift(v, 1 - n)
         if not poly.is_zero():
             terms[idx] = poly
-    return TailSeries(arity, axes, terms)
+    return TailSeries(phi.arity, axes, terms)
 
 
 # -- induced actions on the surviving cohomology ------------------------------
@@ -137,8 +131,8 @@ def induced_action_congruence(phi, action, var=1, n_max=12, coeff_arity=None):
     image membership carries no information here: the differential is
     exactly surjective inside the window.)
     """
-    phi = _as_coefficient(phi, coeff_arity)
-    arity = coeff_arity or phi.arity
+    phi = as_poly(phi, coeff_arity)
+    arity = phi.arity
     k = kernel_element(phi, var, n_max, arity)
     if action == "t":
         moved = k.apply_generator(Generator(GenKind.T, var))

@@ -84,8 +84,8 @@ class ResidualReport:
 @dataclass(frozen=True)
 class MomentTable:
     """Expansion coefficients at both boundary circles for one s value, each
-    with its quadrature estimate (``zero_error``, ``inf_error``); at infinity
-    also the Haar integral of |xi^k f| (``inf_scale``), the size that the
+    with its quadrature estimate (``zero_error``, ``inf_error``) and the Haar
+    integral of |xi^k f| (``zero_scale``, ``inf_scale``), the size that the
     rounding of the order-k coefficient is relative to."""
 
     s: complex
@@ -94,6 +94,7 @@ class MomentTable:
     inf_side: tuple  # k = 0..k_max
     zero_error: tuple
     inf_error: tuple
+    zero_scale: tuple
     inf_scale: tuple
 
     @property
@@ -105,6 +106,10 @@ class MomentTable:
 
     def at_inf(self, k):
         return self.inf_side[k]
+
+    def scale(self, p):
+        """The integral of |xi^p f| behind Haar order p (order -p at zero if p < 0)."""
+        return self.inf_scale[p] if p >= 0 else self.zero_scale[-p - 1]
 
     def to_dict(self):
         return {
@@ -196,7 +201,7 @@ def moment_table(f, k_max, s=0j, tol=ABS_TOL):
     values, errors, scales = haar_integral(f, orders, s, tol)
     zero = tuple(-v for v in values[:k_max])
     return MomentTable(complex(s), k_max, zero, values[k_max:], errors[:k_max], errors[k_max:],
-                       scales[k_max:])
+                       scales[:k_max], scales[k_max:])
 
 
 def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL, scale_floor=0.0):
@@ -379,23 +384,24 @@ def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
     table_up = moment_table(f, k_max + 1, s + 1, quad_tol)
     table_theta = moment_table(f.euler(), k_max, s, quad_tol)
     table_h = moment_table(f.shift_s(1).times_t(-1) + f.scale(-1), k_max, s, quad_tol)
-    # residuals are judged against the table scale: entries that vanish
-    # (mismatched angular modes) would otherwise divide noise by noise
-    scale_0 = max(max(abs(v) for v in table.inf_side + table.zero_side), 1e-300)
-    scale_h = max(max(abs(v) for v in table.inf_side + table.zero_side + table_up.inf_side), 1e-300)
+    # each row is judged against the integrals of |xi^k f| of the entries it
+    # compares: entries that vanish (mismatched angular modes) are rounding
+    # of those integrals
     inf, zero = range(k_max + 1), range(1, k_max + 1)
     # (label, lhs, rhs, scale) for each transported coefficient
     rows = [(f"euler:inf:{k}", table_theta.at_inf(k) - (s + 1) * table.at_inf(k),
-             (-k - s - 1) * table.at_inf(k), scale_0 * (abs(s) + k + 1)) for k in inf]
+             (-k - s - 1) * table.at_inf(k),
+             table_theta.scale(k) + (abs(s) + k + 1) * table.scale(k)) for k in inf]
     rows += [(f"euler:zero:{k}", table_theta.at_zero(k) - (s + 1) * table.at_zero(k),
-              (k - s - 1) * table.at_zero(k), scale_0 * (abs(s) + k + 1)) for k in zero]
+              (k - s - 1) * table.at_zero(k),
+              table_theta.scale(-k) + (abs(s) + k + 1) * table.scale(-k)) for k in zero]
     rows += [(f"cycle:inf:{k}", table_h.at_inf(k),
-              (table_up.at_inf(k - 1) if k else -table_up.at_zero(1)) - table.at_inf(k), scale_h)
-             for k in inf]
-    rows += [(f"cycle:zero:{k}", table_h.at_zero(k),
-              table_up.at_zero(k + 1) - table.at_zero(k), scale_h) for k in zero]
+              (table_up.at_inf(k - 1) if k else -table_up.at_zero(1)) - table.at_inf(k),
+              table_h.scale(k) + table_up.scale(k - 1) + table.scale(k)) for k in inf]
+    rows += [(f"cycle:zero:{k}", table_h.at_zero(k), table_up.at_zero(k + 1) - table.at_zero(k),
+              table_h.scale(-k) + table_up.scale(-k - 1) + table.scale(-k)) for k in zero]
     residuals = tuple(abs(lhs - rhs) for _, lhs, rhs, _ in rows)
-    relative = tuple(res / row[3] for res, row in zip(residuals, rows))
+    relative = tuple(res / max(row[3], 1e-300) for res, row in zip(residuals, rows))
     return ResidualReport(
         operator="expansion-map commutation (euler and shift-cycle)",
         function_id=f.name,

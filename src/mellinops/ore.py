@@ -26,13 +26,12 @@ which is exactly what iterated single-relation rewriting produces.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, MixedAlgebra
-from .shiftpoly import as_fraction, binomial_shift
-from .sparse import SparseSum
+from .shiftpoly import binomial_shift
+from .sparse import RATIONALS, SparseSum, rational
 
 
 class Algebra(str, enum.Enum):
@@ -87,32 +86,24 @@ _GEN_SLOT = {
 }
 
 
-@lru_cache(maxsize=65536)
-def _mono_mul(key1, key2):
-    """Normal-form expansion of the product of two normal monomials.
+@lru_cache(maxsize=None)
+def _mono_mul(e1, k, e2):
+    """One variable's row of a monomial product: (x + k)^e1 x^e2 as
+    ((degree, weight), ...) with nonzero integer weights.
 
-    Returns a tuple of (key, Fraction) pairs.  Moving the right factor's
-    t-powers left past th-powers transports th_j to (th_j + a_j); moving its
-    tau-powers past s-powers transports s_j to (s_j - c_j).  Each variable
-    contributes (x + k)^e1 x^e2 for x = th_j, then for x = s_j; every
-    resulting degree tuple is distinct, so no two terms collect.
+    Moving the right factor's t_j^a left past th_j^e1 transports th_j to
+    (th_j + a); moving its tau_j^c past s_j^e1 transports s_j to (s_j - c).
+    The rows of the 2p variables multiply out to the product of two normal
+    monomials, and every resulting degree tuple is distinct.
     """
-    a1, b1, c1, d1 = key1
-    a2, b2, c2, d2 = key2
-    p = len(a1)
-    a = tuple(x + y for x, y in zip(a1, a2))
-    c = tuple(x + y for x, y in zip(c1, c2))
-    terms = {(): Fraction(1)}
-    for e1, e2, k in zip(b1 + d1, b2 + d2, a2 + tuple(-x for x in c2)):
-        opts = [(i + e2, w) for i, w in binomial_shift(e1, k) if w]
-        terms = {degs + (deg,): coeff * w for degs, coeff in terms.items() for deg, w in opts}
-    return tuple(((a, degs[:p], c, degs[p:]), coeff) for degs, coeff in terms.items())
+    return tuple((i + e2, w) for i, w in binomial_shift(e1, k) if w)
 
 
 class OreOperator(SparseSum):
     """An exact operator in normal form.
 
-    ``terms`` maps monomial keys to nonzero Fractions.  Instances are
+    ``terms`` maps monomial keys to nonzero exact scalars (see
+    :func:`~mellinops.sparse.rational`).  Instances are
     immutable; arithmetic goes through +, -, * and **, and :func:`normalize`
     builds an operator from generator words.
     """
@@ -127,7 +118,7 @@ class OreOperator(SparseSum):
         object.__setattr__(self, "arity", arity)
         clean = {}
         for key, coeff in terms.items():
-            coeff = as_fraction(coeff)
+            coeff = rational(coeff)
             if not coeff:
                 continue
             self._check_key(key, algebra, arity)
@@ -155,28 +146,23 @@ class OreOperator(SparseSum):
 
     @classmethod
     def one(cls, algebra, arity=1):
-        return cls(algebra, arity, {_unit_key(arity): Fraction(1)})
+        return cls(algebra, arity, {_unit_key(arity): 1})
 
     @classmethod
     def scalar(cls, value, algebra, arity=1):
-        return cls(algebra, arity, {_unit_key(arity): as_fraction(value)})
+        return cls(algebra, arity, {_unit_key(arity): value})
 
     @classmethod
     def generator(cls, kind, index=1, algebra=None, arity=None):
         kind = GenKind(kind)
-        if algebra is None:
-            algebra = Algebra.D if kind in T_SIDE else Algebra.S
-        algebra = Algebra(algebra)
-        arity = arity or index
-        if not 1 <= index <= arity:
-            raise IndexOutOfRange(f"index {index} not in 1..{arity}")
+        algebra, arity = resolve_algebra({kind}, index, algebra, arity)
         if algebra is Algebra.D and kind not in T_SIDE:
             raise MixedAlgebra(f"{kind.value} is not a D generator")
         if algebra is Algebra.S and kind not in S_SIDE:
             raise MixedAlgebra(f"{kind.value} is not an S generator")
         slot, amount = _GEN_SLOT[kind]
         key = _bump(_unit_key(arity), slot, index, amount)
-        return cls(algebra, arity, {key: Fraction(1)})
+        return cls(algebra, arity, {key: 1})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -197,14 +183,23 @@ class OreOperator(SparseSum):
             )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, RATIONALS):
             return self.scale(other)
         self._check(other)
+        p = self.arity
         terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                for key, w in _mono_mul(k1, k2):
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2 * w
+        for (a1, b1, c1, d1), x in self.terms.items():
+            for (a2, b2, c2, d2), y in other.terms.items():
+                a = tuple(u + v for u, v in zip(a1, a2))
+                c = tuple(u + v for u, v in zip(c1, c2))
+                expansion = [((), x * y)]
+                for e1, k, e2 in zip(b1 + d1, a2 + tuple(-v for v in c2), b2 + d2):
+                    row = _mono_mul(e1, k, e2)
+                    expansion = [(degs + (deg,), coeff * w)
+                                 for degs, coeff in expansion for deg, w in row]
+                for degs, coeff in expansion:
+                    key = (a, degs[:p], c, degs[p:])
+                    terms[key] = terms.get(key, 0) + coeff
         return OreOperator(self.algebra, self.arity, terms)
 
     __rmul__ = __mul__  # reached by scalars, which commute with every operator
@@ -225,7 +220,7 @@ def resolve_algebra(kinds, max_index, algebra, arity):
     kinds from both sides raise MixedAlgebra; with a hint only the combined
     algebra admits both sides.  A single wrong-side generator under a
     one-sided hint is left to :meth:`OreOperator.generator`.  The arity
-    defaults to ``max_index``; a larger index than a given arity raises
+    defaults to ``max_index``; an index outside 1..arity raises
     IndexOutOfRange.
     """
     mixed = bool(kinds & T_SIDE) and bool(kinds & S_SIDE)
@@ -242,7 +237,7 @@ def resolve_algebra(kinds, max_index, algebra, arity):
             raise MixedAlgebra("operator mixes torus-side and shift-side generators")
     if arity is None:
         arity = max_index
-    elif max_index > arity:
+    if not 1 <= max_index <= arity:
         raise IndexOutOfRange(f"index {max_index} not in 1..{arity}")
     return algebra, arity
 
@@ -255,7 +250,7 @@ def normalize(raw_terms, algebra=None, arity=None):
     generators unless given; a word mixing the two sides without the combined
     hint raises MixedAlgebra.
     """
-    raw = [(as_fraction(c), tuple(Generator(GenKind(g.kind), g.index) for g in w))
+    raw = [(rational(c), tuple(Generator(GenKind(g.kind), g.index) for g in w))
            for c, w in raw_terms]
     gens = [g for _, word in raw for g in word]
     algebra, arity = resolve_algebra(

@@ -27,12 +27,11 @@ bare coefficient shift even though th and tau commute in the combined algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import MixedAlgebra, TruncationOverflow
 from .ore import GenKind, Generator
-from .shiftpoly import ShiftPolynomial
+from .shiftpoly import ShiftPolynomial, as_poly
 from .sparse import SparseSum
 
 ZERO_TYPE = "zero"
@@ -86,7 +85,7 @@ class TailSeries(SparseSum):
                     raise TruncationOverflow(
                         f"index {n} outside window [{lo}, {hi}] on variable {axis.var}"
                     )
-            poly = _as_poly(poly, coeff_arity)
+            poly = as_poly(poly, coeff_arity)
             if not poly.is_zero():
                 clean[idx] = poly
         object.__setattr__(self, "terms", clean)
@@ -190,16 +189,6 @@ class TailSeries(SparseSum):
             if idx[pos] == n:
                 terms[idx[:pos] + idx[pos + 1 :]] = poly
         return TailSeries(self.coeff_arity, rest, terms)
-
-
-def _as_poly(value, arity):
-    if isinstance(value, ShiftPolynomial):
-        if value.arity != arity:
-            raise ValueError("coefficient arity mismatch")
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ShiftPolynomial.constant(value, arity)
-    raise TypeError(f"coefficient must be exact, got {type(value).__name__}")
 
 
 def _accumulate(terms, idx, poly):

@@ -9,18 +9,9 @@ is polynomial in s under translation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .sparse import SparseSum
-
-
-def as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exact rational expected, got {type(x).__name__}")
+from .sparse import RATIONALS, SparseSum, rational
 
 
 def binomial_shift(degree, k):
@@ -32,8 +23,9 @@ def binomial_shift(degree, k):
 class ShiftPolynomial(SparseSum):
     """Sparse polynomial in s_1..s_p over the rationals.
 
-    Terms map exponent tuples to nonzero Fractions.  Values are immutable;
-    all operations return new instances.
+    Terms map exponent tuples to nonzero exact scalars (see
+    :func:`~mellinops.sparse.rational`).  Values are immutable; all
+    operations return new instances.
     """
 
     __slots__ = ("arity",)
@@ -47,7 +39,7 @@ class ShiftPolynomial(SparseSum):
             expo = tuple(int(e) for e in expo)
             if len(expo) != arity or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent {expo} for arity {arity}")
-            coeff = as_fraction(coeff)
+            coeff = rational(coeff)
             if coeff:
                 clean[expo] = coeff
         object.__setattr__(self, "terms", clean)
@@ -56,7 +48,7 @@ class ShiftPolynomial(SparseSum):
 
     @classmethod
     def constant(cls, value, arity=1):
-        return cls(arity, {(0,) * arity: as_fraction(value)})
+        return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def zero(cls, arity=1):
@@ -68,7 +60,7 @@ class ShiftPolynomial(SparseSum):
         if not 1 <= j <= arity:
             raise ValueError(f"variable index {j} not in 1..{arity}")
         expo = tuple(1 if i == j - 1 else 0 for i in range(arity))
-        return cls(arity, {expo: Fraction(1)})
+        return cls(arity, {expo: 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -86,14 +78,14 @@ class ShiftPolynomial(SparseSum):
             raise ValueError("arity mismatch")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, RATIONALS):
             return self.scale(other)
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
+                terms[expo] = terms.get(expo, 0) + c1 * c2
         return ShiftPolynomial(self.arity, terms)
 
     __rmul__ = __mul__
@@ -111,7 +103,7 @@ class ShiftPolynomial(SparseSum):
         for expo, coeff in self.terms.items():
             for i, w in binomial_shift(expo[jj], steps):
                 key = expo[:jj] + (i,) + expo[jj + 1 :]
-                terms[key] = terms.get(key, Fraction(0)) + coeff * w
+                terms[key] = terms.get(key, 0) + coeff * w
         return ShiftPolynomial(self.arity, terms)
 
     def __repr__(self):
@@ -136,3 +128,12 @@ class ShiftPolynomial(SparseSum):
                 bits.append(f"{coeff}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
 
+
+def as_poly(value, arity=None):
+    """value as a ShiftPolynomial of ``arity`` variables (any when None for a
+    polynomial, one for a scalar): an exact scalar becomes a constant."""
+    if isinstance(value, ShiftPolynomial):
+        if arity is not None and value.arity != arity:
+            raise ValueError("coefficient arity mismatch")
+        return value
+    return ShiftPolynomial.constant(value, arity or 1)

@@ -1,16 +1,28 @@
-"""The additive structure shared by the exact value types.
+"""The additive structure shared by the exact value types, and their scalar.
 
 A :class:`SparseSum` is an immutable map ``terms`` from keys to nonzero
-coefficients in a space fixed by a shape.  Subclasses supply four hooks:
-``_shape()`` (compared by ``==``), ``_like(terms)`` (a value of the same
-shape; zero terms drop), ``_lift(value)`` (a rational scalar in the same
-space, or ``NotImplemented``) and ``_compatible(other)`` (raises the class's
-own error when ``other``, of the same class, cannot be combined with this one).
+coefficients, each the one exact scalar of :func:`rational` (an ``int`` when
+integral, else a ``Fraction``), in a space fixed by a shape.  Subclasses
+supply four hooks: ``_shape()`` (compared by ``==``), ``_like(terms)`` (a
+value of the same shape; zero terms drop), ``_lift(value)`` (a rational scalar
+in the same space, or ``NotImplemented``) and ``_compatible(other)`` (raises
+the class's own error when ``other``, of the same class, cannot be combined
+with this one).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+RATIONALS = (int, Fraction)  # the types that rational() accepts
+
+
+def rational(x):
+    """x as the one exact scalar: an int (a bool or a Fraction with denominator
+    1 becomes one), or a non-integral Fraction; anything else raises TypeError."""
+    if not isinstance(x, RATIONALS):
+        raise TypeError(f"exact rational expected, got {type(x).__name__}")
+    return int(x) if x.denominator == 1 else x
 
 
 class SparseSum:
@@ -28,7 +40,7 @@ class SparseSum:
         self._compatible(other)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, RATIONALS):
             other = self._lift(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -52,6 +64,7 @@ class SparseSum:
         return (-self) + other
 
     def scale(self, value):
+        value = rational(value)
         return self._like({k: c * value for k, c in self.terms.items()})
 
     def __pow__(self, n):
@@ -63,7 +76,7 @@ class SparseSum:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, RATIONALS):
             other = self._lift(other)
         if not isinstance(other, type(self)):
             return NotImplemented

@@ -313,6 +313,16 @@ def test_moments_of_a_mode_below_and_at_its_order_pass(kmax):
     assert all(c["verdict"] and c["relative_residuals"][0] < 1e-12 for c in report["checks"])
 
 
+@pytest.mark.parametrize("function, kmax", [("sep-mode2", 0), ("mode3", 1)])
+def test_commutation_on_a_table_of_vanishing_moments_passes(function, kmax):
+    # every compared entry is rounding, judged against the integrals of |xi^k f|
+    code, out = run(["moments", "--function", function, "--kmax", str(kmax), "--commutation"])
+    comm = json.loads(out)["report"]["checks"][-1]
+    assert comm["operator"].startswith("expansion-map commutation")
+    assert code == 0 and comm["verdict"] is True
+    assert max(comm["relative_residuals"]) < 1e-12
+
+
 def test_moments_remainders_on_a_single_mode_pass():
     code, out = run(["moments", "--function", "mode2", "--kmax", "8", "--remainders"])
     rem = json.loads(out)["report"]["checks"][-1]

@@ -178,6 +178,19 @@ def test_congruence_euler_constant():
     assert res.ok and res.defect.is_zero()
 
 
+def test_scalar_phi_is_a_constant_polynomial():
+    # an integral Fraction is the same phi as the int; a non-integral one works
+    for action in ("t", "theta"):
+        three = induced_action_congruence(3, action, 1, 12)
+        assert induced_action_congruence(Fraction(3), action, 1, 12) == three
+        half = induced_action_congruence(Fraction(1, 2), action, 1, 12)
+        assert half.ok and half.defect == three.defect.scale(Fraction(1, 6))
+    assert kernel_element(Fraction(3), 1, 6) == kernel_element(3, 1, 6)
+    assert kernel_element(Fraction(1, 2), 1, 6).coefficient((4,)) == Fraction(1, 2)
+    with pytest.raises(TypeError, match="exact rational expected"):
+        kernel_element(0.5, 1, 6)
+
+
 def test_congruences_random_50():
     rng = random.Random(123)
     for _ in range(50):

@@ -383,6 +383,32 @@ def test_epsilon_commutation_separable():
     assert rep.verdict and rep.max_relative <= 1e-6
 
 
+class ScaledEuler(TestFunction):
+    """A test function whose Euler derivative is off by the factor 1 + 1e-4."""
+
+    def euler(self):
+        return super().euler().scale(1 + 1e-4)
+
+
+@pytest.mark.parametrize("name, coupling", [("sep-mode2", {2}), ("sep-modeblend", {1, 2, 3})])
+def test_epsilon_commutation_fails_a_broken_euler_table_at_coupling_orders(name, coupling):
+    f = build_builtin(name)
+    rep = epsilon_commutation_check(ScaledEuler(f.terms, f.name), 0.75 + 0.25j, 6)
+    failed = {label for label, rel in zip(rep.extras["checks"], rep.relative) if rel > rep.tolerance}
+    assert failed == {f"euler:inf:{k}" for k in coupling}
+    assert epsilon_commutation_check(f, 0.75 + 0.25j, 6).verdict
+
+
+def test_moment_table_zero_scale_is_the_integral_of_the_modulus():
+    # under r <-> 1/r the zero-side order k of the mode (xi/|xi|)^-2 is the
+    # infinity-side order k of mode2, so its scale is 4 K_k(2) as well
+    f = TestFunction((envelope_mode(-2),), "mode-2")
+    table = moment_table(f, 4, 1.0)
+    for k in range(1, 5):
+        assert table.scale(-k) == table.zero_scale[k - 1]
+        assert table.scale(-k) == pytest.approx(4.0 * scipy.special.kv(k, 2.0), rel=1e-12)
+
+
 def test_epsilon_commutation_constant_in_s():
     # with no s-dependence the shift-cycle case degenerates to f/t - f
     f = build_builtin("modeblend")

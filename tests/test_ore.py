@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mellinops import (
     Algebra,
@@ -13,6 +14,7 @@ from mellinops import (
     normalize,
     parse,
 )
+from mellinops.ore import _mono_mul
 
 T, TINV, TH = GenKind.T, GenKind.TINV, GenKind.THETA
 S, TAU, TAUINV = GenKind.S, GenKind.TAU, GenKind.TAUINV
@@ -63,9 +65,33 @@ def rewrite_adjacent(word, i):
     return out((1, [b, a]))
 
 
-def random_word(rng, p, max_len=8):
-    kinds = [T, TINV, TH, S, TAU, TAUINV]
-    return [Generator(rng.choice(kinds), rng.randint(1, p)) for _ in range(rng.randint(2, max_len))]
+def words(p, max_len=8):
+    """Words of 2..max_len generators of both sides in p variables."""
+    gens = [Generator(kind, i) for kind in (T, TINV, TH, S, TAU, TAUINV) for i in range(1, p + 1)]
+    return st.lists(st.sampled_from(gens), min_size=2, max_size=max_len)
+
+
+# ints and Fractions, integral ones among them, so that products collect both
+COEFFS = st.sampled_from(
+    list(range(-4, 5)) + [Fraction(n, d) for n in range(-4, 5) for d in (2, 3)]
+)
+
+
+def exact_scalars(op):
+    """Every stored coefficient is an int or a non-integral Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in op.terms.values())
+
+
+def operators(p):
+    """Sums of one to three coefficient-times-word terms in the combined algebra."""
+    terms = st.lists(st.tuples(COEFFS, words(p, 4)), min_size=1, max_size=3)
+    return terms.map(lambda t: normalize(t, algebra="Dtilde", arity=p))
+
+
+# (p, word, position seed) and (a, b, c), in p = 1..3 variables
+word_cases = st.one_of([st.tuples(st.just(p), words(p), st.integers(0, 6)) for p in (1, 2, 3)])
+triples = st.one_of([st.tuples(operators(p), operators(p), operators(p)) for p in (1, 2, 3)])
 
 
 def test_normalize_examples():
@@ -79,17 +105,17 @@ def test_normalize_examples():
     assert normalize([(1, word)]) == target == parse("t*th^2 + 2*t*th + t")
 
 
-def test_normalize_uniqueness_under_single_relation_steps():
-    rng = random.Random(2024)
-    for _ in range(300):
-        p = rng.randint(1, 3)
-        word = random_word(rng, p)
-        i = rng.randrange(len(word) - 1)
-        direct = normalize([(1, word)], algebra="Dtilde", arity=p)
-        stepped = normalize(
-            [(c, w) for c, w in rewrite_adjacent(word, i)], algebra="Dtilde", arity=p
-        )
-        assert direct == stepped
+@settings(max_examples=300, deadline=None, database=None)
+@given(word_cases)
+def test_normalize_uniqueness_under_single_relation_steps(case):
+    p, word, seed = case
+    i = seed % (len(word) - 1)
+    direct = normalize([(1, word)], algebra="Dtilde", arity=p)
+    stepped = normalize(
+        [(c, w) for c, w in rewrite_adjacent(word, i)], algebra="Dtilde", arity=p
+    )
+    assert direct == stepped
+    assert exact_scalars(direct)
 
 
 def test_multiply_examples():
@@ -125,19 +151,23 @@ def test_inverses_cancel():
     assert parse("tauinv") * parse("tau") == OreOperator.one("S")
 
 
-def test_associativity_200_random_triples():
-    rng = random.Random(5)
-    for _ in range(200):
-        p = rng.randint(1, 3)
-        ops = []
-        for _ in range(3):
-            terms = [
-                (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), random_word(rng, p, 4))
-                for _ in range(rng.randint(1, 3))
-            ]
-            ops.append(normalize(terms, algebra="Dtilde", arity=p))
-        a, b, c = ops
-        assert (a * b) * c == a * (b * c)
+@settings(max_examples=200, deadline=None, database=None)
+@given(triples)
+def test_associativity_200_random_triples(ops):
+    a, b, c = ops
+    left = (a * b) * c
+    assert left == a * (b * c)
+    assert all(exact_scalars(op) for op in (a, b, c, a * b, left))
+
+
+def test_product_rows_are_one_variable_and_cached():
+    # (x + 3)^2 x = x^3 + 6x^2 + 9x; a zero weight drops
+    assert _mono_mul(2, 3, 1) == ((1, 9), (2, 6), (3, 1))
+    assert _mono_mul(2, 0, 1) == ((3, 1),)
+    _mono_mul.cache_clear()
+    parse("(th_1 + t_2 + th_3 + t_1)^4 * (t_1 + tinv_3 + th_2)^3")
+    info = _mono_mul.cache_info()
+    assert info.maxsize is None and 0 < info.currsize < 100
 
 
 def test_mixed_algebra_errors():
@@ -155,8 +185,23 @@ def test_mixed_algebra_errors():
 def test_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         normalize([(1, gens((T, 3),))], arity=2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match=r"^index 5 not in 1\.\.2$"):
         OreOperator.generator(T, 5, "D", 2)
+    with pytest.raises(IndexOutOfRange, match=r"^index 0 not in 1\.\.2$"):
+        OreOperator.generator(T, 0, "D", 2)
+    with pytest.raises(IndexOutOfRange, match=r"^index 0 not in 1\.\.0$"):
+        OreOperator.generator(TAU, 0)
+
+
+def test_generator_infers_its_algebra():
+    assert OreOperator.generator(TH, 2).algebra is Algebra.D
+    assert OreOperator.generator(TH, 2).arity == 2
+    assert OreOperator.generator(TAUINV).algebra is Algebra.S
+    assert OreOperator.generator(S, 1, "Dtilde", 3).arity == 3
+    with pytest.raises(MixedAlgebra, match="^s is not a D generator$"):
+        OreOperator.generator(S, 1, "D")
+    with pytest.raises(MixedAlgebra, match="^th is not an S generator$"):
+        OreOperator.generator(TH, 1, "S")
 
 
 def test_scalar_arithmetic_and_power():

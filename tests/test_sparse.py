@@ -3,12 +3,14 @@ binomial Taylor shift and the one additive structure (SparseSum)."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mellinops import Axis, OreOperator, ShiftPolynomial, TailSeries, ZERO_TYPE, parse
 from mellinops.shiftpoly import binomial_shift
+from mellinops.sparse import rational
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -126,3 +128,29 @@ def test_agrees_on_interior_rejects_other_types():
     g = TailSeries(1, AXES, {(1,): 1})
     with pytest.raises(TypeError, match="TailSeries expected, got ShiftPolynomial"):
         g.agrees_on_interior(ShiftPolynomial.variable(1), 1)
+
+
+def test_rational_is_the_one_exact_scalar():
+    for x, expected in [(3, 3), (True, 1), (Fraction(4, 2), 2), (Fraction(-6, 3), -2)]:
+        value = rational(x)
+        assert type(value) is int and value == expected
+    assert rational(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(rational(Fraction(1, 2))) is Fraction
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(2.0), np.int64(2), np.int32(-1)])
+def test_floats_and_numpy_ints_are_refused(bad):
+    half = Fraction(1, 2)
+    with pytest.raises(TypeError, match="exact rational expected"):
+        rational(bad)
+    with pytest.raises(TypeError, match="exact rational expected"):
+        ShiftPolynomial(1, {(0,): bad})
+    with pytest.raises(TypeError, match="exact rational expected"):
+        OreOperator("D", 1, {((0,), (0,), (0,), (0,)): bad})
+    with pytest.raises(TypeError, match="exact rational expected"):
+        ShiftPolynomial.constant(bad)
+    with pytest.raises(TypeError, match="exact rational expected"):
+        OreOperator.scalar(bad, "S")
+    for x in (ShiftPolynomial.constant(half, 2), parse("1/2*th")):
+        with pytest.raises(TypeError, match="exact rational expected"):
+            x.scale(bad)

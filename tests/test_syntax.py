@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mellinops import (
     IndexOutOfRange,
@@ -85,25 +86,31 @@ def test_syntax_error_offsets():
         assert err.value.offset == offset, text
 
 
-def random_operator(rng, p):
+# ints and Fractions, integral ones among them, so that products collect both
+COEFFS = st.sampled_from(
+    list(range(-9, 10)) + [Fraction(n, d) for n in range(-9, 10) for d in (2, 3, 7)]
+)
+
+
+def operators(side, p):
+    """One to five terms of up to five generators of one side in p variables."""
     kinds = [GenKind.T, GenKind.TINV, GenKind.THETA, GenKind.S, GenKind.TAU, GenKind.TAUINV]
-    side = rng.choice(["D", "S"])
     pool = kinds[:3] if side == "D" else kinds[3:]
-    terms = []
-    for _ in range(rng.randint(1, 5)):
-        word = [Generator(rng.choice(pool), rng.randint(1, p)) for _ in range(rng.randint(0, 5))]
-        terms.append((Fraction(rng.randint(-9, 9), rng.randint(1, 9)), word))
+    word = st.lists(st.sampled_from([Generator(k, i) for k in pool for i in range(1, p + 1)]),
+                    max_size=5)
     # pin the arity with a power no random word is long enough to cancel
-    terms.append((1, [Generator(pool[0], p)] * 7))
-    return normalize(terms, algebra=side, arity=p)
+    pin = (1, [Generator(pool[0], p)] * 7)
+    return st.lists(st.tuples(COEFFS, word), min_size=1, max_size=5).map(
+        lambda terms: normalize(terms + [pin], algebra=side, arity=p)
+    )
 
 
-def test_round_trip_500_random_operators():
-    rng = random.Random(2718)
-    for _ in range(500):
-        p = rng.randint(1, 3)
-        op = random_operator(rng, p)
-        assert parse(format_operator(op)) == op
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.one_of([operators(side, p) for side in ("D", "S") for p in (1, 2, 3)]))
+def test_round_trip_500_random_operators(op):
+    assert parse(format_operator(op)) == op
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in op.terms.values())
 
 
 def test_format_deterministic_order():
