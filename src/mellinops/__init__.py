@@ -44,7 +44,6 @@ from .numerics import (
     convolution_remainder,
     epsilon_commutation_check,
     haar_integral,
-    haar_moment,
     moment_table,
     parameter_expansion,
     ray_mellin,

@@ -181,19 +181,6 @@ def haar_integral(f, powers, s=0j, tol=ABS_TOL):
     return tuple(values), tuple(increments), tuple(scales)
 
 
-def haar_moment(f, k, side, s=0j, tol=ABS_TOL):
-    """Order-k expansion coefficient of the convolution at one boundary."""
-    if _check_side(side) == "infinity":
-        if k < 0:
-            raise ValueError("k must be >= 0 on the infinity side")
-        (value,), (est,), _ = haar_integral(f, (k,), s, tol)
-        return value, est
-    if k < 1:
-        raise ValueError("k must be >= 1 on the zero side")
-    (value,), (est,), _ = haar_integral(f, (-k,), s, tol)
-    return -value, est
-
-
 def moment_table(f, k_max, s=0j, tol=ABS_TOL):
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -465,29 +452,30 @@ def ray_mellin(f, s, tol=ABS_TOL):
     return refine((16, 24), integrate, tol, 1e-8)
 
 
-def annihilation_guard(P, f, t_samples=None, tol=1e-8):
+_GUARD_SAMPLES = np.exp(np.linspace(math.log(0.25), math.log(4.0), 12)).astype(complex)
+_GUARD_TOL = 1e-8
+
+
+def annihilation_guard(P, f):
     """Numeric check that P annihilates f pointwise on a sample grid."""
-    if t_samples is None:
-        t_samples = np.exp(np.linspace(math.log(0.25), math.log(4.0), 12))
-    ts = np.asarray(t_samples, dtype=complex)
-    parts = [g(ts, 0j) for g in apply_operator_terms(P, f)]
+    parts = [g(_GUARD_SAMPLES, 0j) for g in apply_operator_terms(P, f)]
     total = np.sum(parts, axis=0)
     scale = np.max(np.abs(parts), axis=0)
     scale = np.where(scale > 0, scale, 1.0)
     worst = float(np.max(np.abs(total) / scale))
-    if worst > tol:
+    if worst > _GUARD_TOL:
         raise PreconditionFailed(
             f"operator does not annihilate {f.name}: relative residual {worst:.3e}"
         )
     return worst
 
 
-def verify_commutation(P, f, s_grid, tol=1e-8, guard_tol=1e-8, quad_tol=ABS_TOL):
+def verify_commutation(P, f, s_grid, tol=1e-8, quad_tol=ABS_TOL):
     """End-to-end commutation check: P annihilates f on the ray, so the
     transform image of P must annihilate the ray transform of f."""
     if P.is_zero():
         raise ValueError("the zero operator annihilates every function; there is nothing to verify")
-    annihilation_guard(P, f, tol=guard_tol)
+    annihilation_guard(P, f)
     Q = mellin_op(P)
     cache = {}
 
@@ -555,13 +543,15 @@ class ExpansionResult:
         }
 
 
+_DISC_NODES = 256  # nodes of the uniform rule on the disc's circle
+
+
 def parameter_expansion(
     f2,
     center=0j,
     radius=0.5,
     alpha_max=12,
     t_grid=(1.0, 2.0, 3.0, 4.0),
-    n_nodes=256,
     recon_tol=1e-8,
     dfdt=None,
 ):
@@ -587,7 +577,7 @@ def parameter_expansion(
         raise ValueError(overflow)
     t_grid = tuple(complex(t) for t in t_grid)
     ts = np.asarray(t_grid, dtype=complex)
-    phis, _ = periodic_nodes(n_nodes)
+    phis, _ = periodic_nodes(_DISC_NODES)
     ring = center + radius * np.exp(1j * phis)
 
     def evaluate(g, T):
@@ -603,7 +593,7 @@ def parameter_expansion(
         coeffs = []
         with np.errstate(over="ignore", invalid="ignore"):
             for alpha in range(alpha_max + 1):
-                w = np.exp(-1j * alpha * phis) / (n_nodes * radius ** alpha)
+                w = np.exp(-1j * alpha * phis) / (_DISC_NODES * radius ** alpha)
                 coeffs.append(tuple(complex(z) for z in (w[:, None] * samples).sum(axis=0)))
         if not np.all(np.isfinite(coeffs)):
             raise ValueError(overflow)

@@ -45,9 +45,10 @@ class Axis(NamedTuple):
     kind: str
     n_max: int
 
-
-def _axis_window(axis):
-    return (1 if axis.kind == ZERO_TYPE else 0), axis.n_max
+    @property
+    def window(self):
+        """The stored indices: 1..n_max on a ``zero`` axis, 0..n_max on ``inf``."""
+        return range(1 if self.kind == ZERO_TYPE else 0, self.n_max + 1)
 
 
 def _actual_exponent(axis, n):
@@ -74,16 +75,17 @@ class TailSeries(SparseSum):
             seen.add(axis.var)
         object.__setattr__(self, "coeff_arity", coeff_arity)
         object.__setattr__(self, "axes", axes)
+        windows = [axis.window for axis in axes]
         clean = {}
         for idx, poly in (terms or {}).items():
             idx = tuple(int(n) for n in idx)
             if len(idx) != len(axes):
                 raise ValueError("index length does not match axes")
-            for axis, n in zip(axes, idx):
-                lo, hi = _axis_window(axis)
-                if not lo <= n <= hi:
+            for axis, window, n in zip(axes, windows, idx):
+                if n not in window:
                     raise TruncationOverflow(
-                        f"index {n} outside window [{lo}, {hi}] on variable {axis.var}"
+                        f"index {n} outside window [{window.start}, {axis.n_max}] "
+                        f"on variable {axis.var}"
                     )
             poly = as_poly(poly, coeff_arity)
             if not poly.is_zero():
@@ -151,10 +153,10 @@ class TailSeries(SparseSum):
             return self._like(terms)
 
         step = 1 if gen.kind is GenKind.T else -1
-        lo, hi = _axis_window(axis)
+        window = axis.window
         for idx, poly in self.terms.items():
             stored = idx[pos] + (-step if axis.kind == INF_TYPE else step)
-            if not lo <= stored <= hi:
+            if stored not in window:
                 continue  # quotient kill or truncation defect zone
             new = list(idx)
             new[pos] = stored
@@ -173,8 +175,8 @@ class TailSeries(SparseSum):
     def interior_terms(self, var):
         """Terms with the given variable's index in the window interior."""
         pos, axis = self.axis_for(var)
-        lo, hi = _axis_window(axis)
-        return {i: p for i, p in self.terms.items() if lo <= i[pos] <= hi - 1}
+        interior = axis.window[:-1]
+        return {i: p for i, p in self.terms.items() if i[pos] in interior}
 
     def agrees_on_interior(self, other, var):
         self._check(other)

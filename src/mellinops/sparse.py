@@ -68,9 +68,11 @@ class SparseSum:
         return self._like({k: c * value for k, c in self.terms.items()})
 
     def __pow__(self, n):
+        out = self._lift(1)
+        if out is NotImplemented:
+            return NotImplemented
         if n < 0:
             raise ValueError("negative power")
-        out = self._lift(1)
         for _ in range(n):
             out = out * self
         return out

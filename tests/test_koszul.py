@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mellinops import (
     Axis,
@@ -9,6 +10,7 @@ from mellinops import (
     TailSeries,
     induced_action_congruence,
     kernel_element,
+    koszul,
     koszul_reduce,
     product_kernel,
     shift_cycle,
@@ -27,12 +29,28 @@ def zero_series(n_max, coeffs):
     return TailSeries(1, (Axis(1, "zero", n_max),), dict(coeffs))
 
 
-def random_poly(rng, arity=1, degree=3):
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        expo = tuple(rng.randint(0, degree) for _ in range(arity))
-        terms[expo] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return ShiftPolynomial(arity, terms)
+def polys(degree=3):
+    """One to four powers of s in 0..degree with small rational coefficients."""
+    expo = st.sampled_from([(e,) for e in range(degree + 1)])
+    coeff = st.sampled_from([Fraction(n, d) for n in range(-6, 7) for d in range(1, 5)])
+    return st.dictionaries(expo, coeff, min_size=1, max_size=4).map(
+        lambda terms: ShiftPolynomial(1, terms)
+    )
+
+
+def full_window(kind):
+    """A series on one ``kind`` axis, window 4..10, with a polynomial at every index."""
+
+    def on(axis):
+        size = len(axis.window)
+        return st.lists(polys(), min_size=size, max_size=size).map(
+            lambda ps: TailSeries(1, (axis,), {(n,): p for n, p in zip(axis.window, ps)})
+        )
+
+    return st.one_of([on(Axis(1, kind, n_max)) for n_max in range(4, 11)])
+
+
+PROPERTY = settings(max_examples=50, deadline=None, database=None)
 
 
 # -- the upward (bijective) solve ----------------------------------------------
@@ -62,14 +80,13 @@ def test_solve_inf_shifted_source():
         assert a.coefficient((n,)) == -(S + (n - 1))
 
 
-def test_solve_inf_bijective_at_truncation():
-    rng = random.Random(99)
-    for _ in range(50):
-        n_max = rng.randint(4, 10)
-        g = inf_series(n_max, {(n,): random_poly(rng) for n in range(n_max + 1)})
-        a = solve_inf(g, 1)
-        assert shift_cycle(a, 1) == g  # exact on the whole window
-        assert solve_inf(shift_cycle(a, 1), 1) == a
+@PROPERTY
+@given(full_window("inf"))
+def test_solve_inf_bijective_at_truncation(g):
+    a = solve_inf(g, 1)
+    assert shift_cycle(a, 1) == g  # exact on the whole window
+    assert solve_inf(shift_cycle(a, 1), 1) == a
+    assert solve_inf(shift_cycle(g, 1), 1) == g
 
 
 # -- the downward (surjective) solve ---------------------------------------------
@@ -97,16 +114,14 @@ def test_solve_zero_shifted_source():
     assert b.coefficient((1,)) == -(S + 1)
 
 
-def test_solve_zero_interior_exactness_random():
-    rng = random.Random(17)
-    for _ in range(50):
-        n_max = rng.randint(4, 10)
-        g = zero_series(n_max, {(n,): random_poly(rng) for n in range(1, n_max + 1)})
-        b = solve_zero(g, 1)
-        image = shift_cycle(b, 1)
-        assert image.agrees_on_interior(g, 1)
-        defect = image - g
-        assert all(idx[0] >= n_max for idx in defect.terms)
+@PROPERTY
+@given(full_window("zero"))
+def test_solve_zero_interior_exactness_random(g):
+    b = solve_zero(g, 1)
+    image = shift_cycle(b, 1)
+    assert image.agrees_on_interior(g, 1)
+    defect = image - g
+    assert all(idx[0] >= g.axes[0].n_max for idx in defect.terms)
 
 
 # -- kernel representatives -------------------------------------------------------
@@ -129,19 +144,17 @@ def test_kernel_linear_and_square():
         assert k2.coefficient((n,)) == k2.coefficient((n + 1,)).shift(1, 1)
 
 
-def test_kernel_characterization():
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(4, 9), polys())
+def test_kernel_characterization(n_max, phi):
     # a window series is cycle-annihilated on the interior exactly when it
     # is the kernel representative of its own first slice (top slice free)
-    rng = random.Random(4)
-    for _ in range(30):
-        n_max = rng.randint(4, 9)
-        phi = random_poly(rng)
-        x = kernel_element(phi, 1, n_max)
-        assert all(p.is_zero() for p in shift_cycle(x, 1).interior_terms(1).values())
-        # perturb an interior slice: the kernel property must break
-        bad = x + zero_series(n_max, {(2,): 1})
-        broken = shift_cycle(bad, 1).interior_terms(1)
-        assert any(not p.is_zero() for p in broken.values())
+    x = kernel_element(phi, 1, n_max)
+    assert all(p.is_zero() for p in shift_cycle(x, 1).interior_terms(1).values())
+    # perturb an interior slice: the kernel property must break
+    bad = x + zero_series(n_max, {(2,): 1})
+    broken = shift_cycle(bad, 1).interior_terms(1)
+    assert any(not p.is_zero() for p in broken.values())
 
 
 def test_product_kernel_extraction():
@@ -191,12 +204,11 @@ def test_scalar_phi_is_a_constant_polynomial():
         kernel_element(0.5, 1, 6)
 
 
-def test_congruences_random_50():
-    rng = random.Random(123)
-    for _ in range(50):
-        phi = random_poly(rng, degree=6)
-        for action in ("t", "theta"):
-            assert induced_action_congruence(phi, action, 1, 12).ok
+@PROPERTY
+@given(polys(degree=6))
+def test_congruences_random_50(phi):
+    for action in ("t", "theta"):
+        assert induced_action_congruence(phi, action, 1, 12).ok
 
 
 def test_congruence_detects_wrong_transport():
@@ -238,6 +250,22 @@ def test_koszul_reduce_all_partitions_up_to_three_variables():
         report = koszul_reduce(i_set, j_set, 12, n_samples=1)
         assert report.verdict == ("acyclic" if j_set else "h0"), (i_set, j_set)
         assert report.checks_passed
+
+
+def test_round_trip_is_checked_off_the_samples(monkeypatch):
+    # a solver that is right only on the sample inputs passes solve_exact; the
+    # round trip solves on a sample's image, so it must catch that solver
+    right = koszul.solve_inf
+
+    def right_on_samples_only(g, var):
+        samples = [koszul._sample_series(g.coeff_arity, g.axes, salt) for salt in range(2)]
+        return right(g, var) if g in samples else g
+
+    monkeypatch.setattr(koszul, "solve_inf", right_on_samples_only)
+    report = koszul_reduce((1,), (2,), 8)
+    (step,) = report.steps
+    assert step["solve_exact"] and not step["round_trip_exact"]
+    assert not report.checks_passed
 
 
 def test_koszul_report_serializes():

@@ -17,7 +17,6 @@ from mellinops import (
     convolution_remainder,
     epsilon_commutation_check,
     haar_integral,
-    haar_moment,
     moment_table,
     parameter_expansion,
     parse,
@@ -54,20 +53,19 @@ def radial_oracle(k, r_power=0):
 def test_moment_matched_mode_against_radial_oracle():
     # the angular integral collapses to the matching mode; the rest is radial
     for k in (1, 2, 3):
-        f = build_builtin(f"mode{k}")
-        value, est = haar_moment(f, k, "infinity", 0)
-        assert est < 1e-10
+        tab = moment_table(build_builtin(f"mode{k}"), k, 0)
+        value = tab.at_inf(k)
+        assert tab.inf_error[k] < 1e-10
         assert value == pytest.approx(radial_oracle(k), abs=1e-9)
         assert value == pytest.approx(-2 * RADIAL_ENVELOPE_MOMENT[k], abs=1e-9)
 
 
 def test_moment_mismatched_modes_vanish():
-    f1 = build_builtin("mode1")
-    assert abs(haar_moment(f1, 2, "infinity", 0)[0]) < 1e-12
-    radial = build_builtin("radial")
-    assert abs(haar_moment(radial, 1, "infinity", 0)[0]) < 1e-12
+    f1 = moment_table(build_builtin("mode1"), 2, 0)
+    assert abs(f1.at_inf(2)) < 1e-12
+    assert abs(moment_table(build_builtin("radial"), 1, 0).at_inf(1)) < 1e-12
     # zero-side moments couple to the opposite angular sign
-    assert abs(haar_moment(f1, 1, "zero", 0)[0]) < 1e-12
+    assert abs(f1.at_zero(1)) < 1e-12
 
 
 # angular modes (weight) of the envelope built-ins, all on exp(-r - 1/r)
@@ -121,31 +119,28 @@ def test_moment_negative_mode_couples_on_zero_side():
     # the mode (xi/|xi|) couples only to the order-1 coefficient at zero;
     # the radial factor there is r^-2 E(r), equal to E under r <-> 1/r, so
     # the same radial oracle applies (with the zero-side sign flip)
-    f = TestFunction((envelope_mode(-1),), "mode-1")
-    value, _ = haar_moment(f, 1, "zero", 0)
-    assert value == pytest.approx(-radial_oracle(1), abs=1e-9)
+    tab = moment_table(TestFunction((envelope_mode(-1),), "mode-1"), 3, 0)
+    assert tab.at_zero(1) == pytest.approx(-radial_oracle(1), abs=1e-9)
     for k in range(0, 4):
-        assert abs(haar_moment(f, k, "infinity", 0)[0]) < 1e-12
+        assert abs(tab.at_inf(k)) < 1e-12
 
 
 def test_moment_zero_function():
     zero = TestFunction((envelope_mode(0, weight=0.0),), "null")
-    assert haar_moment(zero, 3, "infinity", 0)[0] == 0
+    assert moment_table(zero, 3, 0).at_inf(3) == 0
 
 
 def test_moment_linearity_and_scaling():
     f = build_builtin("mode2")
     a = 2.5 - 1.5j
-    scaled, _ = haar_moment(TestFunction(tuple(t.scaled(a) for t in f.terms), "af"), 2, "infinity", 0)
-    base, _ = haar_moment(f, 2, "infinity", 0)
+    scaled = moment_table(TestFunction(tuple(t.scaled(a) for t in f.terms), "af"), 2, 0).at_inf(2)
+    base = moment_table(f, 2, 0).at_inf(2)
     assert abs(scaled - a * base) <= 1e-10 * abs(a * base)
 
 
 def test_moment_preconditions():
-    with pytest.raises(ValueError):
-        haar_moment(build_builtin("mode1"), 0, "zero", 0)
     with pytest.raises(QuadratureFailure):
-        haar_moment(build_builtin("gamma"), 1, "infinity", 0)  # no all-angle decay
+        moment_table(build_builtin("gamma"), 1, 0)  # no all-angle decay
 
 
 def test_moment_table_layout():
@@ -156,6 +151,7 @@ def test_moment_table_layout():
     for k in (0, 2, 4):
         assert tab.at_inf(k) == pytest.approx(radial_oracle(k) / factorial(k), abs=1e-9)
     assert all(abs(v) < 1e-10 for v in tab.zero_side)
+    assert tab.error == max(tab.zero_error + tab.inf_error)
 
 
 class CountingFunction:
@@ -176,17 +172,6 @@ def test_moment_table_evaluates_once_per_level():
     f = CountingFunction(build_builtin("mode2"))
     moment_table(f, 8, 1.0)
     assert f.calls == len(_HAAR_LEVELS)
-
-
-@pytest.mark.parametrize("name, s", [("modeblend", 0.5), ("sep-modeblend", 1.0 + 0.25j)])
-def test_moment_table_matches_haar_moment(name, s):
-    f = build_builtin(name)
-    tab = moment_table(f, 5, s)
-    for k in range(1, 6):
-        assert (tab.at_zero(k), tab.zero_error[k - 1]) == haar_moment(f, k, "zero", s)
-    for k in range(6):
-        assert (tab.at_inf(k), tab.inf_error[k]) == haar_moment(f, k, "infinity", s)
-    assert tab.error == max(tab.zero_error + tab.inf_error)
 
 
 # -- the moment transport identity ----------------------------------------------------
@@ -267,7 +252,8 @@ def test_convolve_decomposition_consistency():
     t = 12.0
     total = cauchy_convolve(f, t)
     n = 2
-    partial = sum(haar_moment(f, k, "infinity")[0] * t ** (-k) for k in range(n + 1))
+    tab = moment_table(f, n)
+    partial = sum(tab.at_inf(k) * t ** (-k) for k in range(n + 1))
     rem, _ = convolution_remainder(f, t, n=n)
     assert abs(total - (partial + rem)) <= 2e-9
 
@@ -285,7 +271,8 @@ INNERBLEND = TestFunction(
 def test_convolve_decomposition_zero_side(t, n):
     # near 0, K*f is sum_k zero-moment_k t^k plus the zero-side remainder
     total = cauchy_convolve(INNERBLEND, t)
-    partial = sum(haar_moment(INNERBLEND, k, "zero")[0] * t ** k for k in range(1, n + 1))
+    tab = moment_table(INNERBLEND, n)
+    partial = sum(tab.at_zero(k) * t ** k for k in range(1, n + 1))
     rem, _ = convolution_remainder(INNERBLEND, t, n=n, side="zero")
     assert abs(total - (partial + rem)) <= 1e-12
 
@@ -360,8 +347,6 @@ def test_negative_orders_are_named():
 def test_sides_are_spelled_out():
     f = build_builtin("modeblend")
     for side in ("inf", "0", "infinty"):
-        with pytest.raises(ValueError, match="unknown side"):
-            haar_moment(f, 1, side)
         with pytest.raises(ValueError, match="unknown side"):
             convolution_remainder(f, 0.1, n=1, side=side)
         with pytest.raises(ValueError, match="unknown side"):

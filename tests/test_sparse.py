@@ -130,6 +130,14 @@ def test_agrees_on_interior_rejects_other_types():
         g.agrees_on_interior(ShiftPolynomial.variable(1), 1)
 
 
+def test_series_have_no_powers():
+    # a series has no unit to start a power from, so ** is Python's unsupported operand
+    g = TailSeries(1, AXES, {(1,): 1})
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*\* or pow\(\)"):
+        g ** 2
+    assert ShiftPolynomial.variable(1) ** 2 == ShiftPolynomial(1, {(2,): 1})
+
+
 def test_rational_is_the_one_exact_scalar():
     for x, expected in [(3, 3), (True, 1), (Fraction(4, 2), 2), (Fraction(-6, 3), -2)]:
         value = rational(x)

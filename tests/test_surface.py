@@ -18,7 +18,7 @@ EXPORTED = [
     "TestFunction", "TruncationOverflow", "ZERO_TYPE", "apply_difference",
     "asymptotic_remainder_check", "build_builtin", "cauchy_convolve",
     "convolution_remainder", "epsilon_commutation_check", "errors", "format_operator",
-    "haar_integral", "haar_moment", "induced_action_congruence", "inverse_mellin_op",
+    "haar_integral", "induced_action_congruence", "inverse_mellin_op",
     "kernel_element", "koszul", "koszul_reduce", "mellin_op", "moment_table",
     "normalize", "numerics", "ore", "parameter_expansion", "parse", "product_kernel",
     "quadrature", "ray_mellin", "series", "shift_cycle", "shiftpoly", "solve_inf",
