@@ -49,11 +49,8 @@ def _solve_cycle(g, var, kind):
         prev = ShiftPolynomial.zero(g.coeff_arity)
         for n in indices:
             idx = col[:pos] + (n,) + col[pos:]
-            x_n = prev.shift(var, 1) - g.coefficient(idx)
-            if not x_n.is_zero():
-                terms[idx] = x_n
-            prev = x_n
-    return TailSeries(g.coeff_arity, g.axes, terms)
+            terms[idx] = prev = prev.shift(var, 1) - g.coefficient(idx)
+    return g._like(terms)
 
 
 def solve_inf(g, var):

@@ -27,6 +27,7 @@ bare coefficient shift even though th and tau commute in the combined algebra.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .errors import MixedAlgebra, TruncationOverflow
@@ -56,12 +57,19 @@ def _actual_exponent(axis, n):
 
 
 class TailSeries(SparseSum):
-    """Finite window of a one-sided formal series, one axis per variable."""
+    """Finite window of a one-sided formal series, one axis per variable.
+
+    Terms map index tuples of ints, one per axis and inside its window, to
+    nonzero :class:`~mellinops.shiftpoly.ShiftPolynomial` coefficients.  The
+    constructor validates its input; the operations build their results
+    through the unchecked ``_like``, since their operands are already clean.
+    """
 
     __slots__ = ("coeff_arity", "axes")
 
     def __init__(self, coeff_arity, axes, terms=None):
-        axes = tuple(Axis(a.var, a.kind, a.n_max) for a in axes)
+        coeff_arity = index(coeff_arity)
+        axes = tuple(Axis(index(a.var), a.kind, index(a.n_max)) for a in axes)
         seen = set()
         for axis in axes:
             if axis.kind not in (ZERO_TYPE, INF_TYPE):
@@ -78,7 +86,7 @@ class TailSeries(SparseSum):
         windows = [axis.window for axis in axes]
         clean = {}
         for idx, poly in (terms or {}).items():
-            idx = tuple(int(n) for n in idx)
+            idx = tuple(index(n) for n in idx)
             if len(idx) != len(axes):
                 raise ValueError("index length does not match axes")
             for axis, window, n in zip(axes, windows, idx):
@@ -108,7 +116,14 @@ class TailSeries(SparseSum):
         return (self.coeff_arity, self.axes)
 
     def _like(self, terms):
-        return TailSeries(self.coeff_arity, self.axes, terms)
+        """The one unchecked constructor: a series of this shape from terms
+        computed out of clean operands (indices inside the window, polynomials
+        of ``coeff_arity``).  Zero polynomials drop; nothing is re-checked."""
+        series = object.__new__(TailSeries)
+        object.__setattr__(series, "coeff_arity", self.coeff_arity)
+        object.__setattr__(series, "axes", self.axes)
+        object.__setattr__(series, "terms", {i: p for i, p in terms.items() if p.terms})
+        return series
 
     def _lift(self, value):
         return NotImplemented  # series combine only with series of the same shape

@@ -9,34 +9,58 @@ is polynomial in s under translation.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
+from operator import index
 
 from .sparse import RATIONALS, SparseSum, rational
 
 
+@lru_cache(maxsize=None)
 def binomial_shift(degree, k):
     """The Taylor shift of one power: (x + k)^degree as ((i, weight), ...),
-    weight = C(degree, i) * k^(degree - i), for i = 0..degree."""
+    weight = C(degree, i) * k^(degree - i), for i = 0..degree.
+
+    Rows are cached by (degree, k).  A float hashes like its int, so a row
+    is built only from ints: the cache holds exact rows alone."""
+    degree, k = index(degree), index(k)
     return tuple((i, comb(degree, i) * k ** (degree - i)) for i in range(degree + 1))
+
+
+def _trusted(arity, terms):
+    """The one unchecked constructor: a ShiftPolynomial from terms that this
+    module computed out of clean operands (valid exponent tuples, exact
+    coefficients).  Zero coefficients drop and integral Fractions become ints;
+    nothing else is checked."""
+    poly = object.__new__(ShiftPolynomial)
+    object.__setattr__(poly, "arity", arity)
+    object.__setattr__(poly, "terms", {
+        expo: c if type(c) is int or c.denominator != 1 else c.numerator
+        for expo, c in terms.items() if c
+    })
+    return poly
 
 
 class ShiftPolynomial(SparseSum):
     """Sparse polynomial in s_1..s_p over the rationals.
 
-    Terms map exponent tuples to nonzero exact scalars (see
+    Terms map exponent tuples of ints to nonzero exact scalars (see
     :func:`~mellinops.sparse.rational`).  Values are immutable; all
-    operations return new instances.
+    operations return new instances.  The constructor validates its input;
+    the ring operations and ``shift`` build their results through the
+    unchecked :func:`_trusted`, since their operands are already clean.
     """
 
     __slots__ = ("arity",)
 
     def __init__(self, arity, terms=None):
+        arity = index(arity)
         if arity < 1:
             raise ValueError("arity must be >= 1")
         object.__setattr__(self, "arity", arity)
         clean = {}
         for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(index(e) for e in expo)
             if len(expo) != arity or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent {expo} for arity {arity}")
             coeff = rational(coeff)
@@ -68,7 +92,7 @@ class ShiftPolynomial(SparseSum):
         return (self.arity,)
 
     def _like(self, terms):
-        return ShiftPolynomial(self.arity, terms)
+        return _trusted(self.arity, terms)
 
     def _lift(self, value):
         return ShiftPolynomial.constant(value, self.arity)
@@ -86,7 +110,7 @@ class ShiftPolynomial(SparseSum):
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
                 terms[expo] = terms.get(expo, 0) + c1 * c2
-        return ShiftPolynomial(self.arity, terms)
+        return _trusted(self.arity, terms)
 
     __rmul__ = __mul__
 
@@ -94,6 +118,7 @@ class ShiftPolynomial(SparseSum):
 
     def shift(self, j=1, steps=1):
         """Apply s_j -> s_j + steps (steps may be negative)."""
+        j, steps = index(j), index(steps)
         if not 1 <= j <= self.arity:
             raise ValueError(f"variable index {j} not in 1..{self.arity}")
         if steps == 0:
@@ -104,7 +129,7 @@ class ShiftPolynomial(SparseSum):
             for i, w in binomial_shift(expo[jj], steps):
                 key = expo[:jj] + (i,) + expo[jj + 1 :]
                 terms[key] = terms.get(key, 0) + coeff * w
-        return ShiftPolynomial(self.arity, terms)
+        return _trusted(self.arity, terms)
 
     def __repr__(self):
         if not self.terms:

@@ -8,6 +8,11 @@ value of the same shape; zero terms drop), ``_lift(value)`` (a rational scalar
 in the same space, or ``NotImplemented``) and ``_compatible(other)`` (raises
 the class's own error when ``other``, of the same class, cannot be combined
 with this one).
+
+Only the public constructors validate.  ``_like`` trusts its operands: the
+operations here hand it terms computed from values that are already clean
+(operands checked by ``_check`` and scalars by :func:`rational`), so a
+subclass may build the result without re-checking keys or coefficients.
 """
 
 from __future__ import annotations
@@ -58,7 +63,14 @@ class SparseSum:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, RATIONALS):
+            return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            prev = terms.get(key)
+            terms[key] = -coeff if prev is None else prev - coeff
+        return self._like(terms)
 
     def __rsub__(self, other):
         return (-self) + other

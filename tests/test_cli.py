@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -81,6 +83,24 @@ def test_koszul_verdicts(tmp_path):
 
     code, _ = run(["koszul", "--I", "1", "--J", "2", "--N", "8"])
     assert code == 0
+
+
+# sha256 of the stdout of each koszul command: the reports the exact layer must
+# keep byte for byte while it is made faster
+KOSZUL_GOLDEN = [
+    ("--I 1,2 --J 3 --N 12", "95d910c8b442c7a80fe12f3f75b1c86cbca19f32194519920203910826787c0c"),
+    ("--I 1,2,3 --N 12", "6aabbed865c2851ac8d75bfe1bf5c02597f807d6a51ec721e65bb583c052245b"),
+    ("--I 1 --N 48", "2f912967f223a71ea7ff3dac132a94fc4b6989559939816d5f1f7e1fdec03a9e"),
+    ("--I 2 --J 1,3 --N 9", "99c501b0e3a78161b4599bccc5fb1adbdca684fa9f501fda3267b87b9e56bdf9"),
+    ('--I "" --J 1,2 --N 14', "6a8884ad4b26f87461c7b1eae956e719f60b452d41bca1863a8f775f63a46b1b"),
+]
+
+
+@pytest.mark.parametrize("args, digest", KOSZUL_GOLDEN)
+def test_koszul_report_bytes_are_pinned(args, digest):
+    code, out = run(["koszul", *shlex.split(args)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_koszul_truncation_exit_code():

@@ -1,6 +1,10 @@
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mellinops import (
     Axis,
@@ -10,6 +14,8 @@ from mellinops import (
     TailSeries,
     TruncationOverflow,
     shift_cycle,
+    solve_inf,
+    solve_zero,
 )
 
 S1 = ShiftPolynomial.variable(1)
@@ -108,3 +114,63 @@ def test_series_addition_and_interior():
     assert c.coefficient((2,)) == 3
     interior = c.interior_terms(1)
     assert (4,) not in interior and (2,) in interior
+
+
+def test_indices_must_be_integers():
+    axes = (Axis(1, "zero", 4),)
+    with pytest.raises(TypeError):
+        TailSeries(1, axes, {(2.7,): 1})
+    for bad in ((Axis(1, "zero", 4.0),), (Axis(1.0, "zero", 4),)):
+        with pytest.raises(TypeError):
+            TailSeries(1, bad, {})
+    with pytest.raises(TypeError):
+        TailSeries(1.0, axes, {})
+    x = TailSeries(np.int64(1), (Axis(np.int64(1), "zero", np.int64(4)),), {(np.int64(2),): 1})
+    assert x == TailSeries(1, axes, {(2,): 1})
+    (axis,), (idx,) = x.axes, x.terms
+    assert all(type(n) is int for n in (x.coeff_arity, axis.var, axis.n_max, *idx))
+
+
+def coefficient_polys(arity):
+    expo = st.sampled_from(list(itertools.product(range(3), repeat=arity)))
+    coeff = st.sampled_from([Fraction(4, 2), Fraction(1, 2), Fraction(-2, 3), 3, -1])
+    return st.dictionaries(expo, coeff, max_size=3).map(lambda t: ShiftPolynomial(arity, t))
+
+
+def series_cases(arity, axes):
+    """A series of this shape and a generator that acts on it."""
+    idx = st.sampled_from(list(itertools.product(*(axis.window for axis in axes))))
+    series = st.dictionaries(idx, coefficient_polys(arity), max_size=5).map(
+        lambda t: TailSeries(arity, axes, t)
+    )
+    gens = [Generator(kind, axis.var) for kind in (GenKind.T, GenKind.TINV, GenKind.THETA)
+            for axis in axes]
+    gens += [Generator(kind, j) for kind in (GenKind.S, GenKind.TAU, GenKind.TAUINV)
+             for j in range(1, arity + 1)]
+    return st.tuples(series, st.sampled_from(gens))
+
+
+SERIES_CASES = st.one_of([
+    series_cases(1, (Axis(1, "zero", 4),)),
+    series_cases(1, (Axis(1, "inf", 4),)),
+    series_cases(2, (Axis(1, "inf", 3), Axis(2, "zero", 3))),
+    series_cases(2, (Axis(2, "zero", 3),)),
+])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(SERIES_CASES)
+def test_results_equal_their_validated_reconstruction(case):
+    # the operations build through the unchecked _like: each result must be
+    # what the validating constructor makes of its terms, coefficient types too
+    x, gen = case
+    results = [x.apply_generator(gen)]
+    for axis in x.axes:
+        solve = solve_zero if axis.kind == "zero" else solve_inf
+        results += [shift_cycle(x, axis.var), solve(x, axis.var)]
+    for r in results:
+        assert r == TailSeries(r.coeff_arity, r.axes, r.terms)
+        for poly in r.terms.values():
+            assert poly == ShiftPolynomial(poly.arity, poly.terms)
+            assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+                       for c in poly.terms.values())

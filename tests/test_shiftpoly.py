@@ -1,10 +1,13 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mellinops import ShiftPolynomial
+from mellinops.shiftpoly import binomial_shift
 
 
 def polys(arity, degree=4):
@@ -49,3 +52,46 @@ def test_zero_and_pruning():
     s = ShiftPolynomial.variable(1)
     assert (s - s).is_zero()
     assert ShiftPolynomial(1, {(3,): 0}).is_zero()
+
+
+def assert_validated(r):
+    """r equals its validated reconstruction, term types included: each
+    coefficient is an int or a non-integral Fraction, and no zero is kept."""
+    twin = ShiftPolynomial(r.arity, r.terms)
+    assert r == twin
+    assert {e: type(c) for e, c in r.terms.items()} == {e: type(c) for e, c in twin.terms.items()}
+
+
+SCALARS = st.sampled_from([Fraction(4, 2), Fraction(1, 2), Fraction(-2, 3), 3, -1])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(arity_pairs, st.sampled_from([-2, -1, 1, 3]), SCALARS)
+def test_results_equal_their_validated_reconstruction(case, k, c):
+    f, g, j = case
+    for r in (f.shift(j, k), f * g, f * c, f + g, f + c, f - g, f - c, -f, f.scale(c)):
+        assert_validated(r)
+
+
+def test_integer_arguments_must_be_integers():
+    # a float index would otherwise be truncated, or cached as a float Taylor row
+    with pytest.raises(TypeError):
+        ShiftPolynomial(1, {(1.5,): 1})
+    with pytest.raises(TypeError):
+        ShiftPolynomial(1.0, {(1,): 1})
+    p = ShiftPolynomial(1, {(3,): 2, (1,): -1})
+    want = 2 * (ShiftPolynomial.variable(1) + 1) ** 3 - ShiftPolynomial.variable(1) - 1
+    binomial_shift.cache_clear()
+    with pytest.raises(TypeError):
+        binomial_shift(3, 1.0)  # a row is built from ints only
+    for _ in range(2):  # on a cold row cache, then with p's int rows cached
+        for j, steps in ((1, 1.0), (1.0, 1)):
+            with pytest.raises(TypeError):
+                p.shift(j, steps)
+        shifted = p.shift(1, 1)
+        assert shifted == want
+        assert all(type(c) is int for c in shifted.terms.values())
+    assert p.shift(1, True) == p.shift(np.int64(1), np.int64(1)) == shifted
+    q = ShiftPolynomial(np.int64(2), {(np.int64(1), True): 1})
+    assert q.terms == {(1, 1): 1}
+    assert all(type(n) is int for n in (q.arity, *next(iter(q.terms))))
