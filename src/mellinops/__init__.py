@@ -6,7 +6,6 @@ from .errors import (
     IndexOutOfRange,
     MellinopsError,
     MixedAlgebra,
-    NotSeparable,
     ParseError,
     PreconditionFailed,
     QuadratureFailure,
@@ -28,7 +27,6 @@ from .koszul import (
     induced_action_congruence,
     kernel_element,
     koszul_reduce,
-    product_kernel,
     solve_inf,
     solve_zero,
 )

@@ -37,9 +37,5 @@ class SingularEvaluation(MellinopsError):
     """Evaluation requested at a non-removable singular point."""
 
 
-class NotSeparable(MellinopsError):
-    """The test function does not expose its dependence on the shift variable."""
-
-
 class PreconditionFailed(MellinopsError):
     """A guard check (e.g. numeric annihilation) did not hold."""

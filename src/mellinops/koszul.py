@@ -79,22 +79,9 @@ def kernel_element(phi, var, n_max, coeff_arity=None):
     Coefficients are b_n = tau^(1-n) phi for n in 1..N, so b_1 = phi and
     b_n = tau b_(n+1) holds at every interior index.
     """
-    return product_kernel(phi, (var,), n_max, coeff_arity)
-
-
-def product_kernel(phi, variables, n_max, coeff_arity=None):
-    """Joint kernel representative across several ``zero`` axes."""
     phi = as_poly(phi, coeff_arity)
-    variables = tuple(sorted(variables))
-    axes = tuple(Axis(v, ZERO_TYPE, n_max) for v in variables)
-    terms = {}
-    for idx in itertools.product(*(axis.window for axis in axes)):
-        poly = phi
-        for v, n in zip(variables, idx):
-            poly = poly.shift(v, 1 - n)
-        if not poly.is_zero():
-            terms[idx] = poly
-    return TailSeries(phi.arity, axes, terms)
+    axis = Axis(var, ZERO_TYPE, n_max)
+    return TailSeries(phi.arity, (axis,), {(n,): phi.shift(var, 1 - n) for n in axis.window})
 
 
 # -- induced actions on the surviving cohomology ------------------------------

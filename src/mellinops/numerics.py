@@ -6,9 +6,9 @@ Conventions fixed here once:
   d(xi)/xi ^ d(xibar)/xibar = -2i dr dtheta / r, so with u = log r every
   integral (1/2i*pi) * integral(xi^k f ...) becomes
   (-1/pi) * double integral of e^(k u) f(e^(u+i theta)) du dtheta.
-* Moments: the order-k coefficient of the expansion at infinity is
-  (1/2i*pi) integral(xi^k f dmu); at zero it is
-  -(1/2i*pi) integral(xi^-k f dmu), k >= 1.  The angular grid is uniform, so
+* Moments are read by Haar order p: (1/2i*pi) integral(xi^p f dmu) is the
+  coefficient of t^-k at infinity for p = k >= 0, and minus the coefficient
+  of t^k at zero for p = -k <= -1.  The angular grid is uniform, so
   the trapezoid rule is spectrally accurate on it (Trefethen-Weideman, SIAM
   Review 2014) and one FFT per radial row gives every angular order at once.
 * The singular convolution kernel 1/(1 - xi/t) is integrable in the plane;
@@ -31,13 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (
-    EvaluationFailure,
-    NotSeparable,
-    PreconditionFailed,
-    QuadratureFailure,
-    SingularEvaluation,
-)
+from .errors import EvaluationFailure, PreconditionFailed, QuadratureFailure, SingularEvaluation
 from .quadrature import bump, csum, geometric_edges, panel_nodes, periodic_nodes, uniform_edges
 from .quadrature import refine
 from .testfunctions import apply_operator_terms
@@ -59,7 +53,7 @@ def _cpx(z):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Per-grid-point residuals with a verdict against a tolerance."""
+    """Per-grid-point residuals, judged against a tolerance."""
 
     operator: str
     function_id: str
@@ -67,8 +61,12 @@ class ResidualReport:
     residuals: tuple
     relative: tuple
     tolerance: float
-    verdict: bool
     extras: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self):
+        """Whether every relative residual is within the tolerance (a NaN is not)."""
+        return all(r <= self.tolerance for r in self.relative)
 
     @property
     def max_relative(self):
@@ -89,43 +87,31 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Expansion coefficients at both boundary circles for one s value, each
-    with its quadrature estimate (``zero_error``, ``inf_error``) and the Haar
-    integral of |xi^k f| (``zero_scale``, ``inf_scale``), the size that the
-    rounding of the order-k coefficient is relative to."""
+    """The Haar integrals of orders p = -k_max..k_max of f at one s value, as
+    dicts keyed by p: ``values[p]``, its quadrature estimate ``errors[p]`` and
+    the integral of |xi^p f| ``scales[p]``, the size its rounding is relative
+    to.  ``values[k]`` is the coefficient of t^-k at infinity and
+    ``-values[-k]`` the coefficient of t^k at zero; the report lists the two
+    sides."""
 
     s: complex
     k_max: int
-    zero_side: tuple  # k = 1..k_max
-    inf_side: tuple  # k = 0..k_max
-    zero_error: tuple
-    inf_error: tuple
-    zero_scale: tuple
-    inf_scale: tuple
+    values: dict
+    errors: dict
+    scales: dict
 
     @property
     def error(self):
         """The largest entry estimate, each floored at _ROUNDING_ULPS ulps of its scale."""
         floor = _ROUNDING_ULPS * np.finfo(float).eps
-        return max(max(e, floor * scale) for e, scale in
-                   zip(self.zero_error + self.inf_error, self.zero_scale + self.inf_scale))
-
-    def at_zero(self, k):
-        return self.zero_side[k - 1]
-
-    def at_inf(self, k):
-        return self.inf_side[k]
-
-    def scale(self, p):
-        """The integral of |xi^p f| behind Haar order p (order -p at zero if p < 0)."""
-        return self.inf_scale[p] if p >= 0 else self.zero_scale[-p - 1]
+        return max(max(self.errors[p], floor * self.scales[p]) for p in self.values)
 
     def to_dict(self):
         return {
             "s": _cpx(self.s),
             "k_max": self.k_max,
-            "zero_side": [_cpx(z) for z in self.zero_side],
-            "inf_side": [_cpx(z) for z in self.inf_side],
+            "zero_side": [_cpx(-self.values[-k]) for k in range(1, self.k_max + 1)],
+            "inf_side": [_cpx(self.values[k]) for k in range(self.k_max + 1)],
             "error_estimate": self.error,
         }
 
@@ -193,11 +179,9 @@ def haar_integral(f, powers, s=0j, tol=ABS_TOL):
 def moment_table(f, k_max, s=0j, tol=ABS_TOL):
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    orders = tuple(-k for k in range(1, k_max + 1)) + tuple(range(k_max + 1))
-    values, errors, scales = haar_integral(f, orders, s, tol)
-    zero = tuple(-v for v in values[:k_max])
-    return MomentTable(complex(s), k_max, zero, values[k_max:], errors[:k_max], errors[k_max:],
-                       scales[:k_max], scales[k_max:])
+    orders = range(-k_max, k_max + 1)
+    columns = haar_integral(f, orders, s, tol)
+    return MomentTable(complex(s), k_max, *(dict(zip(orders, column)) for column in columns))
 
 
 def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL, scale_floor=0.0):
@@ -221,9 +205,9 @@ def stokes_checks(f, table, tol=1e-6, quad_tol=ABS_TOL):
     the derivative from one integral; the scale floor is the largest entry of
     the table, or the integral of |xi^k f| when that is larger."""
     lhs, est, _ = haar_integral(f.wirtinger_t(), range(1, table.k_max + 2), table.s, quad_tol)
-    floor = max(abs(v) for v in table.inf_side + table.zero_side)
-    return [_stokes_report(f, k, table.s, lhs[k], table.at_inf(k),
-                           max(est[k], table.inf_error[k]), tol, max(floor, table.inf_scale[k]))
+    floor = max(abs(v) for v in table.values.values())
+    return [_stokes_report(f, k, table.s, lhs[k], table.values[k],
+                           max(est[k], table.errors[k]), tol, max(floor, table.scales[k]))
             for k in range(table.k_max + 1)]
 
 
@@ -239,7 +223,6 @@ def _stokes_report(f, k, s, lhs, base, quad_error, tol, scale_floor):
         residuals=(residual,),
         relative=(rel,),
         tolerance=tol,
-        verdict=rel <= tol,
         extras={"lhs": _cpx(lhs), "rhs": _cpx(rhs), "quad_error": quad_error},
     )
 
@@ -327,10 +310,11 @@ def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
         # the coarse Haar level separates it from the others at a fifth of the
         # cost of a refined table
         _require_two_sided_decay(f)
-        coarse, _ = _haar_integral_once(f, range(-k_top, k_top + 1), s, _HAAR_LEVELS[0])
-        floor = 1e-10 * max(abs(v) for v in coarse)
-        sign = 1 if side == "infinity" else -1  # coarse[k_top + p] is the order-p integral
-        leading = [k for k in range(n + 1, k_top + 1) if abs(coarse[k_top + sign * k]) > floor]
+        orders = range(-k_top, k_top + 1)
+        coarse = dict(zip(orders, _haar_integral_once(f, orders, s, _HAAR_LEVELS[0])[0]))
+        floor = 1e-10 * max(abs(v) for v in coarse.values())
+        sign = 1 if side == "infinity" else -1  # the side's order k is Haar order sign * k
+        leading = [k for k in range(n + 1, k_top + 1) if abs(coarse[sign * k]) > floor]
         predicted, one_sided = (leading[0], False) if leading else (k_top + 1, True)
     rems = []
     for r in radii:
@@ -354,7 +338,6 @@ def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
         residuals=tuple(rems),
         relative=tuple(offsets),
         tolerance=0.5,
-        verdict=all(off <= 0.5 for off in offsets),
         extras={"ratios": [float(x) for x in ratios], "predicted_order": predicted,
                 "one_sided": one_sided, "observed_orders": observed},
     )
@@ -366,15 +349,15 @@ def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
 def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
     """Moment-table transport checks for the two displayed operators.
 
+    Both compare Haar orders p, at infinity (p = 0..k_max) and then at zero
+    (p = -1..-k_max), where order p carries the actual exponent n = -p:
+
     (a) Euler case: the table of (t d/dt - s - 1) f must equal the table of
-        f transported coefficient-wise by (n - s - 1) at actual exponent n,
-        i.e. by (-k - s - 1) at infinity and (k - s - 1) at zero.
+        f transported coefficient-wise by (n - s - 1) = (-p - s - 1).
     (b) Shift-cycle case: the table of f(t, s+1)/t - f(t, s) must equal the
-        index-shifted table with s -> s+1; the zero-side order-1 coefficient
-        overflows into the constant term at infinity with a minus sign.
+        table at s + 1 moved up one order, minus the table at s; the order
+        -1 entry at s + 1 moves into order 0, across the sides.
     """
-    if not f.separable:
-        raise NotSeparable(f"{f.name} does not expose its s-dependence")
     s = complex(s)
     table = moment_table(f, k_max + 1, s, quad_tol)
     table_up = moment_table(f, k_max + 1, s + 1, quad_tol)
@@ -383,19 +366,14 @@ def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
     # each row is judged against the integrals of |xi^k f| of the entries it
     # compares: entries that vanish (mismatched angular modes) are rounding
     # of those integrals
-    inf, zero = range(k_max + 1), range(1, k_max + 1)
+    orders = [*range(k_max + 1), *range(-1, -k_max - 1, -1)]
+    side = {p: f"inf:{p}" if p >= 0 else f"zero:{-p}" for p in orders}
+    f0, up, theta, h = table.values, table_up.values, table_theta.values, table_h.values
     # (label, lhs, rhs, scale) for each transported coefficient
-    rows = [(f"euler:inf:{k}", table_theta.at_inf(k) - (s + 1) * table.at_inf(k),
-             (-k - s - 1) * table.at_inf(k),
-             table_theta.scale(k) + (abs(s) + k + 1) * table.scale(k)) for k in inf]
-    rows += [(f"euler:zero:{k}", table_theta.at_zero(k) - (s + 1) * table.at_zero(k),
-              (k - s - 1) * table.at_zero(k),
-              table_theta.scale(-k) + (abs(s) + k + 1) * table.scale(-k)) for k in zero]
-    rows += [(f"cycle:inf:{k}", table_h.at_inf(k),
-              (table_up.at_inf(k - 1) if k else -table_up.at_zero(1)) - table.at_inf(k),
-              table_h.scale(k) + table_up.scale(k - 1) + table.scale(k)) for k in inf]
-    rows += [(f"cycle:zero:{k}", table_h.at_zero(k), table_up.at_zero(k + 1) - table.at_zero(k),
-              table_h.scale(-k) + table_up.scale(-k - 1) + table.scale(-k)) for k in zero]
+    rows = [(f"euler:{side[p]}", theta[p] - (s + 1) * f0[p], (-p - s - 1) * f0[p],
+             table_theta.scales[p] + (abs(s) + abs(p) + 1) * table.scales[p]) for p in orders]
+    rows += [(f"cycle:{side[p]}", h[p], up[p - 1] - f0[p],
+              table_h.scales[p] + table_up.scales[p - 1] + table.scales[p]) for p in orders]
     residuals = tuple(abs(lhs - rhs) for _, lhs, rhs, _ in rows)
     relative = tuple(res / max(row[3], 1e-300) for res, row in zip(residuals, rows))
     return ResidualReport(
@@ -405,7 +383,6 @@ def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
         residuals=residuals,
         relative=relative,
         tolerance=tol,
-        verdict=all(r <= tol for r in relative),
         extras={"checks": [row[0] for row in rows], "k_max": k_max},
     )
 
@@ -447,8 +424,8 @@ def ray_mellin(f, s, tol=ABS_TOL):
         return 0j, 0.0
     lo, hi = window
     edges = np.concatenate([
-        geometric_edges(lo, 1.0, 2.0) if lo < 1.0 else [lo],
-        geometric_edges(max(lo, 1.0), hi, 2.0)[1:] if hi > 1.0 else [],
+        geometric_edges(lo, 1.0) if lo < 1.0 else [lo],
+        geometric_edges(max(lo, 1.0), hi)[1:] if hi > 1.0 else [],
     ])
     edges = np.unique(edges)
 
@@ -501,7 +478,6 @@ def verify_commutation(P, f, s_grid, tol=1e-8, quad_tol=ABS_TOL):
         scale = max(max(abs(p) for p in parts), 1e-300)
         residuals.append(total)
         relative.append(total / scale)
-    verdict = all(r <= tol for r in relative)
     return ResidualReport(
         operator=format_operator(P),
         function_id=f.name,
@@ -509,7 +485,6 @@ def verify_commutation(P, f, s_grid, tol=1e-8, quad_tol=ABS_TOL):
         residuals=tuple(residuals),
         relative=tuple(relative),
         tolerance=tol,
-        verdict=verdict,
         extras={"difference_operator": format_operator(Q)},
     )
 

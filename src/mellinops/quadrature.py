@@ -38,12 +38,12 @@ def uniform_edges(lo, hi, width):
     return np.linspace(lo, hi, n + 1)
 
 
-def geometric_edges(lo, hi, ratio=2.0):
-    """Panel edges from lo to hi growing geometrically (lo, hi > 0)."""
+def geometric_edges(lo, hi):
+    """Panel edges from lo to hi doubling in length (lo, hi > 0)."""
     edges = [lo]
     x = lo
-    while x * ratio < hi:
-        x *= ratio
+    while x * 2.0 < hi:
+        x *= 2.0
         edges.append(x)
     edges.append(hi)
     return np.asarray(edges)

@@ -75,7 +75,9 @@ class ShiftPolynomial(SparseSum):
         return cls(arity, {(0,) * arity: value})
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def zero(cls, arity=1):
+        """The zero of ``arity`` variables, one shared value per arity."""
         return cls(arity, {})
 
     @classmethod

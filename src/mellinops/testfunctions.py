@@ -7,7 +7,7 @@ Functions are finite sums of terms
 with integer powers a, b, m and Laurent polynomials P (complex coefficients)
 and Q (real coefficients).  The family is closed under the two Wirtinger
 derivatives, under multiplication by integer powers of t, and under the
-separable shift-variable factors g(s) = (polynomial in s) * exp(beta*s), so
+separable shift-variable factors g(s), polynomials in s, so
 every derivative used by the checks is supplied in closed form rather than
 by numerical differentiation.
 
@@ -35,17 +35,14 @@ def _poly_tuple(d):
 
 @dataclass(frozen=True)
 class SFactor:
-    """Separable shift factor (poly in s) * exp(beta * s)."""
+    """Separable shift factor: the polynomial in s with ``coeffs``, lowest first."""
 
     coeffs: tuple = (1 + 0j,)
-    beta: complex = 0j
 
     def __call__(self, s):
         val = 0j
         for c in reversed(self.coeffs):
             val = val * s + c
-        if self.beta:
-            val = val * np.exp(self.beta * s)
         return val
 
     def shifted(self, delta):
@@ -55,8 +52,7 @@ class SFactor:
         for k, c in enumerate(self.coeffs):
             for i, w in binomial_shift(k, delta):
                 out[i] += c * w
-        scale = np.exp(self.beta * delta) if self.beta else 1.0
-        return SFactor(tuple(v * scale for v in out), self.beta)
+        return SFactor(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -79,21 +75,14 @@ class Term:
 
 
 class TestFunction:
-    """A finite sum of family terms, evaluable on numpy grids.
-
-    ``separable`` records whether the dependence on the shift variable is
-    exposed term by term; it is, for everything built from family terms.
-    Wrappers around opaque evaluators should pass ``separable=False`` so the
-    shift-transport checks can refuse them instead of silently mis-shifting.
-    """
+    """A finite sum of family terms, evaluable on numpy grids."""
 
     __test__ = False  # not a pytest item, despite the (domain) name
-    __slots__ = ("terms", "name", "separable")
+    __slots__ = ("terms", "name")
 
-    def __init__(self, terms, name="anonymous", separable=True):
+    def __init__(self, terms, name="anonymous"):
         object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "separable", bool(separable))
 
     def __setattr__(self, key, value):
         raise AttributeError("TestFunction is immutable")
@@ -128,23 +117,15 @@ class TestFunction:
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other):
-        return TestFunction(
-            self.terms + other.terms, self.name, self.separable and other.separable
-        )
+        return TestFunction(self.terms + other.terms, self.name)
 
     def scale(self, c):
-        return TestFunction(tuple(t.scaled(c) for t in self.terms), self.name, self.separable)
+        return TestFunction(tuple(t.scaled(c) for t in self.terms), self.name)
 
     def times_t(self, power):
-        return TestFunction(
-            tuple(t.with_powers(dt=power) for t in self.terms), self.name, self.separable
-        )
+        return TestFunction(tuple(t.with_powers(dt=power) for t in self.terms), self.name)
 
     def shift_s(self, delta):
-        if not self.separable:
-            from .errors import NotSeparable
-
-            raise NotSeparable(f"{self.name} does not expose its s-dependence")
         out = []
         for term in self.terms:
             g = term.s_factor.shifted(delta) if term.s_factor is not None else None
@@ -167,7 +148,7 @@ class TestFunction:
                 out.append(tm.scaled(tm.r_pow / 2).with_powers(dtb=1, dr=-2))
             for k, c in tm.exp_r:
                 out.append(tm.scaled(k * c / 2).with_powers(dtb=1, dr=k - 2))
-        return TestFunction(tuple(out), self.name, self.separable)
+        return TestFunction(tuple(out), self.name)
 
     def euler(self):
         """t * d/dt."""
@@ -207,7 +188,7 @@ def ray_exponential(powers, name):
     return TestFunction((Term(exp_t=_poly_tuple(powers)),), name)
 
 
-def envelope_mode(mode=0, r_extra=0, s_factor=None, weight=1.0, radial=None):
+def envelope_mode(mode=0, s_factor=None, weight=1.0, radial=None):
     """A flat radial envelope times the angular factor (conj(t)/r)^mode.
 
     Positive ``mode`` couples to the order-``mode`` moment at infinity.  The
@@ -223,7 +204,7 @@ def envelope_mode(mode=0, r_extra=0, s_factor=None, weight=1.0, radial=None):
         coeff=complex(weight),
         t_pow=tp,
         tbar_pow=tb,
-        r_pow=-abs(mode) + r_extra,
+        r_pow=-abs(mode),
         exp_r=_poly_tuple(radial if radial is not None else {1: -1.0, -1: -1.0}),
         s_factor=s_factor,
     )

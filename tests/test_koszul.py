@@ -12,7 +12,6 @@ from mellinops import (
     kernel_element,
     koszul,
     koszul_reduce,
-    product_kernel,
     shift_cycle,
     solve_inf,
     solve_zero,
@@ -124,6 +123,20 @@ def test_solve_zero_interior_exactness_random(g):
     assert all(idx[0] >= g.axes[0].n_max for idx in defect.terms)
 
 
+def test_solvers_share_one_zero(monkeypatch):
+    # each column starts from zero and every missing index reads as zero; all
+    # of them are the one zero of the arity, built at most once
+    s2 = ShiftPolynomial.variable(2, 2)
+    g = TailSeries(2, (Axis(1, "zero", 6), Axis(2, "inf", 6)), {(2, 1): s2, (5, 4): 3})
+    built = []
+    init = ShiftPolynomial.__init__
+    monkeypatch.setattr(ShiftPolynomial, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    solve_zero(g, 1)
+    solve_inf(g, 2)
+    assert len(built) <= 1
+
+
 # -- kernel representatives -------------------------------------------------------
 
 
@@ -157,11 +170,12 @@ def test_kernel_characterization(n_max, phi):
     assert any(not p.is_zero() for p in broken.values())
 
 
-def test_product_kernel_extraction():
+def test_kernel_extraction_on_a_second_variable():
     phi = ShiftPolynomial.variable(1, 2) + 2 * ShiftPolynomial.variable(2, 2)
-    k = product_kernel(phi, (1, 2), 4, coeff_arity=2)
-    assert k.coefficient((1, 1)) == phi
-    assert k.coefficient((2, 3)) == phi.shift(1, -1).shift(2, -2)
+    k = kernel_element(phi, 2, 4, coeff_arity=2)
+    assert k.axes == (Axis(2, "zero", 4),)
+    assert k.coefficient((1,)) == phi
+    assert k.coefficient((3,)) == phi.shift(2, -2)
 
 
 # -- induced actions ---------------------------------------------------------------

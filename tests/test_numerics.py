@@ -10,6 +10,8 @@ from mellinops import (
     EvaluationFailure,
     PreconditionFailed,
     QuadratureFailure,
+    ResidualReport,
+    SFactor,
     SingularEvaluation,
     asymptotic_remainder_check,
     build_builtin,
@@ -27,6 +29,7 @@ from mellinops import (
 from mellinops.numerics import (
     _HAAR_LEVELS,
     _ROUNDING_ULPS,
+    _cpx,
     _haar_grid,
     _haar_integral_once,
     annihilation_guard,
@@ -55,18 +58,18 @@ def test_moment_matched_mode_against_radial_oracle():
     # the angular integral collapses to the matching mode; the rest is radial
     for k in (1, 2, 3):
         tab = moment_table(build_builtin(f"mode{k}"), k, 0)
-        value = tab.at_inf(k)
-        assert tab.inf_error[k] < 1e-10
+        value = tab.values[k]
+        assert tab.errors[k] < 1e-10
         assert value == pytest.approx(radial_oracle(k), abs=1e-9)
         assert value == pytest.approx(-2 * RADIAL_ENVELOPE_MOMENT[k], abs=1e-9)
 
 
 def test_moment_mismatched_modes_vanish():
     f1 = moment_table(build_builtin("mode1"), 2, 0)
-    assert abs(f1.at_inf(2)) < 1e-12
-    assert abs(moment_table(build_builtin("radial"), 1, 0).at_inf(1)) < 1e-12
+    assert abs(f1.values[2]) < 1e-12
+    assert abs(moment_table(build_builtin("radial"), 1, 0).values[1]) < 1e-12
     # zero-side moments couple to the opposite angular sign
-    assert abs(f1.at_zero(1)) < 1e-12
+    assert abs(f1.values[-1]) < 1e-12
 
 
 # angular modes (weight) of the envelope built-ins, all on exp(-r - 1/r)
@@ -103,9 +106,10 @@ def test_moment_error_estimate_covers_the_closed_form(name):
         table = moment_table(build_builtin(name), k_max)
         exact = [-4.0 * modes[k] * scipy.special.kv(k, 2.0) if k in modes else 0.0
                  for k in range(k_max + 1)]
-        for value in table.zero_side:
-            assert abs(value) <= table.error, (k_max, value)
-        for k, (value, want) in enumerate(zip(table.inf_side, exact)):
+        for p in range(-k_max, 0):
+            assert abs(table.values[p]) <= table.error, (k_max, p, table.values[p])
+        for k, want in enumerate(exact):
+            value = table.values[k]
             assert abs(value - want) <= table.error, (k_max, k, value, want)
 
 
@@ -127,8 +131,8 @@ def test_haar_transform_matches_the_direct_sum_on_its_grid(name, s):
 def test_moment_table_scale_is_the_integral_of_the_modulus():
     # |xi^k mode2| = r^k exp(-r - 1/r), whose Haar integral over pi is 4 K_k(2)
     table = moment_table(build_builtin("mode2"), 6, 1.0)
-    for k, scale in enumerate(table.inf_scale):
-        assert scale == pytest.approx(4.0 * scipy.special.kv(k, 2.0), rel=1e-12)
+    for k in range(7):
+        assert table.scales[k] == pytest.approx(4.0 * scipy.special.kv(k, 2.0), rel=1e-12)
 
 
 def test_moment_negative_mode_couples_on_zero_side():
@@ -136,21 +140,21 @@ def test_moment_negative_mode_couples_on_zero_side():
     # the radial factor there is r^-2 E(r), equal to E under r <-> 1/r, so
     # the same radial oracle applies (with the zero-side sign flip)
     tab = moment_table(TestFunction((envelope_mode(-1),), "mode-1"), 3, 0)
-    assert tab.at_zero(1) == pytest.approx(-radial_oracle(1), abs=1e-9)
+    assert -tab.values[-1] == pytest.approx(-radial_oracle(1), abs=1e-9)
     for k in range(0, 4):
-        assert abs(tab.at_inf(k)) < 1e-12
+        assert abs(tab.values[k]) < 1e-12
 
 
 def test_moment_zero_function():
     zero = TestFunction((envelope_mode(0, weight=0.0),), "null")
-    assert moment_table(zero, 3, 0).at_inf(3) == 0
+    assert moment_table(zero, 3, 0).values[3] == 0
 
 
 def test_moment_linearity_and_scaling():
     f = build_builtin("mode2")
     a = 2.5 - 1.5j
-    scaled = moment_table(TestFunction(tuple(t.scaled(a) for t in f.terms), "af"), 2, 0).at_inf(2)
-    base = moment_table(f, 2, 0).at_inf(2)
+    scaled = moment_table(TestFunction(tuple(t.scaled(a) for t in f.terms), "af"), 2, 0).values[2]
+    base = moment_table(f, 2, 0).values[2]
     assert abs(scaled - a * base) <= 1e-10 * abs(a * base)
 
 
@@ -163,13 +167,20 @@ def test_moment_table_layout():
     # modeblend weights mode m by 1/m!, so the order-k coefficient at
     # infinity is the matched radial integral divided by k!
     tab = moment_table(build_builtin("modeblend"), 4, 0.5)
-    assert len(tab.zero_side) == 4 and len(tab.inf_side) == 5
+    assert list(tab.values) == list(tab.errors) == list(tab.scales) == list(range(-4, 5))
     for k in (0, 2, 4):
-        assert tab.at_inf(k) == pytest.approx(radial_oracle(k) / factorial(k), abs=1e-9)
-    assert all(abs(v) < 1e-10 for v in tab.zero_side)
+        assert tab.values[k] == pytest.approx(radial_oracle(k) / factorial(k), abs=1e-9)
+    assert all(abs(tab.values[p]) < 1e-10 for p in range(-4, 0))
     floor = _ROUNDING_ULPS * np.finfo(float).eps
-    assert tab.error == max(max(tab.zero_error + tab.inf_error),
-                            floor * max(tab.zero_scale + tab.inf_scale))
+    assert tab.error == max(max(tab.errors.values()), floor * max(tab.scales.values()))
+
+
+def test_moment_table_report_lists_the_sides():
+    # order k is the coefficient of t^-k at infinity, order -k minus that of t^k at zero
+    tab = moment_table(INNERBLEND, 4, 0.5)
+    report = tab.to_dict()
+    assert report["zero_side"] == [_cpx(-tab.values[-k]) for k in range(1, 5)]
+    assert report["inf_side"] == [_cpx(tab.values[k]) for k in range(5)]
 
 
 class CountingFunction:
@@ -271,7 +282,7 @@ def test_convolve_decomposition_consistency():
     total = cauchy_convolve(f, t)
     n = 2
     tab = moment_table(f, n)
-    partial = sum(tab.at_inf(k) * t ** (-k) for k in range(n + 1))
+    partial = sum(tab.values[k] * t ** (-k) for k in range(n + 1))
     rem, _ = convolution_remainder(f, t, n=n)
     assert abs(total - (partial + rem)) <= 2e-9
 
@@ -290,7 +301,7 @@ def test_convolve_decomposition_zero_side(t, n):
     # near 0, K*f is sum_k zero-moment_k t^k plus the zero-side remainder
     total = cauchy_convolve(INNERBLEND, t)
     tab = moment_table(INNERBLEND, n)
-    partial = sum(tab.at_zero(k) * t ** k for k in range(1, n + 1))
+    partial = sum(-tab.values[-k] * t ** k for k in range(1, n + 1))
     rem, _ = convolution_remainder(INNERBLEND, t, n=n, side="zero")
     assert abs(total - (partial + rem)) <= 1e-12
 
@@ -408,8 +419,7 @@ def test_moment_table_zero_scale_is_the_integral_of_the_modulus():
     f = TestFunction((envelope_mode(-2),), "mode-2")
     table = moment_table(f, 4, 1.0)
     for k in range(1, 5):
-        assert table.scale(-k) == table.zero_scale[k - 1]
-        assert table.scale(-k) == pytest.approx(4.0 * scipy.special.kv(k, 2.0), rel=1e-12)
+        assert table.scales[-k] == pytest.approx(4.0 * scipy.special.kv(k, 2.0), rel=1e-12)
 
 
 def test_epsilon_commutation_constant_in_s():
@@ -420,7 +430,7 @@ def test_epsilon_commutation_constant_in_s():
     tab = moment_table(f, 4, 1.25)
     h = f.times_t(-1) + f.scale(-1)
     tab_h = moment_table(h, 3, 1.25)
-    assert tab_h.at_inf(2) == pytest.approx(tab.at_inf(1) - tab.at_inf(2), abs=1e-9)
+    assert tab_h.values[2] == pytest.approx(tab.values[1] - tab.values[2], abs=1e-9)
 
 
 def test_epsilon_commutation_theta_k0_transport():
@@ -429,8 +439,8 @@ def test_epsilon_commutation_theta_k0_transport():
     s = 0.4
     tab = moment_table(f, 1, s)
     tab_theta = moment_table(f.euler(), 0, s)
-    lhs = tab_theta.at_inf(0) - (s + 1) * tab.at_inf(0)
-    assert lhs == pytest.approx((-s - 1) * tab.at_inf(0), abs=1e-9)
+    lhs = tab_theta.values[0] - (s + 1) * tab.values[0]
+    assert lhs == pytest.approx((-s - 1) * tab.values[0], abs=1e-9)
 
 
 def test_epsilon_commutation_zero_function():
@@ -439,15 +449,42 @@ def test_epsilon_commutation_zero_function():
     assert rep.verdict and max(rep.residuals) == 0.0
 
 
-def test_epsilon_commutation_rejects_opaque_s_dependence():
-    from mellinops import NotSeparable
+def test_epsilon_commutation_rows_are_labelled_infinity_first():
+    rep = epsilon_commutation_check(build_builtin("sep-mode2"), 1.0, 3)
+    inf, zero = [f"inf:{k}" for k in range(4)], [f"zero:{k}" for k in range(1, 4)]
+    assert rep.extras["checks"] == [f"{kind}:{side}" for kind in ("euler", "cycle")
+                                    for side in inf + zero]
 
-    opaque = TestFunction((envelope_mode(2),), "opaque", separable=False)
-    with pytest.raises(NotSeparable):
-        epsilon_commutation_check(opaque, 1.0, 3)
+
+# inner and outer angular modes under one s-factor, so that both sides of
+# every table couple
+SEP_TWOSIDED = TestFunction(
+    tuple(envelope_mode(m, s_factor=SFactor((1 + 0j, 0.25 + 0j)), weight=1.0 / factorial(abs(m)))
+          for m in range(-3, 4)),
+    "sep-twosided",
+)
+
+
+def test_epsilon_commutation_on_both_sides():
+    rep = epsilon_commutation_check(SEP_TWOSIDED, 0.75 + 0.25j, 4)
+    assert rep.verdict and rep.max_relative <= 1e-6
+    broken = epsilon_commutation_check(ScaledEuler(SEP_TWOSIDED.terms, "broken"), 0.75 + 0.25j, 4)
+    failed = {label for label, rel in zip(broken.extras["checks"], broken.relative)
+              if rel > broken.tolerance}
+    assert {"euler:zero:1", "euler:zero:2", "euler:inf:1", "euler:inf:2"} <= failed
 
 
 # -- the ray transform -------------------------------------------------------------------
+
+
+def test_verdict_is_read_from_the_relative_residuals():
+    def report(relative):
+        return ResidualReport("op", "f", (1j,), relative, relative, 1e-6)
+
+    assert report((0.0, 1e-6)).verdict and report(()).verdict
+    assert not report((0.0, 2e-6)).verdict
+    assert not report((0.0, math.nan)).verdict
+    assert report((math.nan,)).to_dict()["verdict"] is False
 
 
 def test_ray_mellin_gamma_values():

@@ -1,6 +1,8 @@
-"""The library surface: the exported names, and no import a module leaves unused."""
+"""The library surface: the exported names, each reached by a caller, and no
+import a module leaves unused."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -8,20 +10,19 @@ import pytest
 import mellinops
 
 SRC = Path(mellinops.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTED = [
     "Algebra", "Axis", "BUILTIN_NAMES", "CongruenceResult", "EvaluationFailure",
     "ExpansionResult", "GenKind", "Generator", "INF_TYPE", "IndexOutOfRange",
-    "KoszulReport", "MellinopsError", "MixedAlgebra", "MomentTable", "NotSeparable",
-    "OreOperator", "ParseError", "PreconditionFailed", "QuadratureFailure",
+    "KoszulReport", "MellinopsError", "MixedAlgebra", "MomentTable", "OreOperator", "ParseError", "PreconditionFailed", "QuadratureFailure",
     "ResidualReport", "SFactor", "ShiftPolynomial", "SingularEvaluation", "TailSeries",
     "TestFunction", "TruncationOverflow", "ZERO_TYPE", "apply_difference",
     "asymptotic_remainder_check", "build_builtin", "cauchy_convolve",
     "convolution_remainder", "epsilon_commutation_check", "errors", "format_operator",
     "haar_integral", "induced_action_congruence", "inverse_mellin_op",
     "kernel_element", "koszul", "koszul_reduce", "mellin_op", "moment_table",
-    "normalize", "numerics", "ore", "parameter_expansion", "parse", "product_kernel",
-    "quadrature", "ray_mellin", "series", "shift_cycle", "shiftpoly", "solve_inf",
+    "normalize", "numerics", "ore", "parameter_expansion", "parse", "quadrature", "ray_mellin", "series", "shift_cycle", "shiftpoly", "solve_inf",
     "solve_zero", "sparse", "stokes_identity_check", "syntax", "testfunctions",
     "transform", "verify_commutation",
 ]
@@ -29,6 +30,68 @@ EXPORTED = [
 
 def test_exported_names():
     assert sorted(mellinops.__all__) == EXPORTED
+
+
+class References(ast.NodeVisitor):
+    """The names a module reads, imports from or spells as a string; a name
+    inside its own definition does not count."""
+
+    def __init__(self):
+        self.names, self.defining = set(), []
+
+    def add(self, name):
+        if name not in self.defining:
+            self.names.add(name)
+
+    def visit_FunctionDef(self, node):
+        self.defining.append(node.name)
+        self.generic_visit(node)
+        self.defining.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        for part in (node.module or "").split("."):
+            self.add(part)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self.add(node.value)
+
+
+def references(paths):
+    refs = References()
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".py":
+            refs.visit(ast.parse(text))
+        else:
+            refs.names.update(re.findall(r"\w+", text))
+    return refs.names
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name that no subcommand, benchmark, README line or acceptance
+    # criterion reaches is code with no caller
+    callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    callers += [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    reached = references(callers)
+    assert sorted(set(mellinops.__all__) - reached) == []
+
+
+def test_a_definition_does_not_reach_itself(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("X = 1\ndef f():\n    return f()\nclass C:\n    c = C\nf(g, 'h')\n")
+    assert references([path]) == {"f", "g", "h"}
 
 
 def unused_imports(tree):

@@ -73,7 +73,7 @@ def test_rapid_decay_spot_check():
 
 
 def test_sfactor_shift_and_eval():
-    g = SFactor((1 + 0j, 2 + 0j, 1 + 0j), beta=0.5)  # (1 + s)^2 e^(s/2)
+    g = SFactor((1 + 0j, 2 + 0j, 1 + 0j))  # (1 + s)^2
     for s in (0.3, 1.7 + 0.2j):
         direct = g(s + 1)
         shifted = g.shifted(1)(s)
