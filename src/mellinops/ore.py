@@ -103,9 +103,12 @@ class OreOperator(SparseSum):
     """An exact operator in normal form.
 
     ``terms`` maps monomial keys to nonzero exact scalars (see
-    :func:`~mellinops.sparse.rational`).  Instances are
-    immutable; arithmetic goes through +, -, * and **, and :func:`normalize`
-    builds an operator from generator words.
+    :func:`~mellinops.sparse.rational`).  Instances are immutable; arithmetic
+    goes through +, -, * and **, and :func:`normalize` builds an operator from
+    generator words.  The constructor validates its input; the arithmetic
+    builds its results through the unchecked
+    :meth:`~mellinops.sparse.SparseSum._like`, since its operands are already
+    clean.
     """
 
     __slots__ = ("algebra", "arity")
@@ -169,9 +172,6 @@ class OreOperator(SparseSum):
     def _shape(self):
         return (self.algebra, self.arity)
 
-    def _like(self, terms):
-        return OreOperator(self.algebra, self.arity, terms)
-
     def _lift(self, value):
         return OreOperator.scalar(value, self.algebra, self.arity)
 
@@ -200,7 +200,7 @@ class OreOperator(SparseSum):
                 for degs, coeff in expansion:
                     key = (a, degs[:p], c, degs[p:])
                     terms[key] = terms.get(key, 0) + coeff
-        return OreOperator(self.algebra, self.arity, terms)
+        return self._like(terms)
 
     __rmul__ = __mul__  # reached by scalars, which commute with every operator
 

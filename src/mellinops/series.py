@@ -62,7 +62,8 @@ class TailSeries(SparseSum):
     Terms map index tuples of ints, one per axis and inside its window, to
     nonzero :class:`~mellinops.shiftpoly.ShiftPolynomial` coefficients.  The
     constructor validates its input; the operations build their results
-    through the unchecked ``_like``, since their operands are already clean.
+    through the unchecked :meth:`~mellinops.sparse.SparseSum._like`, since
+    their operands are already clean.
     """
 
     __slots__ = ("coeff_arity", "axes")
@@ -115,16 +116,6 @@ class TailSeries(SparseSum):
     def _shape(self):
         return (self.coeff_arity, self.axes)
 
-    def _like(self, terms):
-        """The one unchecked constructor: a series of this shape from terms
-        computed out of clean operands (indices inside the window, polynomials
-        of ``coeff_arity``).  Zero polynomials drop; nothing is re-checked."""
-        series = object.__new__(TailSeries)
-        object.__setattr__(series, "coeff_arity", self.coeff_arity)
-        object.__setattr__(series, "axes", self.axes)
-        object.__setattr__(series, "terms", {i: p for i, p in terms.items() if p.terms})
-        return series
-
     def _lift(self, value):
         return NotImplemented  # series combine only with series of the same shape
 
@@ -158,24 +149,21 @@ class TailSeries(SparseSum):
             return self._like({i: p.shift(j, step) for i, p in self.terms.items()})
 
         pos, axis = self.axis_for(j)
-        terms = {}
         if gen.kind is GenKind.THETA:
-            for idx, poly in self.terms.items():
-                n = _actual_exponent(axis, idx[pos])
-                factor = ShiftPolynomial.constant(n - 1, self.coeff_arity) - \
-                    ShiftPolynomial.variable(j, self.coeff_arity)
-                _accumulate(terms, idx, poly * factor)
-            return self._like(terms)
+            s_j = ShiftPolynomial.variable(j, self.coeff_arity)
+            return self._like({
+                idx: poly.scale(_actual_exponent(axis, idx[pos]) - 1) - poly * s_j
+                for idx, poly in self.terms.items()
+            })
 
+        # t and t^-1 move every stored index by the same step, so no two terms meet
         step = 1 if gen.kind is GenKind.T else -1
         window = axis.window
+        terms = {}
         for idx, poly in self.terms.items():
             stored = idx[pos] + (-step if axis.kind == INF_TYPE else step)
-            if stored not in window:
-                continue  # quotient kill or truncation defect zone
-            new = list(idx)
-            new[pos] = stored
-            _accumulate(terms, tuple(new), poly)
+            if stored in window:  # else a quotient kill or the truncation defect zone
+                terms[idx[:pos] + (stored,) + idx[pos + 1 :]] = poly
         return self._like(terms)
 
     def apply_word(self, word):
@@ -206,11 +194,6 @@ class TailSeries(SparseSum):
             if idx[pos] == n:
                 terms[idx[:pos] + idx[pos + 1 :]] = poly
         return TailSeries(self.coeff_arity, rest, terms)
-
-
-def _accumulate(terms, idx, poly):
-    prev = terms.get(idx)
-    terms[idx] = poly if prev is None else prev + poly
 
 
 def shift_cycle(series, var):

@@ -27,20 +27,6 @@ def binomial_shift(degree, k):
     return tuple((i, comb(degree, i) * k ** (degree - i)) for i in range(degree + 1))
 
 
-def _trusted(arity, terms):
-    """The one unchecked constructor: a ShiftPolynomial from terms that this
-    module computed out of clean operands (valid exponent tuples, exact
-    coefficients).  Zero coefficients drop and integral Fractions become ints;
-    nothing else is checked."""
-    poly = object.__new__(ShiftPolynomial)
-    object.__setattr__(poly, "arity", arity)
-    object.__setattr__(poly, "terms", {
-        expo: c if type(c) is int or c.denominator != 1 else c.numerator
-        for expo, c in terms.items() if c
-    })
-    return poly
-
-
 class ShiftPolynomial(SparseSum):
     """Sparse polynomial in s_1..s_p over the rationals.
 
@@ -48,7 +34,8 @@ class ShiftPolynomial(SparseSum):
     :func:`~mellinops.sparse.rational`).  Values are immutable; all
     operations return new instances.  The constructor validates its input;
     the ring operations and ``shift`` build their results through the
-    unchecked :func:`_trusted`, since their operands are already clean.
+    unchecked :meth:`~mellinops.sparse.SparseSum._like`, since their operands
+    are already clean.
     """
 
     __slots__ = ("arity",)
@@ -93,9 +80,6 @@ class ShiftPolynomial(SparseSum):
     def _shape(self):
         return (self.arity,)
 
-    def _like(self, terms):
-        return _trusted(self.arity, terms)
-
     def _lift(self, value):
         return ShiftPolynomial.constant(value, self.arity)
 
@@ -112,7 +96,7 @@ class ShiftPolynomial(SparseSum):
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
                 terms[expo] = terms.get(expo, 0) + c1 * c2
-        return _trusted(self.arity, terms)
+        return self._like(terms)
 
     __rmul__ = __mul__
 
@@ -131,7 +115,7 @@ class ShiftPolynomial(SparseSum):
             for i, w in binomial_shift(expo[jj], steps):
                 key = expo[:jj] + (i,) + expo[jj + 1 :]
                 terms[key] = terms.get(key, 0) + coeff * w
-        return _trusted(self.arity, terms)
+        return self._like(terms)
 
     def __repr__(self):
         if not self.terms:

@@ -1,18 +1,19 @@
 """The additive structure shared by the exact value types, and their scalar.
 
 A :class:`SparseSum` is an immutable map ``terms`` from keys to nonzero
-coefficients, each the one exact scalar of :func:`rational` (an ``int`` when
-integral, else a ``Fraction``), in a space fixed by a shape.  Subclasses
-supply four hooks: ``_shape()`` (compared by ``==``), ``_like(terms)`` (a
-value of the same shape; zero terms drop), ``_lift(value)`` (a rational scalar
-in the same space, or ``NotImplemented``) and ``_compatible(other)`` (raises
-the class's own error when ``other``, of the same class, cannot be combined
-with this one).
+coefficients in a space fixed by a shape.  A coefficient is the one exact
+scalar of :func:`rational` (an ``int`` when integral, else a ``Fraction``), or
+a nonzero SparseSum (the polynomial coefficients of a series).  Subclasses
+supply three hooks: ``_shape()`` (compared by ``==``), ``_lift(value)`` (a
+rational scalar in the same space, or ``NotImplemented``) and
+``_compatible(other)`` (raises the class's own error when ``other``, of the
+same class, cannot be combined with this one).
 
-Only the public constructors validate.  ``_like`` trusts its operands: the
-operations here hand it terms computed from values that are already clean
-(operands checked by ``_check`` and scalars by :func:`rational`), so a
-subclass may build the result without re-checking keys or coefficients.
+Only the public constructors validate.  :meth:`SparseSum._like` is the one
+unchecked constructor, and it trusts its operands: the operations hand it
+terms computed from values that are already clean (operands checked by
+``_check`` and scalars by :func:`rational`), so it re-checks no key or
+coefficient.  A value is falsy when it is zero, as a number is.
 """
 
 from __future__ import annotations
@@ -38,6 +39,22 @@ class SparseSum:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _like(self, terms):
+        """A value of this shape from clean terms: the shape slots are copied,
+        zero coefficients drop and integral Fractions become ints."""
+        cls, setslot = type(self), object.__setattr__
+        value = object.__new__(cls)
+        for name in cls.__slots__:
+            setslot(value, name, getattr(self, name))
+        setslot(value, "terms", {
+            k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for k, c in terms.items() if c
+        })
+        return value
 
     def _check(self, other):
         if not isinstance(other, type(self)):

@@ -20,6 +20,7 @@ checks, not by the Haar-measure ones.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,9 +233,9 @@ def build_builtin(name):
             for m in range(6)
         )
         return TestFunction(terms, "gaussblend")
-    if name.startswith("mode"):
-        m = int(name[4:])
-        return TestFunction((envelope_mode(m),), name)
+    mode = re.fullmatch(r"mode(-?[0-9]+)", name)  # an integer suffix selects the mode
+    if mode:
+        return TestFunction((envelope_mode(int(mode[1])),), name)
     if name == "sep-mode2":
         g = SFactor((1 + 0j, 0.5 + 0j))  # 1 + s/2
         return TestFunction((envelope_mode(2, s_factor=g),), "sep-mode2")

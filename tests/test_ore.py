@@ -170,6 +170,22 @@ def test_product_rows_are_one_variable_and_cached():
     assert info.maxsize is None and 0 < info.currsize < 100
 
 
+def test_arithmetic_builds_no_validated_operator(monkeypatch):
+    # operands are already clean, so results skip the validating constructor
+    x, y = parse("th^2 + 1/2*t"), parse("3*t*th - tinv")
+    init, calls = OreOperator.__init__, []
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(OreOperator, "__init__", counting_init)
+    results = [x * y, x + y, x - y, -x, x.scale(Fraction(2, 3))]
+    assert calls == []
+    monkeypatch.undo()
+    assert results[0] == parse("(th^2 + 1/2*t) * (3*t*th - tinv)")
+
+
 def test_mixed_algebra_errors():
     with pytest.raises(MixedAlgebra):
         normalize([(1, gens((T, 1), (S, 1)))], algebra="D")

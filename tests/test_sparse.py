@@ -28,32 +28,29 @@ def test_binomial_shift_expands_the_power(e, k):
     assert set(power.terms) <= {(i,) for i in range(e + 1)}
 
 
-def shift_polys(arity=2):
+def shift_polys(arity=2, coeff=small):
     expo = st.tuples(*[st.integers(0, 3)] * arity)
-    return st.dictionaries(expo, small, max_size=5).map(lambda t: ShiftPolynomial(arity, t))
+    return st.dictionaries(expo, coeff, max_size=5).map(lambda t: ShiftPolynomial(arity, t))
 
 
-@st.composite
-def ore_pairs(draw):
-    algebra = draw(st.sampled_from(["D", "S", "Dtilde"]))
-    arity = draw(st.integers(1, 2))
+def ore_operators(algebra, arity, coeff=small):
     vec = st.tuples(*[st.integers(-2, 2)] * arity)
     deg = st.tuples(*[st.integers(0, 2)] * arity)
     zero = st.just((0,) * arity)
     torus = (vec, deg) if algebra != "S" else (zero, zero)
     shift = (vec, deg) if algebra != "D" else (zero, zero)
     keys = st.tuples(*torus, *shift)
-    ops = st.dictionaries(keys, small, max_size=4).map(lambda t: OreOperator(algebra, arity, t))
-    return draw(ops), draw(ops)
+    return st.dictionaries(keys, coeff, max_size=4).map(lambda t: OreOperator(algebra, arity, t))
 
 
+SHAPES = [(algebra, arity) for algebra in ("D", "S", "Dtilde") for arity in (1, 2)]
 AXES = (Axis(1, ZERO_TYPE, 6),)
 series = st.dictionaries(st.tuples(st.integers(1, 6)), shift_polys(1), max_size=4).map(
     lambda t: TailSeries(1, AXES, t)
 )
 PAIRS = st.one_of(
     st.tuples(shift_polys(), shift_polys()),
-    ore_pairs(),
+    *[st.tuples(ops, ops) for ops in (ore_operators(*shape) for shape in SHAPES)],
     st.tuples(series, series),
 )
 
@@ -89,6 +86,31 @@ def test_equal_values_hash_equal(pair):
     reordered = dict(reversed(list(x.terms.items())))
     twin = type(x)(*x._shape(), reordered)
     assert twin == x and hash(twin) == hash(x)
+
+
+# one coefficient set for every case: an integral Fraction, and pairs that cancel
+EXACT = st.sampled_from(
+    [Fraction(4, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3), 1, -1, 3]
+)
+PRODUCT_PAIRS = st.one_of(
+    [st.tuples(ops, ops) for ops in (ore_operators(*shape, EXACT) for shape in SHAPES)]
+    + [st.tuples(ps, ps) for ps in (shift_polys(arity, EXACT) for arity in (1, 2))]
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(PRODUCT_PAIRS, EXACT)
+def test_results_equal_their_validated_reconstruction(pair, c):
+    # every result is built by the unchecked _like: it must be what the
+    # validating constructor makes of its terms, coefficient types too
+    x, y = pair
+    results = [x * y, x + y, x - y, -x, x.scale(c), x ** 2]
+    if isinstance(x, ShiftPolynomial):
+        results += [x.shift(x.arity, k) for k in (-2, 1, 3)]
+    for r in results:
+        assert r == type(r)(*r._shape(), r.terms)
+        assert all(type(v) is int or type(v) is Fraction and v.denominator != 1
+                   for v in r.terms.values())
 
 
 def test_ore_operator_equals_scalar():

@@ -2,6 +2,7 @@
 import a module leaves unused."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -115,3 +116,13 @@ def test_every_import_is_used(path):
 
 def test_unused_import_is_found():
     assert unused_imports(ast.parse("import os\nfrom x import a, b as c\nc()\n")) == ["a", "os"]
+
+
+def test_benchmark_spans_and_counters_resolve():
+    # the benchmark patches its spans and counters by name, so a renamed or
+    # deleted function would crash every traced run; its tracer is loaded, not changed
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attr in tracing.SPANS + tracing.COUNTS:
+        assert callable(tracing._resolve(module, attr)[2]), f"{module}.{attr}"

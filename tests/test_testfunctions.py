@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mellinops import MixedAlgebra, SFactor, build_builtin, parse
-from mellinops.testfunctions import BUILTIN_NAMES, apply_operator_terms
+from mellinops.testfunctions import BUILTIN_NAMES, apply_operator_terms, envelope_mode
 
 
 def wirtinger_fd(f, t, s=0j, h=1e-5):
@@ -97,5 +97,8 @@ def test_angular_modes_are_phases():
 def test_builtin_registry_complete():
     for name in BUILTIN_NAMES:
         assert build_builtin(name).terms
-    with pytest.raises(KeyError):
-        build_builtin("no-such-function")
+    for k in range(4, 9):  # modes beyond the registry are selected by their suffix
+        assert build_builtin(f"mode{k}").terms == (envelope_mode(k),)
+    for name in ("no-such-function", "mode", "modex"):
+        with pytest.raises(KeyError, match="unknown built-in function"):
+            build_builtin(name)
