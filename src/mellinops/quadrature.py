@@ -38,17 +38,6 @@ def uniform_edges(lo, hi, width):
     return np.linspace(lo, hi, n + 1)
 
 
-def geometric_edges(lo, hi):
-    """Panel edges from lo to hi doubling in length (lo, hi > 0)."""
-    edges = [lo]
-    x = lo
-    while x * 2.0 < hi:
-        x *= 2.0
-        edges.append(x)
-    edges.append(hi)
-    return np.asarray(edges)
-
-
 def periodic_nodes(count):
     """Uniform angular grid on [0, 2*pi); the matching weight is 2*pi/count."""
     theta = np.arange(count) * (2.0 * pi / count)

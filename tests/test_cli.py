@@ -9,12 +9,14 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mellinops
 from mellinops import TestFunction, build_builtin, cli, stokes_identity_check
 from mellinops.cli import (
     EXIT_ALGEBRA,
+    EXIT_FAIL,
     EXIT_GUARD,
     EXIT_PARSE,
     EXIT_QUADRATURE,
@@ -150,19 +152,62 @@ def test_moments_quadrature_failure_exit_code():
     assert code == EXIT_QUADRATURE
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        "grid_start = -0.5\ngrid_stop = 0.5\n",  # no ray-decay certificate below Re s = 0
-        "grid_imag = 60\n",  # the ray transform does not settle
-    ],
-)
+VERIFY_FAILURES = {  # config: the first failing point and its own message
+    # no ray-decay certificate below Re s = 0
+    "grid_start = -0.5\ngrid_stop = 0.5\n": "((-0.5+0j),): gamma: no ray-decay certificate at Re s = -0.5",
+    # the ray transform does not settle; the increment is the point's own
+    "grid_imag = 60\n": "((0.5+60j),): quadrature did not settle below 1.000e-10 (last increment 8.138e-06)",
+}
+
+
+@pytest.mark.parametrize("config", VERIFY_FAILURES)
 def test_verify_grid_function_failure_exit_code(tmp_path, capsys, config):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(config)
     code, out = run(["verify", "th + t", "--function", "gamma", "--config", str(cfg_file)])
     assert code == EXIT_QUADRATURE and out == ""
-    assert capsys.readouterr().err.startswith("quadrature failure: grid function failed at ")
+    message = f"quadrature failure: grid function failed at {VERIFY_FAILURES[config]}\n"
+    assert capsys.readouterr().err == message
+
+
+class _Periodic(TestFunction):
+    """f(t, s) (1 + sin(2 pi s) / 10), whose ray transform F(s) (1 + sin(2 pi s) / 10)
+    satisfies every difference equation with integer shifts that F does."""
+
+    def __call__(self, t, s=0j):
+        return super().__call__(t, s) * (1 + 0.1 * np.sin(2 * np.pi * np.asarray(s)))
+
+
+@pytest.mark.parametrize("operator, function", [("th + t", "gamma"), ("th + 2*t^2", "gaussian")])
+def test_verify_fails_a_transform_off_by_a_periodic_factor(monkeypatch, operator, function):
+    monkeypatch.setattr(cli, "build_builtin", lambda name: _Periodic(build_builtin(name).terms, name))
+    code, out = run(["verify", operator, "--function", function])
+    report = json.loads(out)["report"]
+    assert max(report["relative_residuals"]) <= report["tolerance"]  # blind to the factor
+    assert code == EXIT_FAIL and report["verdict"] is False
+    assert max(report["closed_form_relative"]) > 0.05
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["th + t", "--function", "gamma"], ""),
+        (["th + 2*t^2", "--function", "gaussian"], ""),
+        (["th + t - tinv", "--function", "bessel"], ""),  # 2 K_s(2) has no stdlib form
+        (["th + t", "--function", "gamma"], "grid_imag = 1.5\n"),  # nor Gamma off the real line
+    ],
+)
+def test_verify_closed_form_column(tmp_path, argv, config):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config)
+    code, out = run(["verify", *argv, "--config", str(cfg_file)])
+    report = json.loads(out)["report"]
+    assert code == 0 and len(report["relative_residuals"]) == len(report["grid"]) == 20
+    closed = report.get("closed_form_relative")
+    if argv[-1] == "bessel" or config:
+        assert closed is None
+    else:
+        assert len(closed) == 20 and max(closed) <= 1e-12
 
 
 def test_expand_geometric(tmp_path):

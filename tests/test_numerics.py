@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mellinops import (
     EvaluationFailure,
@@ -27,11 +29,13 @@ from mellinops import (
     verify_commutation,
 )
 from mellinops.numerics import (
+    ABS_TOL,
     _HAAR_LEVELS,
     _ROUNDING_ULPS,
     _cpx,
     _haar_grid,
     _haar_integral_once,
+    _ray_transforms,
     annihilation_guard,
     stokes_checks,
 )
@@ -485,6 +489,9 @@ def test_verdict_is_read_from_the_relative_residuals():
     assert not report((0.0, 2e-6)).verdict
     assert not report((0.0, math.nan)).verdict
     assert report((math.nan,)).to_dict()["verdict"] is False
+    # a closed-form distance in the extras is judged like a residual
+    closed = ResidualReport("op", "f", (1j,), (0.0,), (0.0,), 1e-6, {"closed_form_relative": [2e-6]})
+    assert not closed.verdict and closed.to_dict()["closed_form_relative"] == [2e-6]
 
 
 def test_ray_mellin_gamma_values():
@@ -553,6 +560,38 @@ def test_ray_mellin_closed_forms_on_verify_grid(name, closed_form):
         assert abs(ray_mellin(f, s)[0] - exact) <= 1e-12 * abs(exact)
 
 
+RAY_FUNCTIONS = st.sampled_from(["gamma", "gaussian", "bessel", "sep-mode2"])
+RAY_POINTS = st.builds(complex, st.sampled_from([0.5 + 0.25 * i for i in range(17)]),
+                       st.sampled_from([0.0, 1.5]))
+
+
+def _bits(value, estimate):
+    return value.real.hex(), value.imag.hex(), float(estimate).hex()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(RAY_FUNCTIONS, st.lists(RAY_POINTS, min_size=1, max_size=8))
+def test_ray_grid_equals_the_scalar_calls_bit_for_bit(name, points):
+    # each s sums over its own window only, whatever the other points widen
+    f = build_builtin(name)
+    grid = _ray_transforms(f, points, ABS_TOL)
+    assert [_bits(*outcome) for outcome in grid] == [_bits(*ray_mellin(f, s)) for s in points]
+
+
+@pytest.mark.parametrize(
+    "name, s, bits",
+    [  # frozen: the bits of the transform taken one s at a time, each probing f alone
+        ("gamma", 1.75, ("0x1.d68f5d0f97139p-1", "0x0.0p+0", "0x0.0p+0")),
+        ("gaussian", 2.5 + 1.5j, ("0x1.542f3ba79deb9p-2", "-0x1.ee78ee3d3f853p-6", "0x0.0p+0")),
+        ("bessel", 0.5, ("0x1.eb43de8286e12p-3", "0x0.0p+0", "0x1.0000000000000p-54")),
+        ("sep-mode2", 3.25 + 1.5j,
+         ("-0x1.9341b81d49515p+0", "0x1.8a28f452c28a1p+1", "0x1.1e3779b97f4a8p-51")),
+    ],
+)
+def test_ray_mellin_values_are_frozen(name, s, bits):
+    assert _bits(*ray_mellin(build_builtin(name), s)) == bits
+
+
 # -- the end-to-end commutation shadow ------------------------------------------------------
 
 
@@ -571,6 +610,21 @@ def test_verify_commutation_bessel():
     rep = verify_commutation(parse("th + t - tinv"), build_builtin("bessel"), GRID, tol=1e-6)
     assert rep.verdict
     assert rep.extras["difference_operator"] == "tau - s - tauinv"
+
+
+def test_verify_evaluates_f_once_per_level(monkeypatch):
+    # one probe and one evaluation per refinement level for the whole grid;
+    # the guard evaluates only the operator's images of f
+    f, calls = build_builtin("gamma"), []
+    call = TestFunction.__call__
+
+    def counted(self, t, s=0j):
+        calls.append(self is f)
+        return call(self, t, s)
+
+    monkeypatch.setattr(TestFunction, "__call__", counted)
+    assert verify_commutation(parse("th + t"), f, GRID).verdict
+    assert sum(calls) == 3
 
 
 def test_verify_commutation_guard_failure():
