@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -86,8 +87,12 @@ class RunConfig:
         if self.n_max >= sys.maxsize:  # range(n_max + 1) has no length
             raise TruncationOverflow(
                 f"truncation window n_max={self.n_max} is above {sys.maxsize - 1}")
-        if self.quad_tol <= 0 or self.check_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for key in ("quad_tol", "check_tol"):
+            if not 0 < getattr(self, key) < math.inf:  # a NaN fails both comparisons
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
+        for key in ("grid_start", "grid_stop", "grid_imag"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.grid_count < 1:
             raise ValueError("grid count must be at least 1")
         return self

@@ -420,13 +420,10 @@ def _ray_window(f, probed, re_s, tol):
 
 
 def _caught(call, *args):
-    """call(*args), or the QuadratureFailure or OverflowError it raised."""
+    """call(*args), or the QuadratureFailure it raised."""
     try:
         return call(*args)
-    # refine can raise OverflowError too: abs() of a NaN complex increment
-    # raises it when an earlier overflow left errno set (CPython does not
-    # reset errno on that path)
-    except (QuadratureFailure, OverflowError) as exc:
+    except QuadratureFailure as exc:
         return exc
 
 
@@ -460,8 +457,9 @@ def _ray_transforms(f, points, tol):
         part = slice((a - lo) * order, (b - lo) * order)
         return csum(fx[row, part] * x[part] ** (s - 1) * w[part])
 
-    return [_caught(refine, levels, partial(integrate, row, s, *w), tol, 1e-8)
-            if isinstance(w, tuple) else w for row, (s, w) in enumerate(zip(points, windows))]
+    with np.errstate(over="ignore", invalid="ignore"):  # refine judges a non-finite sum
+        return [_caught(refine, levels, partial(integrate, row, s, *w), tol, 1e-8)
+                if isinstance(w, tuple) else w for row, (s, w) in enumerate(zip(points, windows))]
 
 
 def ray_mellin(f, s, tol=ABS_TOL):

@@ -55,14 +55,19 @@ def refine(levels, evaluate, tol, rel_tol):
     Returns (value, increment) for the first level at which every entry of the
     value (a number or an ndarray, compared entry by entry with numpy's abs)
     moved by at most max(tol, rel_tol * |entry|); raises QuadratureFailure with
-    the largest last increment when none does.
+    the largest last increment when none does, and with the first non-finite
+    increment as soon as one appears.
     """
     previous = None
     for level in levels:
         value = evaluate(level)
         if previous is not None:
-            increment = abs(value - previous)
-            if np.all(increment <= np.maximum(tol, rel_tol * abs(value))):
+            # numpy's abs: Python's complex abs() of a NaN can raise OverflowError
+            # when an earlier overflow left errno set
+            increment = np.abs(value - previous)
+            if not (increment < np.inf).all():  # the largest is nan when there is one
+                raise QuadratureFailure(f"quadrature increment {np.max(increment)} is not finite")
+            if (increment <= np.maximum(tol, rel_tol * abs(value))).all():
                 return value, increment
         previous = value
     raise QuadratureFailure(

@@ -11,6 +11,19 @@ separable shift-variable factors g(s), polynomials in s, so
 every derivative used by the checks is supplied in closed form rather than
 by numerical differentiation.
 
+A function is evaluated group by group, a group being the terms that share
+an envelope exp(P(t) + Q(|t|)) and a shift factor g.  With the angular order
+k = a - b and the radial power n = a + b + m - |k|,
+
+    t^a * conj(t)^b * |t|^m = r^n * t^k          (k >= 0)
+                            = r^n * conj(t)^|k|  (k < 0),    r = |t|,
+
+so a group is g(s) * exp(P(t) + Q(r)) * (sum over k >= 0 of row_k(r) t^k +
+sum over k < 0 of row_k(r) conj(t)^|k|), each row a sum of c * r^n in real
+powers of r.  The two sums are taken by Horner's rule in t and in conj(t),
+with products only and no complex powers, and the exponential once: a real
+one when there is no P.  No power or phase array outlives the call.
+
 Rapid decay at both boundary circles, uniformly in the argument, comes from
 the radial exponent Q: the standard envelope exp(-r - 1/r) is flat at 0 and
 at infinity in every direction.  Purely holomorphic exponents such as
@@ -30,8 +43,63 @@ from .shiftpoly import binomial_shift
 from .errors import MixedAlgebra
 
 
-def _poly_tuple(d):
-    return tuple(sorted((int(k), complex(v)) for k, v in (d or {}).items() if v != 0))
+def _poly_tuple(d, kind=complex):
+    return tuple(sorted((int(k), kind(v)) for k, v in (d or {}).items() if v != 0))
+
+
+def _groups(terms):
+    """The terms grouped by envelope and shift factor: (exp_t, exp_r, g, ahead,
+    behind) tuples.  ``ahead`` maps each angular order k = a - b >= 0 to its
+    radial row, ``behind`` each |k| of an order k < 0; a row is (constant,
+    ((n, c), ...)), the coefficients of r^n with n = a + b + m - |k|, floats
+    when all of them are real."""
+    groups = {}
+    for tm in terms:
+        key = (tm.exp_t, tuple((k, float(c.real)) for k, c in tm.exp_r), tm.s_factor)
+        k = tm.t_pow - tm.tbar_pow
+        row = groups.setdefault(key, ({}, {}))[k < 0].setdefault(abs(k), [])
+        row.append((tm.t_pow + tm.tbar_pow + tm.r_pow - abs(k), complex(tm.coeff)))
+    return tuple(key + tuple({j: _row(row) for j, row in side.items()} for side in sides)
+                 for key, sides in groups.items())
+
+
+def _row(terms):
+    cast = complex if any(c.imag for _, c in terms) else (lambda c: c.real)
+    return cast(sum(c for n, c in terms if not n)), tuple((n, cast(c)) for n, c in terms if n)
+
+
+def _radial(constant, powers, r):
+    """constant + the sum of c * r^n over ``powers``: an array written in place,
+    or the constant alone when there are no powers."""
+    if not powers:
+        return constant
+    (n, c), *rest = powers
+    total = c * r ** n
+    for n, c in rest:
+        total += c * r ** n
+    if constant:
+        total += constant
+    return total
+
+
+def _horner(rows, z, r):
+    """The sum of row_j(r) * z^j over the rows' keys j >= 0 by Horner's rule:
+    products only, no complex powers."""
+    top = max(rows)
+    acc = _radial(*rows[top], r)
+    for j in range(top - 1, -1, -1):
+        acc = _into(np.multiply, acc, z)
+        if j in rows:
+            acc += _radial(*rows[j], r)
+    return acc
+
+
+def _into(ufunc, a, b):
+    """ufunc(a, b), written over ``a`` when it is an array that can hold the result."""
+    try:
+        return ufunc(a, b, out=a)
+    except (TypeError, ValueError):  # a scalar, a real array, or a smaller shape
+        return ufunc(a, b)
 
 
 @dataclass(frozen=True)
@@ -79,11 +147,17 @@ class TestFunction:
     """A finite sum of family terms, evaluable on numpy grids."""
 
     __test__ = False  # not a pytest item, despite the (domain) name
-    __slots__ = ("terms", "name")
+    __slots__ = ("terms", "name", "_groups")
 
     def __init__(self, terms, name="anonymous"):
-        object.__setattr__(self, "terms", tuple(terms))
+        terms = tuple(terms)
+        for tm in terms:
+            for _, c in tm.exp_r:
+                if c.imag:
+                    raise ValueError(f"radial exponent coefficient {c} is not real")
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_groups", None)  # grouped when first evaluated
 
     def __setattr__(self, key, value):
         raise AttributeError("TestFunction is immutable")
@@ -92,27 +166,23 @@ class TestFunction:
 
     def __call__(self, t, s=0j):
         t = np.asarray(t, dtype=complex)
+        if t.ndim == 0:  # the in-place steps below need arrays
+            return self(t.reshape(1), s).reshape(np.shape(s))[()]
+        if self._groups is None:
+            object.__setattr__(self, "_groups", _groups(self.terms))
         r = np.abs(t)
         total = np.zeros_like(t)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for term in self.terms:
-                val = np.full_like(t, term.coeff)
-                if term.s_factor is not None:
-                    val = val * term.s_factor(s)
-                if term.t_pow:
-                    val = val * t ** term.t_pow
-                if term.tbar_pow:
-                    val = val * np.conj(t) ** term.tbar_pow
-                if term.r_pow:
-                    val = val * r ** term.r_pow
-                expo = np.zeros_like(t)
-                for k, c in term.exp_t:
-                    expo = expo + c * t ** k
-                for k, c in term.exp_r:
-                    expo = expo + c * r ** k
-                if term.exp_t or term.exp_r:
-                    val = val * np.exp(expo)
-                total = total + val
+            for exp_t, exp_r, g, ahead, behind in self._groups:
+                value = _horner(ahead, t, r) if ahead else 0.0
+                if behind:
+                    value = _into(np.add, _horner(behind, np.conj(t), r), value)
+                if g is not None:
+                    value = _into(np.multiply, value, g(s))
+                if exp_t or exp_r:  # one exponential, real unless P(t) is present
+                    expo = sum(c * z ** k for z, poly in ((t, exp_t), (r, exp_r)) for k, c in poly)
+                    value = _into(np.multiply, value, np.exp(expo, out=expo))
+                total = _into(np.add, total, value)
         return total
 
     # -- algebra ---------------------------------------------------------------
@@ -206,7 +276,7 @@ def envelope_mode(mode=0, s_factor=None, weight=1.0, radial=None):
         t_pow=tp,
         tbar_pow=tb,
         r_pow=-abs(mode),
-        exp_r=_poly_tuple(radial if radial is not None else {1: -1.0, -1: -1.0}),
+        exp_r=_poly_tuple(radial if radial is not None else {1: -1.0, -1: -1.0}, float),
         s_factor=s_factor,
     )
 

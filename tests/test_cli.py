@@ -157,6 +157,8 @@ VERIFY_FAILURES = {  # config: the first failing point and its own message
     "grid_start = -0.5\ngrid_stop = 0.5\n": "((-0.5+0j),): gamma: no ray-decay certificate at Re s = -0.5",
     # the ray transform does not settle; the increment is the point's own
     "grid_imag = 60\n": "((0.5+60j),): quadrature did not settle below 1.000e-10 (last increment 8.138e-06)",
+    # t^(s-1) overflows on the ray: the sums are NaN
+    "grid_stop = 200\ngrid_count = 3\n": "((100.25+0j),): quadrature increment nan is not finite",
 }
 
 
@@ -296,6 +298,19 @@ def test_usage_error_exit_code(tmp_path, capsys, argv, config):
     code, out = run(argv)
     assert code == EXIT_USAGE and out == ""
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("grid_start", "nan"), ("grid_stop", "inf"), ("grid_imag", "-inf"),
+     ("quad_tol", "nan"), ("check_tol", "nan"), ("check_tol", "inf")],
+)
+def test_non_finite_config_values_exit_usage(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    code, out = run(["verify", "th + t", "--config", str(cfg_file)])
+    assert code == EXIT_USAGE and out == ""
+    assert capsys.readouterr().err.startswith(f"usage error: {key} must be ")
 
 
 def test_runconfig_validation():

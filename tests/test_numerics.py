@@ -525,6 +525,13 @@ def test_ray_mellin_requires_a_decay_certificate(f, s):
         ray_mellin(f, s)
 
 
+def test_ray_mellin_at_large_re_s_fails_on_its_non_finite_sum():
+    # t^(s-1) overflows on the window's outer panels; refine names the NaN sum,
+    # and no overflow warning escapes
+    with pytest.raises(QuadratureFailure, match="quadrature increment nan is not finite"):
+        ray_mellin(build_builtin("gaussian"), 200)
+
+
 def test_ray_mellin_zero_function():
     zero = TestFunction((envelope_mode(0, weight=0.0),), "null")
     assert ray_mellin(zero, 1.0) == (0j, 0.0)
@@ -585,7 +592,7 @@ def test_ray_grid_equals_the_scalar_calls_bit_for_bit(name, points):
         ("gaussian", 2.5 + 1.5j, ("0x1.542f3ba79deb9p-2", "-0x1.ee78ee3d3f853p-6", "0x0.0p+0")),
         ("bessel", 0.5, ("0x1.eb43de8286e12p-3", "0x0.0p+0", "0x1.0000000000000p-54")),
         ("sep-mode2", 3.25 + 1.5j,
-         ("-0x1.9341b81d49515p+0", "0x1.8a28f452c28a1p+1", "0x1.1e3779b97f4a8p-51")),
+         ("-0x1.9341b81d49516p+0", "0x1.8a28f452c28a0p+1", "0x0.0p+0")),
     ],
 )
 def test_ray_mellin_values_are_frozen(name, s, bits):

@@ -1,3 +1,6 @@
+import ctypes
+import ctypes.util
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,37 @@ def test_refine_arrays_settle_entry_by_entry_relative():
 def test_refine_array_failure_quotes_the_largest_increment():
     evaluate, _ = recorder([np.array([0j, 0j, 0j]), np.array([1j, 3j, 2j])])
     with pytest.raises(QuadratureFailure, match=r"last increment 3\.000e\+00"):
+        refine(range(2), evaluate, 1e-10, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ([1 + 0j, complex("nan+nanj"), 1 + 0j], "nan"),
+        ([np.array([1.0, 2.0]), np.array([1.0, np.inf])], "inf"),
+        ([np.array([1.0, 2.0]), np.array([np.nan, np.inf])], "nan"),
+    ],
+)
+def test_refine_fails_on_the_first_non_finite_increment(values, named):
+    evaluate, seen = recorder(values)
+    with pytest.raises(QuadratureFailure, match=f"quadrature increment {named} is not finite"):
+        refine(range(len(values)), evaluate, 1e-10, 1e-8)
+    assert seen == [0, 1]
+
+
+def test_refine_judges_a_nan_increment_whatever_errno_holds():
+    # Python's complex abs() of a NaN raises OverflowError when errno is ERANGE,
+    # as a libm overflow right before the level leaves it
+    libm = ctypes.CDLL(ctypes.util.find_library("m"))
+    libm.pow.restype = ctypes.c_double
+    libm.pow.argtypes = (ctypes.c_double, ctypes.c_double)
+    nan = complex("nan+nanj")
+
+    def evaluate(level):
+        libm.pow(10.0, 400.0)
+        return nan if level else 1 + 0j
+
+    with pytest.raises(QuadratureFailure, match="increment nan is not finite"):
         refine(range(2), evaluate, 1e-10, 1e-8)
 
 

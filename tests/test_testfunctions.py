@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mellinops import MixedAlgebra, SFactor, build_builtin, parse
-from mellinops.testfunctions import BUILTIN_NAMES, apply_operator_terms, envelope_mode
+from mellinops import MixedAlgebra, SFactor, TestFunction, build_builtin, parse
+from mellinops.numerics import _CONV_LEVELS, _HAAR_LEVELS, _RAY_PROBES, _haar_grid
+from mellinops.quadrature import panel_nodes, periodic_nodes
+from mellinops.testfunctions import BUILTIN_NAMES, Term, apply_operator_terms, envelope_mode
 
 
 def wirtinger_fd(f, t, s=0j, h=1e-5):
@@ -102,3 +108,104 @@ def test_builtin_registry_complete():
     for name in ("no-such-function", "mode", "modex"):
         with pytest.raises(KeyError, match="unknown built-in function"):
             build_builtin(name)
+
+
+# -- evaluation against the term-by-term formula ----------------------------------------
+
+
+def term_values(f, t, s=0j):
+    """Each term c g(s) t^a conj(t)^b |t|^m exp(P(t) + Q(|t|)) of f on its own,
+    with complex powers and one complex exponential per term."""
+    t = np.asarray(t, dtype=complex)
+    r = np.abs(t)
+    values = []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for term in f.terms:
+            val = np.full_like(t, term.coeff)
+            if term.s_factor is not None:
+                val = val * term.s_factor(s)
+            if term.t_pow:
+                val = val * t ** term.t_pow
+            if term.tbar_pow:
+                val = val * np.conj(t) ** term.tbar_pow
+            if term.r_pow:
+                val = val * r ** term.r_pow
+            expo = np.zeros_like(t)
+            for k, c in term.exp_t:
+                expo = expo + c * t ** k
+            for k, c in term.exp_r:
+                expo = expo + c * r ** k
+            if term.exp_t or term.exp_r:
+                val = val * np.exp(expo)
+            values.append(val)
+    return values
+
+
+def _near_grid(t, level):
+    """The convolution's locally polar grid around t on one level."""
+    _, _, _, near_panels, near_order, n_phi = level
+    rho, _ = panel_nodes(np.linspace(0.0, 0.5 * abs(t), near_panels + 1), near_order)
+    phi, _ = periodic_nodes(n_phi)
+    return t + rho[:, None] * np.exp(1j * phi[None, :])
+
+
+EVAL_GRIDS = {  # name: (t, s); the ray probes carry a column of s, as the ray transform does
+    "haar": (_haar_grid(*_HAAR_LEVELS[1])[0], 0.75 + 0.25j),
+    "near": (_near_grid(10.0, _CONV_LEVELS[-1]), 0.75 + 0.25j),
+    "ray": (np.exp2(_RAY_PROBES).astype(complex)[None, :], np.array([[0.5], [1.75 + 1.5j]])),
+}
+IMAGES = {
+    "f": lambda f: f,
+    "wirtinger_t": TestFunction.wirtinger_t,
+    "euler": TestFunction.euler,
+    "shift_s": lambda f: f.shift_s(1),
+    "times_t": lambda f: f.times_t(1),
+    "times_tinv": lambda f: f.times_t(-1),
+}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(BUILTIN_NAMES + tuple(f"mode{k}" for k in range(4, 9))),
+       st.sampled_from(sorted(IMAGES)), st.sampled_from(sorted(EVAL_GRIDS)))
+def test_evaluation_matches_the_term_by_term_formula(name, image, grid):
+    f = IMAGES[image](build_builtin(name))
+    t, s = EVAL_GRIDS[grid]
+    terms = term_values(f, t, s)
+    got = f(t, s)
+    with np.errstate(over="ignore", invalid="ignore"):  # off the ray, gaussian overflows
+        expect = sum(terms, np.zeros_like(t))
+        scale = sum(np.abs(term) for term in terms)
+        error = np.abs(got - expect)
+    assert got.shape == expect.shape and got.dtype == complex
+    finite = np.isfinite(expect)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.all(error[finite] <= 8 * np.finfo(float).eps * scale[finite])
+
+
+@pytest.mark.parametrize("t", [np.ones((3, 4), dtype=complex), 2.0 + 1j, np.arange(1.0, 6.0)])
+def test_empty_function_is_zero_on_the_shape_of_t(t):
+    value = TestFunction(())(t)
+    assert np.shape(value) == np.shape(t) and not np.any(value)
+
+
+def test_one_evaluation_holds_few_grid_arrays():
+    # a cache of powers or phases per order would show here before it shows in
+    # the process's peak memory
+    level = _CONV_LEVELS[-1]
+    xi = _haar_grid(*level[:3])[0]  # the finest far grid of the convolution
+    f = build_builtin("modeblend")
+    for g in (f, f.wirtinger_t(), f.euler()):
+        tracemalloc.start()
+        try:
+            g(xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * xi.nbytes
+
+
+def test_radial_exponents_are_real():
+    assert all(type(c) is float for tm in build_builtin("modeblend").terms for _, c in tm.exp_r)
+    assert TestFunction((Term(exp_r=((1, -1 + 0j),)),))(2.0) == pytest.approx(np.exp(-2.0))
+    with pytest.raises(ValueError, match="radial exponent coefficient .* is not real"):
+        TestFunction((Term(exp_r=((1, -1 + 0.5j),)),))
