@@ -8,9 +8,9 @@ Conventions fixed here once:
   (-1/pi) * double integral of e^(k u) f(e^(u+i theta)) du dtheta.
 * Moments are read by Haar order p: (1/2i*pi) integral(xi^p f dmu) is the
   coefficient of t^-k at infinity for p = k >= 0, and minus the coefficient
-  of t^k at zero for p = -k <= -1.  The angular grid is uniform, so
-  the trapezoid rule is spectrally accurate on it (Trefethen-Weideman, SIAM
-  Review 2014) and one FFT per radial row gives every angular order at once.
+  of t^k at zero for p = -k <= -1.  With f = sum of e^(ik theta) f_k(r), it
+  is the radial integral -2 * integral of e^(p u) f_-p(e^u) du: an exact 0
+  when f has no angular order -p.
 * The singular convolution kernel 1/(1 - xi/t) is integrable in the plane;
   the point xi = t is covered by a smooth partition of unity and a locally
   polar grid centered at t, on which the 1/|xi - t| singularity cancels
@@ -41,7 +41,7 @@ from .transform import apply_difference_terms, mellin_op
 from .syntax import format_operator
 
 ABS_TOL = 1e-10  # default quadrature target
-# A moment's rounding floor, in units of eps times the integral of |xi^k f|.
+# A moment's rounding floor, in units of eps times its scale (see MomentTable).
 # The coarse-to-fine increment misses rounding that both levels share; with
 # this floor the table's error estimate covers the distance of every entry
 # of radial, mode1..3 and modeblend from its Bessel closed form at
@@ -93,8 +93,8 @@ class ResidualReport:
 class MomentTable:
     """The Haar integrals of orders p = -k_max..k_max of f at one s value, as
     dicts keyed by p: ``values[p]``, its quadrature estimate ``errors[p]`` and
-    the integral of |xi^p f| ``scales[p]``, the size its rounding is relative
-    to.  ``values[k]`` is the coefficient of t^-k at infinity and
+    ``scales[p]``, the integral of |2 e^(p u) f_-p(e^u)|, the size its rounding
+    is relative to.  ``values[k]`` is the coefficient of t^-k at infinity and
     ``-values[-k]`` the coefficient of t^k at zero; the report lists the two
     sides."""
 
@@ -127,27 +127,24 @@ def _haar_grid(panel_width, order, n_theta, u_lo=-5.2, u_hi=5.2):
     u, wu = panel_nodes(uniform_edges(u_lo, u_hi, panel_width), order)
     theta, wth = periodic_nodes(n_theta)
     xi = np.exp(u)[:, None] * np.exp(1j * theta)[None, :]
-    weights = wu[:, None] * wth
-    return xi, weights, u
+    return xi, wu[:, None] * wth
 
 
-_HAAR_LEVELS = ((0.9, 12, 64), (0.55, 16, 96))
+_HAAR_LEVELS = ((0.9, 12), (0.55, 16))  # (panel width, order) in u = log r
 
 
 def _haar_integral_once(f, powers, s, level):
-    """The order-p integrals on one level and the integrals of |xi^p f|."""
-    xi, w, u = _haar_grid(*level)
-    vals = f(xi, s)
-    # the angular rule is uniform, so on each row the angular sum of
-    # f e^(i p theta) is the (-p mod n)-th DFT coefficient, for every p at once
-    rows, n = np.fft.fft(vals, axis=1), vals.shape[1]
-    row_abs = np.abs(vals).sum(axis=1)
-    values, scales = [], []
-    for p in powers:
-        radial = np.exp(p * u) * w[:, 0]
-        values.append((-1.0 / math.pi) * csum(radial * rows[:, -p % n]))
-        scales.append(csum(radial * row_abs).real / math.pi)
-    return np.array(values), np.array(scales)
+    """The order-p integrals on one level and the integrals of the moduli of
+    their integrands, both exact zeros when f has no angular order -p."""
+    u, w = panel_nodes(uniform_edges(-5.2, 5.2, level[0]), level[1])
+    modes = f.modes(np.exp(u), s)
+    values, scales = np.zeros(len(powers), complex), np.zeros(len(powers))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, p in enumerate(powers):
+            if -p in modes:
+                integrand = -2.0 * np.exp(p * u) * w * modes[-p]  # an overflow is inf
+                values[i], scales[i] = csum(integrand), np.abs(integrand).sum()
+    return values, scales
 
 
 def _require_two_sided_decay(f):
@@ -165,10 +162,9 @@ def _check_side(side):
 
 def haar_integral(f, powers, s=0j, tol=ABS_TOL):
     """(1/2i*pi) integral of xi^p * f over the Haar measure for each p in
-    ``powers``, as (values, estimates, scales) tuples; one evaluation of f per
-    level.  A scale is the integral of |xi^p f|, normalized like the value so
-    that |value| <= scale, on the settled level: a value that cancels to 0 is
-    left as rounding of its scale."""
+    ``powers``, as (values, estimates, scales) tuples; one split of f into
+    angular orders per level.  A scale is the integral of the modulus of the
+    value's radial integrand on the settled level: |value| <= scale."""
     _require_two_sided_decay(f)
     scales = []  # those of the last level evaluated, the settled one
 
@@ -188,47 +184,33 @@ def moment_table(f, k_max, s=0j, tol=ABS_TOL):
     return MomentTable(complex(s), k_max, *(dict(zip(orders, column)) for column in columns))
 
 
-def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL, scale_floor=0.0):
+def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL):
     """Compare the moment of the holomorphic derivative against -k times
-    the plain moment (integration by parts; both sides by quadrature).
-
-    The relative residual is taken against the larger side, ``scale_floor``
-    and the integral of |xi^k f|: when both sides vanish, e.g. for an angular
-    mode that does not couple to order k, they are rounding of that integral.
-    """
+    the plain moment (integration by parts; both sides by quadrature): row k
+    of :func:`stokes_checks` on f's table of orders -k..k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    (lhs,), (e1,), _ = haar_integral(f.wirtinger_t(), (k + 1,), s, quad_tol)
-    (base,), (e2,), (scale,) = haar_integral(f, (k,), s, quad_tol)
-    return _stokes_report(f, k, complex(s), lhs, base, max(e1, e2), tol, max(scale_floor, scale))
+    return stokes_checks(f, moment_table(f, k, s, quad_tol), tol, quad_tol)[k]
 
 
 def stokes_checks(f, table, tol=1e-6, quad_tol=ABS_TOL):
-    """:func:`stokes_identity_check` for k = 0..table.k_max, reading each moment
-    of f from ``table`` (f's moment table at ``table.s``) and every moment of
-    the derivative from one integral; the scale floor is the largest entry of
-    the table, or the integral of |xi^k f| when that is larger."""
+    """The transport identity for k = 0..table.k_max, reading each moment of f
+    from ``table`` (f's moment table at ``table.s``) and every moment of the
+    derivative from one integral.  Row k is judged against the larger side or
+    the table's scale of order k, of which two vanishing sides are rounding."""
     lhs, est, _ = haar_integral(f.wirtinger_t(), range(1, table.k_max + 2), table.s, quad_tol)
-    floor = max(abs(v) for v in table.values.values())
-    return [_stokes_report(f, k, table.s, lhs[k], table.values[k],
-                           max(est[k], table.errors[k]), tol, max(floor, table.scales[k]))
-            for k in range(table.k_max + 1)]
-
-
-def _stokes_report(f, k, s, lhs, base, quad_error, tol, scale_floor):
-    rhs = -k * base
-    scale = max(abs(base), abs(lhs), scale_floor, 1e-300)
-    residual = abs(lhs - rhs)
-    rel = residual / scale
-    return ResidualReport(
-        operator=f"moment transport order {k}",
-        function_id=f.name,
-        grid=(s,),
-        residuals=(residual,),
-        relative=(rel,),
-        tolerance=tol,
-        extras={"lhs": _cpx(lhs), "rhs": _cpx(rhs), "quad_error": quad_error},
-    )
+    reports = []
+    for k in range(table.k_max + 1):
+        rhs = -k * table.values[k]
+        residual = abs(lhs[k] - rhs)
+        reports.append(ResidualReport(
+            f"moment transport order {k}", f.name, (table.s,), (residual,),
+            relative=(residual / max(abs(lhs[k]), abs(rhs), table.scales[k], 1e-300),),
+            tolerance=tol,
+            extras={"lhs": _cpx(lhs[k]), "rhs": _cpx(rhs),
+                    "quad_error": max(est[k], table.errors[k])},
+        ))
+    return reports
 
 
 # -- the singular convolution ------------------------------------------------------
@@ -248,7 +230,7 @@ def _convolution_once(f, t, s, extra_power, level):
     u_lo = min(-5.2, math.log(abs(t)) - 1.5)
     u_hi = max(5.2, math.log(2.5 * abs(t)))
     # far part: polar grid at the origin, kernel masked near xi = t
-    xi, w, _ = _haar_grid(panel_w, order, n_theta, u_lo, u_hi)
+    xi, w = _haar_grid(panel_w, order, n_theta, u_lo, u_hi)
     mask = 1.0 - bump((np.abs(xi - t) / h - 0.5) * 2.0)
     vals = f(xi, s) * mask * (1.0 / (1.0 - xi / t))
     if extra_power:
@@ -297,29 +279,19 @@ def convolution_remainder(f, t, s=0j, n=0, side="infinity", tol=1e-9):
 
 def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
     """Verify that tails after n terms scale like radius^-m across consecutive
-    radius doublings, within half an order.  m is the first order past n, up to
-    k_top = min(n + 4, 8), whose moment on that side exceeds 1e-10 of the
-    largest moment of orders -k_top..k_top; when none does, m = k_top + 1 and
-    only a shortfall below m counts (one-sided).  For n >= 8, m = n + 1."""
+    radius doublings, within half an order.  m is the first order k in
+    n+1..n+4 whose moment on that side is non-zero; when none is, m = n + 5
+    and only a shortfall below m counts (one-sided)."""
     if n < 0:
         raise ValueError(f"remainder order n must be >= 0, got {n}")
     _check_side(side)
     radii = tuple(sorted(float(r) for r in radii))
     if side == "infinity" and radii[0] <= 1.0:
         raise ValueError("infinity-side radii must lie outside the unit circle")
-    k_top = min(n + 4, 8)  # moments past order 8 of the built-in envelopes do not settle
-    predicted, one_sided = n + 1, False
-    if k_top > n:
-        # a vanishing moment cancels to rounding on any uniform angular grid, so
-        # the coarse Haar level separates it from the others at a fifth of the
-        # cost of a refined table
-        _require_two_sided_decay(f)
-        orders = range(-k_top, k_top + 1)
-        coarse = dict(zip(orders, _haar_integral_once(f, orders, s, _HAAR_LEVELS[0])[0]))
-        floor = 1e-10 * max(abs(v) for v in coarse.values())
-        sign = 1 if side == "infinity" else -1  # the side's order k is Haar order sign * k
-        leading = [k for k in range(n + 1, k_top + 1) if abs(coarse[sign * k]) > floor]
-        predicted, one_sided = (leading[0], False) if leading else (k_top + 1, True)
+    moments = moment_table(f, n + 4, s).values
+    sign = 1 if side == "infinity" else -1  # the side's order k is Haar order sign * k
+    leading = [k for k in range(n + 1, n + 5) if moments[sign * k]]
+    predicted, one_sided = (leading[0], False) if leading else (n + 5, True)
     rems = []
     for r in radii:
         t = r if side == "infinity" else 1.0 / r
@@ -367,9 +339,9 @@ def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
     table_up = moment_table(f, k_max + 1, s + 1, quad_tol)
     table_theta = moment_table(f.euler(), k_max, s, quad_tol)
     table_h = moment_table(f.shift_s(1).times_t(-1) + f.scale(-1), k_max, s, quad_tol)
-    # each row is judged against the integrals of |xi^k f| of the entries it
-    # compares: entries that vanish (mismatched angular modes) are rounding
-    # of those integrals
+    # each row is judged against the scales of the entries it compares, the
+    # moduli of their radial integrands: entries of angular orders that f
+    # lacks are exact zeros, and entries that cancel are rounding of them
     orders = [*range(k_max + 1), *range(-1, -k_max - 1, -1)]
     side = {p: f"inf:{p}" if p >= 0 else f"zero:{-p}" for p in orders}
     f0, up, theta, h = table.values, table_up.values, table_theta.values, table_h.values

@@ -63,8 +63,9 @@ def refine(levels, evaluate, tol, rel_tol):
         value = evaluate(level)
         if previous is not None:
             # numpy's abs: Python's complex abs() of a NaN can raise OverflowError
-            # when an earlier overflow left errno set
-            increment = np.abs(value - previous)
+            # when an earlier overflow left errno set; inf - inf is judged below
+            with np.errstate(invalid="ignore"):
+                increment = np.abs(value - previous)
             if not (increment < np.inf).all():  # the largest is nan when there is one
                 raise QuadratureFailure(f"quadrature increment {np.max(increment)} is not finite")
             if (increment <= np.maximum(tol, rel_tol * abs(value))).all():

@@ -40,7 +40,7 @@ import numpy as np
 
 from .ore import Algebra
 from .shiftpoly import binomial_shift
-from .errors import MixedAlgebra
+from .errors import MixedAlgebra, QuadratureFailure
 
 
 def _poly_tuple(d, kind=complex):
@@ -168,12 +168,10 @@ class TestFunction:
         t = np.asarray(t, dtype=complex)
         if t.ndim == 0:  # the in-place steps below need arrays
             return self(t.reshape(1), s).reshape(np.shape(s))[()]
-        if self._groups is None:
-            object.__setattr__(self, "_groups", _groups(self.terms))
         r = np.abs(t)
         total = np.zeros_like(t)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for exp_t, exp_r, g, ahead, behind in self._groups:
+            for exp_t, exp_r, g, ahead, behind in self._grouped():
                 value = _horner(ahead, t, r) if ahead else 0.0
                 if behind:
                     value = _into(np.add, _horner(behind, np.conj(t), r), value)
@@ -184,6 +182,27 @@ class TestFunction:
                     value = _into(np.multiply, value, np.exp(expo, out=expo))
                 total = _into(np.add, total, value)
         return total
+
+    def modes(self, r, s=0j):
+        """f's angular orders on real radii r: {k: f_k(r)} with f(r e^(i theta))
+        = sum of e^(ik theta) f_k(r), f_k the sum of g(s) exp(Q(r)) r^|k| row_k(r)
+        over the groups.  A P(t) has no finite angular split: QuadratureFailure."""
+        orders = {}
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for exp_t, exp_r, g, ahead, behind in self._grouped():
+                if exp_t:
+                    raise QuadratureFailure(f"{self.name}: exp(P(t)) has no angular split")
+                factor = (1.0 if g is None else g(s)) * np.exp(sum(c * r ** k for k, c in exp_r))
+                for sign, rows in ((1, ahead), (-1, behind)):
+                    for j, row in rows.items():
+                        part = factor * r ** j * _radial(*row, r)
+                        orders[sign * j] = orders.get(sign * j, 0.0) + part
+        return orders
+
+    def _grouped(self):
+        if self._groups is None:
+            object.__setattr__(self, "_groups", _groups(self.terms))
+        return self._groups
 
     # -- algebra ---------------------------------------------------------------
 

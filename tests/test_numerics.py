@@ -39,7 +39,7 @@ from mellinops.numerics import (
     annihilation_guard,
     stokes_checks,
 )
-from mellinops.testfunctions import TestFunction, envelope_mode, ray_exponential
+from mellinops.testfunctions import Term, TestFunction, envelope_mode, ray_exponential
 
 # frozen oracle values (scipy.integrate.quad on the radial reductions):
 #   int_0^inf r^(k-1) exp(-r - 1/r) dr  for k = 1, 2, 3
@@ -83,22 +83,25 @@ ENVELOPE_MODES = {
     "mode2": {2: 1.0},
     "mode3": {3: 1.0},
     "modeblend": {m: 1.0 / factorial(m) for m in range(6)},
+    "mode9": {9: 1.0},
+    "mode13": {13: 1.0},
+    "mode20": {20: 1.0},
 }
 
 
 @pytest.mark.parametrize("name", sorted(ENVELOPE_MODES))
 def test_haar_integral_against_bessel_closed_form(name):
     # (1/2i*pi) int xi^p e^(-i m theta) exp(-r - 1/r) dmu is -2 int r^(m-1)
-    # exp(-r - 1/r) dr = -4 K_m(2) for p = m and 0 otherwise; no code shared
-    # with the quadrature
-    modes = ENVELOPE_MODES[name]
-    values, _, _ = haar_integral(build_builtin(name), range(-4, 6))
-    for p, value in zip(range(-4, 6), values):
+    # exp(-r - 1/r) dr = -4 K_m(2) for p = m and exactly 0 otherwise; no code
+    # shared with the quadrature
+    modes, powers = ENVELOPE_MODES[name], range(-21, 22)
+    values, _, _ = haar_integral(build_builtin(name), powers)
+    for p, value in zip(powers, values):
         if p in modes:
             exact = -4.0 * modes[p] * scipy.special.kv(p, 2.0)
             assert abs(value - exact) <= 1e-12 * abs(exact), (p, value, exact)
-        elif p <= 4:
-            assert abs(value) <= 1e-12, (p, value)
+        else:
+            assert value == 0, (p, value)
 
 
 @pytest.mark.parametrize("name", sorted(ENVELOPE_MODES))
@@ -119,24 +122,28 @@ def test_moment_error_estimate_covers_the_closed_form(name):
 
 @pytest.mark.parametrize("name, s", [("modeblend", 0.5), ("sep-modeblend", 1.0 + 0.25j)])
 def test_haar_transform_matches_the_direct_sum_on_its_grid(name, s):
-    # reference: each order summed over the grid with its own e^(i p theta);
-    # the FFT sums in another order, so they agree to rounding of the scale
+    # reference: each order summed over the 2-D polar grid on the same radial
+    # panels with its own e^(i p theta); 96 uniform angles keep the angular
+    # order -p of f alone, so the radial rule agrees with the 2-D sum to
+    # rounding of the integral of |xi^p f|, which bounds the radial scale
     f, powers = build_builtin(name), range(-9, 10)
     for level in _HAAR_LEVELS:
         values, scales = _haar_integral_once(f, powers, s, level)
-        xi, w, _ = _haar_grid(*level)
+        xi, w = _haar_grid(*level, 96)
         vals = f(xi, s)
         for p, value, scale in zip(powers, values, scales):
             direct = -np.sum(vals * xi ** p * w) / math.pi
-            assert abs(value - direct) <= 1e-13 * scale, (p, value, direct)
-            assert scale == pytest.approx(np.sum(np.abs(vals * xi ** p) * w) / math.pi, rel=1e-13)
+            modulus = np.sum(np.abs(vals * xi ** p) * w) / math.pi
+            assert abs(value - direct) <= 1e-13 * modulus, (p, value, direct)
+            assert scale <= modulus * (1 + 1e-13)
 
 
 def test_moment_table_scale_is_the_integral_of_the_modulus():
-    # |xi^k mode2| = r^k exp(-r - 1/r), whose Haar integral over pi is 4 K_k(2)
+    # mode2 has the one angular order -2, so only order 2 has an integrand:
+    # 2 r^2 exp(-r - 1/r) du, whose integral is 4 K_2(2)
     table = moment_table(build_builtin("mode2"), 6, 1.0)
-    for k in range(7):
-        assert table.scales[k] == pytest.approx(4.0 * scipy.special.kv(k, 2.0), rel=1e-12)
+    assert table.scales[2] == pytest.approx(4.0 * scipy.special.kv(2, 2.0), rel=1e-12)
+    assert all(table.scales[p] == 0 for p in range(-6, 7) if p != 2)
 
 
 def test_moment_negative_mode_couples_on_zero_side():
@@ -165,6 +172,20 @@ def test_moment_linearity_and_scaling():
 def test_moment_preconditions():
     with pytest.raises(QuadratureFailure):
         moment_table(build_builtin("gamma"), 1, 0)  # no all-angle decay
+    # exp(-t) has no finite angular split, whatever the radial envelope
+    holomorphic = TestFunction((Term(exp_t=((1, -1 + 0j),), exp_r=((1, -1.0), (-1, -1.0))),),
+                               "holomorphic-envelope")
+    assert all(holomorphic.decay())
+    with pytest.raises(QuadratureFailure, match="holomorphic-envelope"):
+        moment_table(holomorphic, 1, 0)
+
+
+@pytest.mark.parametrize("name", ["mode100", "mode150"])
+def test_moment_table_of_an_unsettled_order_fails(name):
+    # order 100 moves by about 9e150 between the levels, and e^(150 u)
+    # overflows on both: neither may be reported, and no warning escapes
+    with pytest.raises(QuadratureFailure):
+        moment_table(build_builtin(name), int(name[4:]))
 
 
 def test_moment_table_layout():
@@ -188,14 +209,14 @@ def test_moment_table_report_lists_the_sides():
 
 
 class CountingFunction:
-    """Duck-typed test function that counts its grid evaluations."""
+    """Duck-typed test function that counts its splits into angular orders."""
 
     def __init__(self, f):
         self.f, self.name, self.calls = f, f.name, 0
 
-    def __call__(self, t, s=0j):
+    def modes(self, r, s=0j):
         self.calls += 1
-        return self.f(t, s)
+        return self.f.modes(r, s)
 
     def decay(self):
         return self.f.decay()
@@ -239,13 +260,14 @@ def test_stokes_zero_function():
 
 
 class ScaledDerivative(TestFunction):
-    """A test function whose d/dt is off by the factor 1 + 1e-4."""
+    """A test function whose d/dt is off by the factor 1 + 1e-5."""
 
     def wirtinger_t(self):
-        return super().wirtinger_t().scale(1 + 1e-4)
+        return super().wirtinger_t().scale(1 + 1e-5)
 
 
-@pytest.mark.parametrize("name, coupling", [("mode2", {2}), ("modeblend", {1, 2, 3, 4, 5})])
+@pytest.mark.parametrize("name, coupling", [("mode2", {2}), ("modeblend", {1, 2, 3, 4, 5}),
+                                            ("gaussblend", {1, 2, 3, 4, 5})])
 def test_stokes_checks_fail_a_broken_identity_at_coupling_orders(name, coupling):
     f = build_builtin(name)
     broken = ScaledDerivative(f.terms, f.name)
@@ -364,9 +386,9 @@ def test_remainder_order_predicted_from_moments():
     assert all(abs(order - 3) <= 0.5 for order in rep.extras["observed_orders"])
     rep = asymptotic_remainder_check(INNERBLEND, 1, (10.0, 20.0, 40.0), side="zero")
     assert rep.verdict and rep.extras["predicted_order"] == 2 and not rep.extras["one_sided"]
-    # nothing past order 8 is tabulated: the band stays at n + 1
+    # gaussblend has no order past 5: orders 9..12 are exact zeros
     rep = asymptotic_remainder_check(build_builtin("gaussblend"), 8, (10.0, 20.0, 40.0))
-    assert rep.extras["predicted_order"] == 9 and not rep.extras["one_sided"]
+    assert rep.extras["predicted_order"] == 13 and rep.extras["one_sided"]
 
 
 def test_negative_orders_are_named():
@@ -402,13 +424,15 @@ def test_epsilon_commutation_separable():
 
 
 class ScaledEuler(TestFunction):
-    """A test function whose Euler derivative is off by the factor 1 + 1e-4."""
+    """A test function whose Euler derivative is off by the factor 1 + 1e-5."""
 
     def euler(self):
-        return super().euler().scale(1 + 1e-4)
+        return super().euler().scale(1 + 1e-5)
 
 
-@pytest.mark.parametrize("name, coupling", [("sep-mode2", {2}), ("sep-modeblend", {1, 2, 3})])
+@pytest.mark.parametrize("name, coupling", [("sep-mode2", {2}), ("sep-modeblend", {1, 2, 3}),
+                                            ("modeblend", {1, 2, 3, 4, 5}),
+                                            ("gaussblend", {1, 2, 3, 4, 5})])
 def test_epsilon_commutation_fails_a_broken_euler_table_at_coupling_orders(name, coupling):
     f = build_builtin(name)
     rep = epsilon_commutation_check(ScaledEuler(f.terms, f.name), 0.75 + 0.25j, 6)
@@ -418,12 +442,13 @@ def test_epsilon_commutation_fails_a_broken_euler_table_at_coupling_orders(name,
 
 
 def test_moment_table_zero_scale_is_the_integral_of_the_modulus():
-    # under r <-> 1/r the zero-side order k of the mode (xi/|xi|)^-2 is the
-    # infinity-side order k of mode2, so its scale is 4 K_k(2) as well
+    # under r <-> 1/r the zero-side order 2 of the mode (xi/|xi|)^-2 is the
+    # infinity-side order 2 of mode2, so its scale is 4 K_2(2) as well, and
+    # every other order has no integrand
     f = TestFunction((envelope_mode(-2),), "mode-2")
     table = moment_table(f, 4, 1.0)
-    for k in range(1, 5):
-        assert table.scales[-k] == pytest.approx(4.0 * scipy.special.kv(k, 2.0), rel=1e-12)
+    assert table.scales[-2] == pytest.approx(4.0 * scipy.special.kv(2, 2.0), rel=1e-12)
+    assert all(table.scales[p] == 0 for p in range(-4, 5) if p != -2)
 
 
 def test_epsilon_commutation_constant_in_s():

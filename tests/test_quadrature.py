@@ -81,6 +81,7 @@ def test_refine_array_failure_quotes_the_largest_increment():
         ([1 + 0j, complex("nan+nanj"), 1 + 0j], "nan"),
         ([np.array([1.0, 2.0]), np.array([1.0, np.inf])], "inf"),
         ([np.array([1.0, 2.0]), np.array([np.nan, np.inf])], "nan"),
+        ([np.array([1.0, np.inf]), np.array([np.nan, np.inf])], "nan"),  # inf - inf, no warning
     ],
 )
 def test_refine_fails_on_the_first_non_finite_increment(values, named):

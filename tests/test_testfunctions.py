@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ def _near_grid(t, level):
 
 
 EVAL_GRIDS = {  # name: (t, s); the ray probes carry a column of s, as the ray transform does
-    "haar": (_haar_grid(*_HAAR_LEVELS[1])[0], 0.75 + 0.25j),
+    "haar": (_haar_grid(*_HAAR_LEVELS[1], 96)[0], 0.75 + 0.25j),
     "near": (_near_grid(10.0, _CONV_LEVELS[-1]), 0.75 + 0.25j),
     "ray": (np.exp2(_RAY_PROBES).astype(complex)[None, :], np.array([[0.5], [1.75 + 1.5j]])),
 }
@@ -171,15 +172,28 @@ def test_evaluation_matches_the_term_by_term_formula(name, image, grid):
     f = IMAGES[image](build_builtin(name))
     t, s = EVAL_GRIDS[grid]
     terms = term_values(f, t, s)
-    got = f(t, s)
+    evaluators = [f]
+    if grid == "haar" and all(f.decay()):  # Haar-capable: the sum of its angular orders
+        evaluators.append(partial(angular_sum, f))
     with np.errstate(over="ignore", invalid="ignore"):  # off the ray, gaussian overflows
         expect = sum(terms, np.zeros_like(t))
         scale = sum(np.abs(term) for term in terms)
-        error = np.abs(got - expect)
-    assert got.shape == expect.shape and got.dtype == complex
     finite = np.isfinite(expect)
-    assert np.array_equal(np.isfinite(got), finite)
-    assert np.all(error[finite] <= 8 * np.finfo(float).eps * scale[finite])
+    for evaluate in evaluators:
+        got = evaluate(t, s)
+        with np.errstate(invalid="ignore"):
+            error = np.abs(got - expect)
+        assert got.shape == expect.shape and got.dtype == complex
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.all(error[finite] <= 8 * np.finfo(float).eps * scale[finite])
+
+
+def angular_sum(f, t, s):
+    """The sum of e^(ik theta) f_k(r) over f's angular orders k, with the
+    phase e^(ik theta) taken as t^k / r^k or conj(t)^|k| / r^|k|."""
+    r = np.abs(t)
+    return sum((f_k * (t if k >= 0 else np.conj(t)) ** abs(k) / r ** abs(k)
+                for k, f_k in f.modes(r, s).items()), np.zeros_like(t))
 
 
 @pytest.mark.parametrize("t", [np.ones((3, 4), dtype=complex), 2.0 + 1j, np.arange(1.0, 6.0)])
