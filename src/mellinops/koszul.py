@@ -44,12 +44,14 @@ def _solve_cycle(g, var, kind):
         raise ValueError(f"variable {var} is not an axis of type {kind}")
     indices = axis.window if kind == INF_TYPE else axis.window[::-1]
     columns = {idx[:pos] + idx[pos + 1 :] for idx in g.terms}
+    zero = ShiftPolynomial.zero(g.coeff_arity)
+    get, jj = g.terms.get, var - 1
     terms = {}
     for col in columns:
-        prev = ShiftPolynomial.zero(g.coeff_arity)
+        prev = zero
         for n in indices:
             idx = col[:pos] + (n,) + col[pos:]
-            terms[idx] = prev = prev.shift(var, 1) - g.coefficient(idx)
+            terms[idx] = prev = prev._shift_sub(jj, get(idx, zero))
     return g._like(terms)
 
 
@@ -81,7 +83,8 @@ def kernel_element(phi, var, n_max, coeff_arity=None):
     """
     phi = as_poly(phi, coeff_arity)
     axis = Axis(var, ZERO_TYPE, n_max)
-    return TailSeries(phi.arity, (axis,), {(n,): phi.shift(var, 1 - n) for n in axis.window})
+    terms = {(n,): phi.shift(var, 1 - n) for n in axis.window}
+    return TailSeries(phi.arity, (axis,))._like(terms)
 
 
 # -- induced actions on the surviving cohomology ------------------------------
@@ -173,13 +176,14 @@ class KoszulReport:
 def _sample_series(coeff_arity, axes, salt):
     """Deterministic full-support sample: at index idx, the monomial
     (1 + salt + sum(idx)) * prod_v s_v^((n_v + salt) mod 3)."""
+    zero = ShiftPolynomial.zero(coeff_arity)
     terms = {}
     for idx in itertools.product(*(axis.window for axis in axes)):
         expo = [0] * coeff_arity
         for axis, n in zip(axes, idx):
             expo[axis.var - 1] = (n + salt) % 3
-        terms[idx] = ShiftPolynomial(coeff_arity, {tuple(expo): 1 + salt + sum(idx)})
-    return TailSeries(coeff_arity, axes, terms)
+        terms[idx] = zero._like({tuple(expo): 1 + salt + sum(idx)})
+    return TailSeries(coeff_arity, axes)._like(terms)
 
 
 def _sample_phis(coeff_arity, var):

@@ -50,7 +50,8 @@ _ROUNDING_ULPS = 8
 
 
 def _cpx(z):
-    return [float(np.real(z)), float(np.imag(z))]
+    """z as the [real, imag] pair of a report; + 0.0 turns a -0.0 part into 0.0."""
+    return [float(np.real(z)) + 0.0, float(np.imag(z)) + 0.0]
 
 
 @dataclass(frozen=True)

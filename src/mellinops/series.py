@@ -20,9 +20,11 @@ powers on ``inf`` axes) are dropped; exactness claims are therefore made on
 the window interior only, with the top exponent a declared defect zone.
 
 Operators act generator by generator, in word order
-(:meth:`TailSeries.apply_word`, :func:`shift_cycle`): the twisted model
-realizes th as (t d/dt - s - 1), and that operator does not commute with the
-bare coefficient shift even though th and tau commute in the combined algebra.
+(:meth:`TailSeries.apply_word`): the twisted model realizes th as
+(t d/dt - s - 1), and that operator does not commute with the bare
+coefficient shift even though th and tau commute in the combined algebra.
+The Koszul differential :func:`shift_cycle` is the one operator with its own
+single pass; it equals the word tau_j t_j^-1 minus the identity.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ class TailSeries(SparseSum):
         for idx, poly in self.terms.items():
             if idx[pos] == n:
                 terms[idx[:pos] + idx[pos + 1 :]] = poly
-        return TailSeries(self.coeff_arity, rest, terms)
+        return TailSeries(self.coeff_arity, rest)._like(terms)
 
 
 def shift_cycle(series, var):
@@ -201,8 +203,22 @@ def shift_cycle(series, var):
 
     This is the Koszul differential in direction ``var``: a coefficient
     translation combined with one step down in the actual exponent, minus
-    the identity.
+    the identity.  It equals ``series.apply_word((TAU_j, TINV_j)) - series``,
+    computed in one pass: the output at stored index n is tau_j of the input
+    at the neighbour t_j^-1 moves onto n, less the input at n, built once.
     """
-    word = (Generator(GenKind.TAU, var), Generator(GenKind.TINV, var))
-    return series.apply_word(word) - series
+    pos, axis = series.axis_for(var)
+    step = 1 if axis.kind == INF_TYPE else -1  # t^-1 on the stored index
+    window, jj = axis.window, var - 1
+    zero = ShiftPolynomial.zero(series.coeff_arity)
+    terms = {}
+    for idx, poly in series.terms.items():
+        n = idx[pos] + step
+        if n in window:  # else a quotient kill or the truncation defect zone
+            out = idx[:pos] + (n,) + idx[pos + 1 :]
+            terms[out] = poly._shift_sub(jj, series.terms.get(out, zero))
+    for idx, poly in series.terms.items():
+        if idx not in terms:  # nothing lands here: the identity term alone
+            terms[idx] = -poly
+    return series._like(terms)
 

@@ -109,12 +109,34 @@ class ShiftPolynomial(SparseSum):
             raise ValueError(f"variable index {j} not in 1..{self.arity}")
         if steps == 0:
             return self
+        return self._like(self._shifted(j - 1, steps))
+
+    def _shifted(self, jj, steps):
+        """The Taylor-shift kernel: the terms of self under s_(jj+1) -> s_(jj+1)
+        + steps (jj 0-based, unchecked), as a plain dict that may hold zeros.
+
+        A term free of s_(jj+1) passes through unchanged; the others expand by
+        their ``binomial_shift`` row."""
         terms = {}
-        jj = j - 1
+        get = terms.get
         for expo, coeff in self.terms.items():
-            for i, w in binomial_shift(expo[jj], steps):
-                key = expo[:jj] + (i,) + expo[jj + 1 :]
-                terms[key] = terms.get(key, 0) + coeff * w
+            e = expo[jj]
+            if not e:
+                terms[expo] = get(expo, 0) + coeff
+                continue
+            head, tail = expo[:jj], expo[jj + 1 :]
+            for i, w in binomial_shift(e, steps):
+                key = head + (i,) + tail
+                terms[key] = get(key, 0) + coeff * w
+        return terms
+
+    def _shift_sub(self, jj, other):
+        """tau_(jj+1) self - other as one value: the kernel's terms for self,
+        less other's terms in place (the step of the shift-cycle recursions)."""
+        terms = self._shifted(jj, 1)
+        get = terms.get
+        for expo, coeff in other.terms.items():
+            terms[expo] = get(expo, 0) - coeff
         return self._like(terms)
 
     def __repr__(self):

@@ -389,8 +389,10 @@ def test_expand_config_function_must_be_a_family(tmp_path, capsys):
 @pytest.mark.parametrize("kmax", [0, 1, 2])
 def test_moments_of_a_mode_below_and_at_its_order_pass(kmax):
     # below order 2 every moment of mode2 vanishes, so both sides of each Stokes
-    # identity are rounding, judged against the integral of |xi^k f|
+    # identity are rounding, judged against the integral of |xi^k f|; an
+    # exact zero prints as 0.0 whatever its sign (the zero side negates)
     code, out = run(["moments", "--function", "mode2", "--kmax", str(kmax)])
+    assert "-0.0" not in out
     report = json.loads(out)["report"]
     table = report["moments"]["inf_side"] + report["moments"]["zero_side"]
     assert (max(abs(complex(*z)) for z in table) < 1e-15) == (kmax < 2)

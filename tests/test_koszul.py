@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,29 @@ def full_window(kind):
 PROPERTY = settings(max_examples=50, deadline=None, database=None)
 
 
+def solve_cases(kind):
+    """(g, v): a sparse series over 1..3 axes of mixed kinds, with rational
+    coefficients in every variable, and an axis v of this kind."""
+    coeff = st.sampled_from([Fraction(n, d) for n in range(-6, 7) for d in range(1, 5)])
+    cases = []
+    for arity in (1, 2, 3):
+        expo = st.sampled_from(list(itertools.product(range(3), repeat=arity)))
+        poly = st.dictionaries(expo, coeff, min_size=1, max_size=3).map(
+            lambda t, arity=arity: ShiftPolynomial(arity, t)
+        )
+        for kinds in itertools.product(("zero", "inf"), repeat=arity):
+            if kind not in kinds:
+                continue
+            axes = tuple(Axis(j, k, 4) for j, k in enumerate(kinds, start=1))
+            idx = st.sampled_from(list(itertools.product(*(axis.window for axis in axes))))
+            series = st.dictionaries(idx, poly, max_size=8).map(
+                lambda t, arity=arity, axes=axes: TailSeries(arity, axes, t)
+            )
+            var = st.sampled_from([axis.var for axis in axes if axis.kind == kind])
+            cases.append(st.tuples(series, var))
+    return st.one_of(cases)
+
+
 # -- the upward (bijective) solve ----------------------------------------------
 
 
@@ -88,6 +112,14 @@ def test_solve_inf_bijective_at_truncation(g):
     assert solve_inf(shift_cycle(g, 1), 1) == g
 
 
+@PROPERTY
+@given(solve_cases("inf"))
+def test_solve_inf_round_trips_over_mixed_axes(case):
+    g, var = case
+    assert shift_cycle(solve_inf(g, var), var) == g
+    assert solve_inf(shift_cycle(g, var), var) == g
+
+
 # -- the downward (surjective) solve ---------------------------------------------
 
 
@@ -121,6 +153,13 @@ def test_solve_zero_interior_exactness_random(g):
     assert image.agrees_on_interior(g, 1)
     defect = image - g
     assert all(idx[0] >= g.axes[0].n_max for idx in defect.terms)
+
+
+@PROPERTY
+@given(solve_cases("zero"))
+def test_solve_zero_interior_exactness_over_mixed_axes(case):
+    g, var = case
+    assert shift_cycle(solve_zero(g, var), var).agrees_on_interior(g, var)
 
 
 def test_solvers_share_one_zero(monkeypatch):
@@ -256,8 +295,6 @@ def test_koszul_reduce_all_partitions_of_two(i_set, j_set):
 
 def test_koszul_reduce_all_partitions_up_to_three_variables():
     # every disjoint (I, J) over {1, 2, 3}, window 12: acyclic iff J nonempty
-    import itertools
-
     for assign in itertools.product("ijn", repeat=3):
         i_set = tuple(k + 1 for k, a in enumerate(assign) if a == "i")
         j_set = tuple(k + 1 for k, a in enumerate(assign) if a == "j")

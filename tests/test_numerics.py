@@ -441,6 +441,24 @@ def test_epsilon_commutation_fails_a_broken_euler_table_at_coupling_orders(name,
     assert epsilon_commutation_check(f, 0.75 + 0.25j, 6).verdict
 
 
+class ScaledShift(TestFunction):
+    """A test function whose shift in s is off by the factor 1 + 1e-5."""
+
+    def shift_s(self, delta):
+        return super().shift_s(delta).scale(1 + 1e-5)
+
+
+@pytest.mark.parametrize("name, orders", [("sep-mode2", {3}), ("sep-modeblend", {1, 2, 3, 4}),
+                                          ("modeblend", {1, 2, 3, 4, 5, 6}),
+                                          ("gaussblend", {1, 2, 3, 4, 5, 6})])
+def test_epsilon_commutation_fails_a_broken_shift_at_cycle_rows(name, orders):
+    # the unbroken functions pass in the Euler-table test above
+    f = build_builtin(name)
+    rep = epsilon_commutation_check(ScaledShift(f.terms, f.name), 0.75 + 0.25j, 6)
+    failed = {label for label, rel in zip(rep.extras["checks"], rep.relative) if rel > rep.tolerance}
+    assert failed == {f"cycle:inf:{k}" for k in orders}
+
+
 def test_moment_table_zero_scale_is_the_integral_of_the_modulus():
     # under r <-> 1/r the zero-side order 2 of the mode (xi/|xi|)^-2 is the
     # infinity-side order 2 of mode2, so its scale is 4 K_2(2) as well, and

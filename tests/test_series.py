@@ -174,3 +174,29 @@ def test_results_equal_their_validated_reconstruction(case):
             assert poly == ShiftPolynomial(poly.arity, poly.terms)
             assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
                        for c in poly.terms.values())
+
+
+def cycle_cases(arity, kinds, first_var=1):
+    """A series over axes of these kinds on consecutive variables from
+    first_var, and one of its axis variables."""
+    axes = tuple(Axis(j, kind, 3) for j, kind in enumerate(kinds, start=first_var))
+    idx = st.sampled_from(list(itertools.product(*(axis.window for axis in axes))))
+    series = st.dictionaries(idx, coefficient_polys(arity), max_size=8).map(
+        lambda t: TailSeries(arity, axes, t)
+    )
+    return st.tuples(series, st.sampled_from([axis.var for axis in axes]))
+
+
+# every mix of axis kinds over arity 1..3, and axes that leave a variable inert
+CYCLE_CASES = st.one_of(
+    [cycle_cases(arity, kinds) for arity in (1, 2, 3)
+     for kinds in itertools.product(("zero", "inf"), repeat=arity)]
+    + [cycle_cases(2, ("inf",), 2), cycle_cases(3, ("zero", "inf"), 2)]
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(CYCLE_CASES)
+def test_shift_cycle_is_the_generic_word_minus_the_identity(case):
+    x, var = case
+    assert shift_cycle(x, var) == apply_cycle(x, var)

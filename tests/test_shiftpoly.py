@@ -48,6 +48,28 @@ def test_shift_is_ring_morphism(case, k):
     assert (f + g).shift(j, k) == f.shift(j, k) + g.shift(j, k)
 
 
+def value_at(f, point):
+    """f at an integer point, exactly."""
+    total = 0
+    for expo, coeff in f.terms.items():
+        for x, e in zip(point, expo):
+            coeff *= x**e
+        total += coeff
+    return total
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(arity_pairs, st.sampled_from([-3, -1, 1, 2]))
+def test_shift_is_substitution(case, k):
+    # the Taylor-shift kernel against its definition: f.shift(j, k) at x is f
+    # at x with x_j + k, exactly, at every point of a small integer box
+    f, _, j = case
+    shifted = f.shift(j, k)
+    for point in product(range(-2, 3), repeat=f.arity):
+        moved = tuple(x + k if i == j - 1 else x for i, x in enumerate(point))
+        assert value_at(shifted, point) == value_at(f, moved)
+
+
 def test_zero_and_pruning():
     s = ShiftPolynomial.variable(1)
     assert (s - s).is_zero()
