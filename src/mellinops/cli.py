@@ -13,9 +13,10 @@ Exit codes are part of the contract:
     6  quadrature failure (unsettled estimate, no decay certificate, failed grid
        function, a non-finite ``expand`` sample)
     7  usage or configuration error (malformed argument, bad config key or value,
-       unreadable config file, unwritable output path, negative order; for
-       ``expand``, a function that is not a family, a bad radius, or an
-       ``alpha_max`` whose coefficients overflow at that radius)
+       unreadable config file, unwritable output path, negative order, a
+       non-finite ``moments --s``; for ``expand``, a function that is not a
+       family, a bad radius, a non-finite ``--T0``, or an ``alpha_max`` whose
+       coefficients overflow at that radius)
 
 Run configuration: RunConfig's defaults (``function``: gamma for verify, mode2
 for moments, geometric for expand), then the optional key=value file
@@ -23,6 +24,14 @@ for moments, geometric for expand), then the optional key=value file
 Recognized keys: n_max, quad_tol, check_tol, grid_start, grid_stop, grid_count,
 grid_imag, function, output.  Reports are JSON with sorted keys and no
 timestamps, so identical runs produce identical bytes on one platform.
+
+Every report echoes the whole configuration, but not every subcommand reads
+all of it.  ``verify`` reads the grid, function, quad_tol and check_tol.
+``moments`` reads function, grid_imag and quad_tol (for its moment tables);
+it judges Stokes and commutation rows at a fixed 1e-6 and observed tail
+orders against a fixed band of 0.5, and its remainder check ignores quad_tol
+(the convolution targets a fixed 1e-9).  ``expand`` reads function and
+check_tol and ignores quad_tol.  ``koszul`` reads only n_max.
 """
 
 from __future__ import annotations

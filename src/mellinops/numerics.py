@@ -180,6 +180,8 @@ def haar_integral(f, powers, s=0j, tol=ABS_TOL):
 def moment_table(f, k_max, s=0j, tol=ABS_TOL):
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     orders = range(-k_max, k_max + 1)
     columns = haar_integral(f, orders, s, tol)
     return MomentTable(complex(s), k_max, *(dict(zip(orders, column)) for column in columns))
@@ -577,6 +579,8 @@ def parameter_expansion(
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
     if alpha_max < 0:
         raise ValueError(f"alpha_max must be >= 0, got {alpha_max}")
     # the circle rule divides by radius ** alpha; past the float range that

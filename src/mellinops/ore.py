@@ -76,7 +76,7 @@ def _bump(key, slot, j, amount):
     return tuple(parts)
 
 
-_GEN_SLOT = {
+GEN_SLOT = {
     GenKind.T: (0, +1),
     GenKind.TINV: (0, -1),
     GenKind.THETA: (1, +1),
@@ -163,7 +163,7 @@ class OreOperator(SparseSum):
             raise MixedAlgebra(f"{kind.value} is not a D generator")
         if algebra is Algebra.S and kind not in S_SIDE:
             raise MixedAlgebra(f"{kind.value} is not an S generator")
-        slot, amount = _GEN_SLOT[kind]
+        slot, amount = GEN_SLOT[kind]
         key = _bump(_unit_key(arity), slot, index, amount)
         return cls(algebra, arity, {key: 1})
 

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .ore import GenKind, OreOperator, resolve_algebra
+from .ore import GEN_SLOT, GenKind, OreOperator, resolve_algebra
 
 _TOKEN_RE = re.compile(
     r"""
@@ -32,16 +32,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_GEN_BY_NAME = {
-    "t": GenKind.T,
-    "tinv": GenKind.TINV,
-    "th": GenKind.THETA,
-    "s": GenKind.S,
-    "tau": GenKind.TAU,
-    "tauinv": GenKind.TAUINV,
-}
-
 
 class _Token:
     __slots__ = ("kind", "text", "index", "offset")
@@ -144,7 +134,7 @@ class _Parser:
                 return OreOperator.generator(
                     GenKind.TINV, index, self.algebra, self.arity
                 ) * OreOperator.generator(GenKind.THETA, index, self.algebra, self.arity)
-            return OreOperator.generator(_GEN_BY_NAME[tok.text], index, self.algebra, self.arity)
+            return OreOperator.generator(GenKind(tok.text), index, self.algebra, self.arity)
         if tok.kind == "rat":
             self.take()
             return OreOperator.scalar(Fraction(tok.text), self.algebra, self.arity)
@@ -171,7 +161,7 @@ def parse(text, algebra=None, arity=None):
             if tok.text == "Dt":
                 kinds.add(GenKind.TINV)
             else:
-                kinds.add(_GEN_BY_NAME[tok.text])
+                kinds.add(GenKind(tok.text))
             if tok.index is not None:
                 max_index = max(max_index, tok.index)
     algebra, arity = resolve_algebra(kinds, max_index, algebra, arity)
@@ -186,25 +176,18 @@ def parse(text, algebra=None, arity=None):
 
 # -- canonical printing ------------------------------------------------------
 
-_SLOT_NAMES = (("t", "tinv"), ("th", None), ("tau", "tauinv"), ("s", None))
+_SLOT_NAMES = {slot: kind.value for kind, slot in GEN_SLOT.items()}  # (slot, sign): name
 
 
 def _format_monomial(key, arity):
     parts = []
-    for slot, (pos_name, neg_name) in enumerate(_SLOT_NAMES):
-        for j, e in enumerate(key[slot], start=1):
+    for slot, exponents in enumerate(key):
+        for j, e in enumerate(exponents, start=1):
             if e == 0:
                 continue
-            if e > 0:
-                name = pos_name
-                power = e
-            else:
-                name = neg_name
-                power = -e
-            suffix = f"_{j}" if arity > 1 else ""
-            piece = f"{name}{suffix}"
-            if power > 1:
-                piece += f"^{power}"
+            piece = _SLOT_NAMES[slot, 1 if e > 0 else -1] + (f"_{j}" if arity > 1 else "")
+            if abs(e) > 1:
+                piece += f"^{abs(e)}"
             parts.append(piece)
     return "*".join(parts)
 

@@ -1,22 +1,24 @@
 """Smooth test functions on the punctured plane with an exact Wirtinger derivative.
 
-Functions are finite sums of terms
+In polar form t = r e^(i theta), functions are finite sums of terms
 
-    c * g(s) * t^a * conj(t)^b * |t|^m * exp(P(t) + Q(|t|))
+    c * g(s) * r^N * e^(ik theta) * exp(P(t) + Q(r))
 
-with integer powers a, b, m and Laurent polynomials P (complex coefficients)
-and Q (real coefficients).  The family is closed under the two Wirtinger
-derivatives, under multiplication by integer powers of t, and under the
-separable shift-variable factors g(s), polynomials in s, so
-every derivative used by the checks is supplied in closed form rather than
-by numerical differentiation.
+with an integer angular order k and radial power N, Laurent polynomials P
+(complex coefficients) and Q (real coefficients), and a separable shift
+factor g(s), a polynomial in s.  The family is closed under the Wirtinger
+derivative d/dt = e^(-i theta) (d/dr - (i/r) d/dtheta) / 2, which sends
+r^N e^(ik theta) to (N + k)/2 * r^(N-1) e^(i(k-1) theta), under
+multiplication by integer powers of t and under shifts of s, so every
+derivative used by the checks is supplied in closed form rather than by
+numerical differentiation.
 
 A function is evaluated group by group, a group being the terms that share
-an envelope exp(P(t) + Q(|t|)) and a shift factor g.  With the angular order
-k = a - b and the radial power n = a + b + m - |k|,
+an envelope exp(P(t) + Q(r)) and a shift factor g.  With the row power
+n = N - |k|,
 
-    t^a * conj(t)^b * |t|^m = r^n * t^k          (k >= 0)
-                            = r^n * conj(t)^|k|  (k < 0),    r = |t|,
+    r^N * e^(ik theta) = r^n * t^k           (k >= 0)
+                       = r^n * conj(t)^|k|   (k < 0),
 
 so a group is g(s) * exp(P(t) + Q(r)) * (sum over k >= 0 of row_k(r) t^k +
 sum over k < 0 of row_k(r) conj(t)^|k|), each row a sum of c * r^n in real
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -49,16 +52,16 @@ def _poly_tuple(d, kind=complex):
 
 def _groups(terms):
     """The terms grouped by envelope and shift factor: (exp_t, exp_r, g, ahead,
-    behind) tuples.  ``ahead`` maps each angular order k = a - b >= 0 to its
-    radial row, ``behind`` each |k| of an order k < 0; a row is (constant,
-    ((n, c), ...)), the coefficients of r^n with n = a + b + m - |k|, floats
-    when all of them are real."""
+    behind) tuples.  ``ahead`` maps each angular order k >= 0 to its radial
+    row, ``behind`` each |k| of an order k < 0; a row is (constant,
+    ((n, c), ...)), the coefficients of r^n with n = N - |k|, floats when all
+    of them are real."""
     groups = {}
     for tm in terms:
         key = (tm.exp_t, tuple((k, float(c.real)) for k, c in tm.exp_r), tm.s_factor)
-        k = tm.t_pow - tm.tbar_pow
+        k = tm.order
         row = groups.setdefault(key, ({}, {}))[k < 0].setdefault(abs(k), [])
-        row.append((tm.t_pow + tm.tbar_pow + tm.r_pow - abs(k), complex(tm.coeff)))
+        row.append((tm.power - abs(k), complex(tm.coeff)))
     return tuple(key + tuple({j: _row(row) for j, row in side.items()} for side in sides)
                  for key, sides in groups.items())
 
@@ -126,21 +129,20 @@ class SFactor:
 
 @dataclass(frozen=True)
 class Term:
+    """coeff * g(s) * r^power * e^(i order theta) * exp(P(t) + Q(r))."""
+
     coeff: complex = 1 + 0j
-    t_pow: int = 0
-    tbar_pow: int = 0
-    r_pow: int = 0
+    order: int = 0
+    power: int = 0
     exp_t: tuple = ()  # ((power, complex coeff), ...)
     exp_r: tuple = ()  # ((power, float coeff), ...)
     s_factor: SFactor | None = None
 
-    def scaled(self, c):
-        return Term(self.coeff * c, self.t_pow, self.tbar_pow, self.r_pow,
+    def moved(self, c, steps, dpower):
+        """c times this term, moved ``steps`` angular orders and ``dpower``
+        radial powers."""
+        return Term(self.coeff * c, self.order + steps, self.power + dpower,
                     self.exp_t, self.exp_r, self.s_factor)
-
-    def with_powers(self, dt=0, dtb=0, dr=0):
-        return Term(self.coeff, self.t_pow + dt, self.tbar_pow + dtb,
-                    self.r_pow + dr, self.exp_t, self.exp_r, self.s_factor)
 
 
 class TestFunction:
@@ -210,34 +212,30 @@ class TestFunction:
         return TestFunction(self.terms + other.terms, self.name)
 
     def scale(self, c):
-        return TestFunction(tuple(t.scaled(c) for t in self.terms), self.name)
+        return TestFunction(tuple(t.moved(c, 0, 0) for t in self.terms), self.name)
 
     def times_t(self, power):
-        return TestFunction(tuple(t.with_powers(dt=power) for t in self.terms), self.name)
+        return TestFunction(tuple(t.moved(1, power, power) for t in self.terms), self.name)
 
     def shift_s(self, delta):
-        out = []
-        for term in self.terms:
-            g = term.s_factor.shifted(delta) if term.s_factor is not None else None
-            out.append(Term(term.coeff, term.t_pow, term.tbar_pow, term.r_pow,
-                            term.exp_t, term.exp_r, g))
-        return TestFunction(tuple(out), self.name)
+        return TestFunction(tuple(
+            Term(t.coeff, t.order, t.power, t.exp_t, t.exp_r,
+                 None if t.s_factor is None else t.s_factor.shifted(delta))
+            for t in self.terms), self.name)
 
     # -- exact derivatives -------------------------------------------------------
 
     def wirtinger_t(self):
-        """The (1,0) Wirtinger derivative d/dt, term by term."""
+        """The (1,0) Wirtinger derivative d/dt, term by term: the power rule,
+        then d/dt t^j = j t^(j-1) and d/dt r^j = j/2 r^(j-1) e^(-i theta)."""
         out = []
         for tm in self.terms:
-            if tm.t_pow:
-                out.append(tm.scaled(tm.t_pow).with_powers(dt=-1))
-            for k, c in tm.exp_t:
-                out.append(tm.scaled(k * c).with_powers(dt=k - 1))
-            # d r / d t = conj(t) / (2 r)
-            if tm.r_pow:
-                out.append(tm.scaled(tm.r_pow / 2).with_powers(dtb=1, dr=-2))
-            for k, c in tm.exp_r:
-                out.append(tm.scaled(k * c / 2).with_powers(dtb=1, dr=k - 2))
+            if tm.power + tm.order:
+                out.append(tm.moved((tm.power + tm.order) / 2, -1, -1))
+            for j, p in tm.exp_t:
+                out.append(tm.moved(j * p, j - 1, j - 1))
+            for j, c in tm.exp_r:
+                out.append(tm.moved(j * c / 2, -1, j - 1))
         return TestFunction(tuple(out), self.name)
 
     def euler(self):
@@ -279,64 +277,44 @@ def ray_exponential(powers, name):
 
 
 def envelope_mode(mode=0, s_factor=None, weight=1.0, radial=None):
-    """A flat radial envelope times the angular factor (conj(t)/r)^mode.
+    """A flat radial envelope times the angular factor e^(-i mode theta).
 
     Positive ``mode`` couples to the order-``mode`` moment at infinity.  The
     default envelope exp(-r - 1/r) decays exponentially at both boundary
     circles; pass ``radial={2: -1, -1: -1}`` for Gaussian outer decay when a
     check needs the far tail to be entirely negligible at moderate radii.
     """
-    if mode >= 0:
-        tb, tp = mode, 0
-    else:
-        tb, tp = 0, -mode
     return Term(
         coeff=complex(weight),
-        t_pow=tp,
-        tbar_pow=tb,
-        r_pow=-abs(mode),
+        order=-mode,
         exp_r=_poly_tuple(radial if radial is not None else {1: -1.0, -1: -1.0}, float),
         s_factor=s_factor,
     )
 
 
+_RAYS = {"gamma": {1: -1}, "gaussian": {2: -1}, "bessel": {1: -1, -1: -1}}
+
+# name: (modes, radial envelope, shift factor); a blend of several modes
+# weighs mode m by 1/m!, a single mode by 1, and None is the standard envelope
+_ENVELOPES = {
+    "radial": ((0,), None, None),
+    "modeblend": (range(6), None, None),
+    "gaussblend": (range(6), {2: -1.0, -1: -1.0}, None),
+    "sep-mode2": ((2,), None, SFactor((1 + 0j, 0.5 + 0j))),  # 1 + s/2
+    "sep-modeblend": (range(4), None, SFactor((1 + 0j, 0.25 + 0j))),
+}
+
+
 def build_builtin(name):
-    if name == "gamma":
-        return ray_exponential({1: -1}, "gamma")
-    if name == "gaussian":
-        return ray_exponential({2: -1}, "gaussian")
-    if name == "bessel":
-        return ray_exponential({1: -1, -1: -1}, "bessel")
-    if name == "radial":
-        return TestFunction((envelope_mode(0),), "radial")
-    if name == "modeblend":
-        from math import factorial
-
-        terms = tuple(envelope_mode(m, weight=1.0 / factorial(m)) for m in range(6))
-        return TestFunction(terms, "modeblend")
-    if name == "gaussblend":
-        from math import factorial
-
-        terms = tuple(
-            envelope_mode(m, weight=1.0 / factorial(m), radial={2: -1.0, -1: -1.0})
-            for m in range(6)
-        )
-        return TestFunction(terms, "gaussblend")
+    if name in _RAYS:
+        return ray_exponential(_RAYS[name], name)
     mode = re.fullmatch(r"mode(-?[0-9]+)", name)  # an integer suffix selects the mode
-    if mode:
-        return TestFunction((envelope_mode(int(mode[1])),), name)
-    if name == "sep-mode2":
-        g = SFactor((1 + 0j, 0.5 + 0j))  # 1 + s/2
-        return TestFunction((envelope_mode(2, s_factor=g),), "sep-mode2")
-    if name == "sep-modeblend":
-        from math import factorial
-
-        g = SFactor((1 + 0j, 0.25 + 0j))
-        terms = tuple(
-            envelope_mode(m, s_factor=g, weight=1.0 / factorial(m)) for m in range(4)
-        )
-        return TestFunction(terms, "sep-modeblend")
-    raise KeyError(f"unknown built-in function {name!r}")
+    if not (mode or name in _ENVELOPES):
+        raise KeyError(f"unknown built-in function {name!r}")
+    modes, radial, g = ((int(mode[1]),), None, None) if mode else _ENVELOPES[name]
+    return TestFunction(tuple(
+        envelope_mode(m, g, 1.0 / factorial(m) if len(modes) > 1 else 1.0, radial)
+        for m in modes), name)
 
 
 BUILTIN_NAMES = (

@@ -431,6 +431,20 @@ def test_bad_orders_and_radii_exit_with_a_named_cause(capsys, argv, code, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--function", "mode2", "--s", "nan", "--kmax", "2"],
+    ["moments", "--function", "mode2", "--s", "inf", "--kmax", "2"],
+    ["moments", "--function", "mode2", "--s=-inf", "--kmax", "2"],
+    ["moments", "--function", "radial", "--s", "inf", "--kmax", "1", "--remainders"],
+    ["moments", "--function", "sep-mode2", "--s", "nan"],
+    ["expand", "--T0", "inf"],
+    ["expand", "--T0", "nan"],
+])
+def test_non_finite_s_and_center_are_usage_errors(capsys, argv):
+    assert run(argv) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
 def test_docstring_matches_config_keys_and_exit_codes():
     doc = cli.__doc__
     keys = re.search(r"Recognized keys:\s+([^.]*)\.", doc).group(1)

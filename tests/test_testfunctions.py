@@ -22,9 +22,19 @@ def wirtinger_fd(f, t, s=0j, h=1e-5):
 POINTS = [0.7 + 0.4j, 1.5 - 0.8j, -0.6 + 1.1j, 2.0 + 0j]
 
 
-@pytest.mark.parametrize("name", ["radial", "mode2", "modeblend", "bessel", "gaussian"])
+WIRTINGER_CASES = {  # the sums of several rules on one row, and orders of both signs
+    **{name: partial(build_builtin, name)
+       for name in ("radial", "mode2", "modeblend", "bessel", "gaussian", "mode-2")},
+    "modeblend-euler": lambda: build_builtin("modeblend").euler(),
+    "gamma-times_t2": lambda: build_builtin("gamma").times_t(2),
+    "sep-mode2-times_t-3": lambda: build_builtin("sep-mode2").times_t(-3),
+    "term": lambda: TestFunction((Term(order=-1, power=3, exp_r=((1, -1.0), (-1, -1.0))),)),
+}
+
+
+@pytest.mark.parametrize("name", WIRTINGER_CASES)
 def test_wirtinger_partials_match_finite_differences(name):
-    f = build_builtin(name)
+    f = WIRTINGER_CASES[name]()
     dt = f.wirtinger_t()
     for t in POINTS:
         scale = max(abs(complex(f(t))), 1.0)
@@ -115,8 +125,9 @@ def test_builtin_registry_complete():
 
 
 def term_values(f, t, s=0j):
-    """Each term c g(s) t^a conj(t)^b |t|^m exp(P(t) + Q(|t|)) of f on its own,
-    with complex powers and one complex exponential per term."""
+    """Each term c g(s) r^N e^(ik theta) exp(P(t) + Q(r)) of f on its own, as
+    c g(s) r^(N-|k|) t^k (or conj(t)^|k|) exp(P(t) + Q(r)), with complex powers
+    and one complex exponential per term."""
     t = np.asarray(t, dtype=complex)
     r = np.abs(t)
     values = []
@@ -125,12 +136,10 @@ def term_values(f, t, s=0j):
             val = np.full_like(t, term.coeff)
             if term.s_factor is not None:
                 val = val * term.s_factor(s)
-            if term.t_pow:
-                val = val * t ** term.t_pow
-            if term.tbar_pow:
-                val = val * np.conj(t) ** term.tbar_pow
-            if term.r_pow:
-                val = val * r ** term.r_pow
+            if term.order:
+                val = val * (t if term.order > 0 else np.conj(t)) ** abs(term.order)
+            if term.power - abs(term.order):
+                val = val * r ** (term.power - abs(term.order))
             expo = np.zeros_like(t)
             for k, c in term.exp_t:
                 expo = expo + c * t ** k
