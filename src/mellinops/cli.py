@@ -41,6 +41,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -228,7 +229,11 @@ def _parse_index_set(text):
 # -- entry point -----------------------------------------------------------------
 
 
+@cache
 def build_parser():
+    """The argument parser, built on first use and then shared by every call of
+    :func:`main` in the process: parsing returns a fresh namespace and leaves
+    no state in the parser.  (A shell invocation builds it once either way.)"""
     # Each subparser sets ``run``, its handler.  A flag whose dest is a RunConfig
     # field defaults to None and overrides the config file; a report
     # subcommand's own default for such a field goes in ``config_defaults``.

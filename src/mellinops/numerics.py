@@ -280,21 +280,33 @@ def convolution_remainder(f, t, s=0j, n=0, side="infinity", tol=1e-9):
     return value / t ** q, est / abs(t) ** q
 
 
+def _predicted_order(f, n, side, s):
+    """(m, one_sided) for the tail after n terms: m is the first order k in
+    n+1..n+4 whose moment on ``side`` can be non-zero, that is, whose angular
+    order of f (-k at infinity, k at zero) is not identically zero on the first
+    Haar level's radii; when none is, (n + 5, True)."""
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    _require_two_sided_decay(f)
+    u, _ = panel_nodes(uniform_edges(-5.2, 5.2, _HAAR_LEVELS[0][0]), _HAAR_LEVELS[0][1])
+    carried = {k for k, row in f.modes(np.exp(u), s).items() if np.any(row)}
+    sign = -1 if side == "infinity" else 1
+    leading = [k for k in range(n + 1, n + 5) if sign * k in carried]
+    return (leading[0], False) if leading else (n + 5, True)
+
+
 def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
     """Verify that tails after n terms scale like radius^-m across consecutive
     radius doublings, within half an order.  m is the first order k in
-    n+1..n+4 whose moment on that side is non-zero; when none is, m = n + 5
-    and only a shortfall below m counts (one-sided)."""
+    n+1..n+4 whose moment on that side f carries (see :func:`_predicted_order`);
+    when none is, m = n + 5 and only a shortfall below m counts (one-sided)."""
     if n < 0:
         raise ValueError(f"remainder order n must be >= 0, got {n}")
     _check_side(side)
     radii = tuple(sorted(float(r) for r in radii))
     if side == "infinity" and radii[0] <= 1.0:
         raise ValueError("infinity-side radii must lie outside the unit circle")
-    moments = moment_table(f, n + 4, s).values
-    sign = 1 if side == "infinity" else -1  # the side's order k is Haar order sign * k
-    leading = [k for k in range(n + 1, n + 5) if moments[sign * k]]
-    predicted, one_sided = (leading[0], False) if leading else (n + 5, True)
+    predicted, one_sided = _predicted_order(f, n, side, s)
     rems = []
     for r in radii:
         t = r if side == "infinity" else 1.0 / r

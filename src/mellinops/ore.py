@@ -20,18 +20,26 @@ relations:
     th_j^b t_j^a  = t_j^a (th_j + a)^b        (a in Z)
     s_j^d tau_j^c = tau_j^c (s_j - c)^d       (c in Z)
 
-which is exactly what iterated single-relation rewriting produces.
+which is exactly what iterated single-relation rewriting produces.  A
+product runs on integers: each operand's coefficients are cleared to integer
+numerators over the lcm of their denominators, the double loop multiplies and
+accumulates ints only, and each result term is divided by the product of the
+two denominators once.  Per pair of monomials each of the 2p variables
+contributes one row; a row with nothing to transport (a th/s degree of 0 on
+the left, or a t/tau exponent of 0 on the right) is the single degree
+e1 + e2 and costs no multiplication.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, MixedAlgebra
 from .shiftpoly import binomial_shift
-from .sparse import RATIONALS, SparseSum, rational
+from .sparse import RATIONALS, SparseSum, cleared, divided, rational
 
 
 class Algebra(str, enum.Enum):
@@ -108,7 +116,9 @@ class OreOperator(SparseSum):
     generator words.  The constructor validates its input; the arithmetic
     builds its results through the unchecked
     :meth:`~mellinops.sparse.SparseSum._like`, since its operands are already
-    clean.
+    clean.  ``*`` works on integer numerators, one common denominator per
+    operand, and skips the rows that transport nothing (see the module
+    docstring).
     """
 
     __slots__ = ("algebra", "arity")
@@ -187,20 +197,34 @@ class OreOperator(SparseSum):
             return self.scale(other)
         self._check(other)
         p = self.arity
-        terms = {}
-        for (a1, b1, c1, d1), x in self.terms.items():
-            for (a2, b2, c2, d2), y in other.terms.items():
-                a = tuple(u + v for u, v in zip(a1, a2))
-                c = tuple(u + v for u, v in zip(c1, c2))
-                expansion = [((), x * y)]
-                for e1, k, e2 in zip(b1 + d1, a2 + tuple(-v for v in c2), b2 + d2):
-                    row = _mono_mul(e1, k, e2)
-                    expansion = [(degs + (deg,), coeff * w)
-                                 for degs, coeff in expansion for deg, w in row]
-                for degs, coeff in expansion:
+        den_left, left = cleared(self.terms)
+        den_right, right = cleared(other.terms)
+        # per right term: t- and tau-exponents, the transport shifts k (t_j^a
+        # moves th_j by +a, tau_j^c moves s_j by -c), the degrees, the numerator
+        right = [(a2, c2, a2 + tuple(-v for v in c2), b2 + d2, y)
+                 for (a2, b2, c2, d2), y in right]
+        sums = {}
+        for (a1, b1, c1, d1), x in left:
+            e1s = b1 + d1
+            for a2, c2, ks, e2s, y in right:
+                a = tuple(map(add, a1, a2))
+                c = tuple(map(add, c1, c2))
+                # fixed: the degrees of the untransported rows since the last
+                # transported one, appended to every expanded term in one go
+                expansion, fixed = [((), x * y)], ()
+                for e1, k, e2 in zip(e1s, ks, e2s):
+                    if e1 and k:
+                        row = _mono_mul(e1, k, e2)
+                        expansion = [(degs + fixed + (deg,), n * w)
+                                     for degs, n in expansion for deg, w in row]
+                        fixed = ()
+                    else:  # the row would be ((e1 + e2, 1),)
+                        fixed += (e1 + e2,)
+                for degs, n in expansion:
+                    degs += fixed
                     key = (a, degs[:p], c, degs[p:])
-                    terms[key] = terms.get(key, 0) + coeff
-        return self._like(terms)
+                    sums[key] = sums.get(key, 0) + n
+        return self._like(divided(sums, den_left * den_right))
 
     __rmul__ = __mul__  # reached by scalars, which commute with every operator
 

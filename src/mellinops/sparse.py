@@ -19,6 +19,7 @@ coefficient.  A value is falsy when it is zero, as a number is.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 RATIONALS = (int, Fraction)  # the types that rational() accepts
 
@@ -29,6 +30,19 @@ def rational(x):
     if not isinstance(x, RATIONALS):
         raise TypeError(f"exact rational expected, got {type(x).__name__}")
     return int(x) if x.denominator == 1 else x
+
+
+def cleared(terms):
+    """(den, items): den is the lcm of the coefficients' denominators, and
+    items lists each (key, coefficient * den), an int."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+
+
+def divided(sums, den):
+    """Integer sums over den, as terms for ``SparseSum._like`` (which turns
+    integral quotients into ints and drops zeros)."""
+    return sums if den == 1 else {k: Fraction(n, den) for k, n in sums.items()}
 
 
 class SparseSum:

@@ -105,6 +105,40 @@ def test_koszul_report_bytes_are_pinned(args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# operator products with halves and thirds in one to three variables: D texts
+# go through transform and parse, S texts through the inverse transform and
+# parse on the shift side
+CANONICAL_D = [
+    "(1/2*th + t)^3*(tinv - 2/3*th)^2",
+    "(th - 1/3)^4*(t + 3/2*tinv)^2",
+    "(-3/2*t*th + 1/2)^3*(th + tinv)",
+    "(2/3*t^2 - th^2)^2*(1/2*tinv*th + 1)^2",
+    "(1/2*th_1 + t_2)^3*(tinv_1 - 2/3*th_2)^2",
+    "(th_1 + th_2 - 1/3*t_1*t_2)^3*(t_1 - 1/2*tinv_2)",
+    "(3/2*t_1*th_2 + 1/2*t_2*th_1)^3",
+    "(1/2*th_1 + t_2 - 1/3*th_3)^2*(tinv_3 + 3/2*th_2)^2",
+    "(t_1*th_3 - 2/3*t_3*th_1)^3*(1/2*tinv_2 + th_2)",
+    "(th_1 + 1/2*th_2 + 1/3*th_3 + t_1*t_2*t_3)^3",
+]
+CANONICAL_S = [text.replace("th", "s").replace("t", "tau") for text in CANONICAL_D]
+CANONICAL_ARGVS = (
+    [[*cmd, text] for text in CANONICAL_D for cmd in (["transform"], ["parse"])]
+    + [[*cmd, text] for text in CANONICAL_S
+       for cmd in (["transform", "--inverse"], ["parse", "--algebra", "S"])]
+)
+
+
+def test_canonical_text_bytes_are_pinned():
+    # sha256 of the stdout of all 40 commands in order: the canonical text the
+    # operator products must keep byte for byte while they are made faster
+    digest = hashlib.sha256()
+    for argv in CANONICAL_ARGVS:
+        code, out = run(argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == "f0101220fade973797e94d46febb5f7c303a67739b2aa8deb08e55204541407b"
+
+
 def test_koszul_truncation_exit_code():
     code, _ = run(["koszul", "--I", "1", "--J", "", "--N", "2"])
     assert code == EXIT_TRUNCATION
@@ -341,6 +375,25 @@ def test_argument_errors_exit_usage(capsys, argv):
     code, out = run(argv)
     assert code == EXIT_USAGE and out == ""
     assert "error: " in capsys.readouterr().err
+
+
+def test_repeated_calls_in_one_process_leak_no_state(tmp_path, capsys):
+    # the parser is built once per process and shared by every call
+    assert cli.build_parser() is cli.build_parser()
+    code, out = run(["moments", "--kmax", "2"])
+    assert code == 0 and json.loads(out)["config"]["function"] == "mode2"
+    code, out = run(["verify", "th + t"])
+    assert code == 0 and json.loads(out)["report"]["function"] == "gamma"
+    path = tmp_path / "report.json"
+    code, out = run(["expand", "--output", str(path)])
+    assert code == 0 and path.read_text(encoding="utf-8") == out
+    path.unlink()
+    assert run(["expand"])[0] == 0 and not any(tmp_path.iterdir())
+    assert run(["parse", "--algebra", "S", "s*tau"]) == (0, "tau*s - tau\n")
+    assert run(["parse", "th*t"]) == (0, "t*th + t\n")  # D, inferred again
+    assert run(["moments", "--kmax", "x"]) == (EXIT_USAGE, "")
+    assert "error: " in capsys.readouterr().err
+    assert run(["transform", "t*th + t"]) == (0, "-tau*s + tau\n")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["moments", "--help"]])

@@ -35,11 +35,18 @@ from mellinops.numerics import (
     _cpx,
     _haar_grid,
     _haar_integral_once,
+    _predicted_order,
     _ray_transforms,
     annihilation_guard,
     stokes_checks,
 )
-from mellinops.testfunctions import Term, TestFunction, envelope_mode, ray_exponential
+from mellinops.testfunctions import (
+    BUILTIN_NAMES,
+    Term,
+    TestFunction,
+    envelope_mode,
+    ray_exponential,
+)
 
 # frozen oracle values (scipy.integrate.quad on the radial reductions):
 #   int_0^inf r^(k-1) exp(-r - 1/r) dr  for k = 1, 2, 3
@@ -389,6 +396,23 @@ def test_remainder_order_predicted_from_moments():
     # gaussblend has no order past 5: orders 9..12 are exact zeros
     rep = asymptotic_remainder_check(build_builtin("gaussblend"), 8, (10.0, 20.0, 40.0))
     assert rep.extras["predicted_order"] == 13 and rep.extras["one_sided"]
+
+
+HAAR_BUILTINS = [name for name in BUILTIN_NAMES if all(build_builtin(name).decay())]
+
+
+@pytest.mark.parametrize("s", [0j, 0.75 + 0.25j])
+@pytest.mark.parametrize("name", HAAR_BUILTINS)
+def test_predicted_order_is_the_first_nonzero_moment(name, s):
+    # the angular orders f carries name the same order as the exact zeros of
+    # its moment table, on both sides
+    f = build_builtin(name)
+    for n in range(8):
+        values = moment_table(f, n + 4, s).values
+        for side, sign in (("infinity", 1), ("zero", -1)):
+            leading = [k for k in range(n + 1, n + 5) if values[sign * k]]
+            expected = (leading[0], False) if leading else (n + 5, True)
+            assert _predicted_order(f, n, side, s) == expected, (n, side)
 
 
 def test_negative_orders_are_named():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from mellinops import (
     IndexOutOfRange,
     MixedAlgebra,
     OreOperator,
+    ShiftPolynomial,
     normalize,
     parse,
 )
@@ -158,6 +160,62 @@ def test_associativity_200_random_triples(ops):
     left = (a * b) * c
     assert left == a * (b * c)
     assert all(exact_scalars(op) for op in (a, b, c, a * b, left))
+
+
+# -- composition oracle -------------------------------------------------------
+#
+# Operators act on sums of t^n F(s), stored as {n: ShiftPolynomial F}: per
+# variable, t^a th^b tau^c s^d sends t^n F(s) to n^b t^(n+a) (s+c)^d F(s+c).
+# The action is evaluated term by term and never multiplies two operators.
+
+
+def int_tuples(p, lo, hi):
+    return st.tuples(*[st.integers(lo, hi)] * p)
+
+
+def normal_operators(p):
+    """One to three normal-form terms in the combined algebra, built from keys."""
+    keys = st.tuples(int_tuples(p, -2, 2), int_tuples(p, 0, 2),
+                     int_tuples(p, -2, 2), int_tuples(p, 0, 2))
+    terms = st.dictionaries(keys, COEFFS, min_size=1, max_size=3)
+    return terms.map(lambda t: OreOperator("Dtilde", p, t))
+
+
+def vectors(p):
+    """One or two t^n F(s), with halves and thirds among the coefficients of F."""
+    polys = st.dictionaries(int_tuples(p, 0, 2), COEFFS, min_size=1, max_size=3)
+    polys = polys.map(lambda t: ShiftPolynomial(p, t)).filter(bool)
+    return st.dictionaries(int_tuples(p, -3, 3), polys, min_size=1, max_size=2)
+
+
+def act(op, vec):
+    weights = {}  # (n, a, c, d): the sum of x n^b over the terms x t^a th^b tau^c s^d
+    for (a, b, c, d), x in op.terms.items():
+        for n in vec:
+            w = x * math.prod(u ** v for u, v in zip(n, b))
+            weights[n, a, c, d] = weights.get((n, a, c, d), 0) + w
+    out = {}
+    for (n, a, c, d), w in weights.items():
+        g = ShiftPolynomial(op.arity, {d: w}) * vec[n]
+        for j, steps in enumerate(c, start=1):
+            g = g.shift(j, steps)
+        m = tuple(u + v for u, v in zip(n, a))
+        out[m] = g + out.get(m, 0)
+    return {m: g for m, g in out.items() if g}
+
+
+product_cases = st.one_of([
+    st.tuples(normal_operators(p), normal_operators(p), vectors(p)) for p in (1, 2, 3)
+])
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(product_cases)
+def test_products_act_as_compositions(case):
+    x, y, vec = case
+    assert act(x * y, vec) == act(x, act(y, vec))
+    assert act(y * x, vec) == act(y, act(x, vec))
+    assert exact_scalars(x * y) and exact_scalars(y * x)
 
 
 def test_product_rows_are_one_variable_and_cached():
