@@ -124,11 +124,22 @@ class MomentTable:
 # -- Haar-measure integrals -----------------------------------------------------
 
 
-def _haar_grid(panel_width, order, n_theta, u_lo=-5.2, u_hi=5.2):
+def _haar_rows(panel_width, order, n_theta, u_lo=-5.2, u_hi=5.2, budget=None):
+    """The polar grid on panels in u = log r times uniform angles, as
+    (radii, xi, weights) blocks of whole radial rows, each of at most
+    ``budget`` points (at least one row); one block when ``budget`` is None."""
     u, wu = panel_nodes(uniform_edges(u_lo, u_hi, panel_width), order)
     theta, wth = periodic_nodes(n_theta)
-    xi = np.exp(u)[:, None] * np.exp(1j * theta)[None, :]
-    return xi, wu[:, None] * wth
+    phase = np.exp(1j * theta)[None, :]
+    step = len(u) if budget is None else max(1, budget // n_theta)
+    for i in range(0, len(u), step):
+        r = np.exp(u[i:i + step])
+        yield r, r[:, None] * phase, wu[i:i + step, None] * wth
+
+
+def _haar_grid(panel_width, order, n_theta, u_lo=-5.2, u_hi=5.2):
+    ((_, xi, w),) = _haar_rows(panel_width, order, n_theta, u_lo, u_hi)
+    return xi, w
 
 
 _HAAR_LEVELS = ((0.9, 12), (0.55, 16))  # (panel width, order) in u = log r
@@ -227,18 +238,28 @@ _CONV_LEVELS = (
 )
 
 
+# Far-grid points per block of radial rows: the far sum runs block by block in
+# cache-sized temporaries, and the pairwise sum of the block partials keeps
+# csum's log-n rounding bound.
+_CONV_BLOCK = 2 ** 14
+
+
 def _convolution_once(f, t, s, extra_power, level):
     panel_w, order, n_theta, near_panels, near_order, n_phi = level
     h = 0.5 * abs(t)
     u_lo = min(-5.2, math.log(abs(t)) - 1.5)
     u_hi = max(5.2, math.log(2.5 * abs(t)))
-    # far part: polar grid at the origin, kernel masked near xi = t
-    xi, w = _haar_grid(panel_w, order, n_theta, u_lo, u_hi)
-    mask = 1.0 - bump((np.abs(xi - t) / h - 0.5) * 2.0)
-    vals = f(xi, s) * mask * (1.0 / (1.0 - xi / t))
-    if extra_power:
-        vals = vals * xi ** extra_power
-    far = (-1.0 / math.pi) * csum(vals * w)
+    # far part: polar grid at the origin, kernel masked near xi = t; the mask
+    # is exactly 1 where |xi - t| >= h, so only rows within h of |t| need it
+    parts = []
+    for r, xi, w in _haar_rows(panel_w, order, n_theta, u_lo, u_hi, _CONV_BLOCK):
+        vals = f(xi, s) * (t / (t - xi))
+        if np.any(np.abs(r - abs(t)) < h):
+            vals *= 1.0 - bump((np.abs(xi - t) / h - 0.5) * 2.0)
+        if extra_power:
+            vals *= xi ** extra_power
+        parts.append(csum(vals * w))
+    far = (-1.0 / math.pi) * csum(parts)
     # near part: polar grid centered at t; the kernel singularity cancels
     # against the area element, leaving a smooth integrand
     rho, wr = panel_nodes(np.linspace(0.0, h, near_panels + 1), near_order)
@@ -253,6 +274,8 @@ def _convolution_once(f, t, s, extra_power, level):
 
 
 def _convolution_integral(f, t, s, extra_power, tol, rel_tol=1e-7):
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     _require_two_sided_decay(f)
     return refine(_CONV_LEVELS, partial(_convolution_once, f, t, s, extra_power), tol, rel_tol)
 
@@ -304,6 +327,8 @@ def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
         raise ValueError(f"remainder order n must be >= 0, got {n}")
     _check_side(side)
     radii = tuple(sorted(float(r) for r in radii))
+    if not np.isfinite(radii).all():
+        raise ValueError(f"t must be finite, got radii {radii}")
     if side == "infinity" and radii[0] <= 1.0:
         raise ValueError("infinity-side radii must lie outside the unit circle")
     predicted, one_sided = _predicted_order(f, n, side, s)

@@ -22,14 +22,15 @@ def _parity_sign(vec):
 
 
 def mellin_op(P):
-    """Image in the difference algebra of a torus-side operator."""
+    """Image in the difference algebra of a torus-side operator.  Keys and
+    coefficients come from a clean operand, so the result is built trusted."""
     if P.algebra is not Algebra.D:
         raise MixedAlgebra("forward transform expects a D operator")
     z = (0,) * P.arity
     terms = {}
     for (a, b, _c, _d), coeff in P.terms.items():
         terms[(z, z, a, b)] = coeff * _parity_sign(b)
-    return OreOperator(Algebra.S, P.arity, terms)
+    return OreOperator.zero(Algebra.S, P.arity)._like(terms)
 
 
 def inverse_mellin_op(Q):
@@ -40,7 +41,7 @@ def inverse_mellin_op(Q):
     terms = {}
     for (_a, _b, c, d), coeff in Q.terms.items():
         terms[(c, d, z, z)] = coeff * _parity_sign(d)
-    return OreOperator(Algebra.D, Q.arity, terms)
+    return OreOperator.zero(Algebra.D, Q.arity)._like(terms)
 
 
 def apply_difference(Q, F, s):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -28,6 +29,7 @@ from mellinops import (
     stokes_identity_check,
     verify_commutation,
 )
+from mellinops import numerics
 from mellinops.numerics import (
     ABS_TOL,
     _HAAR_LEVELS,
@@ -437,6 +439,55 @@ def test_convolution_requires_two_sided_decay():
     for call in (lambda: cauchy_convolve(gamma, 10.0), lambda: convolution_remainder(gamma, 10.0)):
         with pytest.raises(QuadratureFailure, match="two-sided rapid-decay certificate"):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, t: convolution_remainder(f, t, n=1),
+    lambda f, t: cauchy_convolve(f, t),
+    lambda f, t: asymptotic_remainder_check(f, 1, (10.0, t)),
+], ids=["convolution_remainder", "cauchy_convolve", "asymptotic_remainder_check"])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_centers_are_usage_errors(monkeypatch, call, t):
+    # bad input (exit 7), not a quadrature failure (exit 6) or an OverflowError;
+    # with the grid builders gone, a check after the first grid would not raise it
+    monkeypatch.setattr(numerics, "_haar_rows", None)
+    monkeypatch.setattr(numerics, "panel_nodes", None)
+    with pytest.raises(ValueError, match="t must be finite"):
+        call(build_builtin("mode2"), t)
+
+
+def test_the_finest_convolution_level_holds_no_full_grid_arrays(monkeypatch):
+    # the far grid of the finest level has 516,096 points, 8.3 MB per complex
+    # array; walked in row blocks, one whole remainder stays well under that
+    levels, once = [], numerics._convolution_once
+
+    def counted(*args):
+        levels.append(args[-1])
+        return once(*args)
+
+    monkeypatch.setattr(numerics, "_convolution_once", counted)
+    tracemalloc.start()
+    try:
+        convolution_remainder(build_builtin("sep-mode2"), 10.0, n=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert levels == list(numerics._CONV_LEVELS)
+    assert peak <= 12e6
+
+
+@pytest.mark.parametrize("name", HAAR_BUILTINS)
+def test_far_sum_does_not_depend_on_the_block_budget(monkeypatch, name):
+    # the block partials are summed pairwise, as the whole grid's sum was, and
+    # the mask is skipped only on rows where it is exactly 1
+    f = build_builtin(name)
+    cases = [(complex(t), q, level) for t in (10, 40, 0.1, 3 + 1j) for q in (0, 3, -2)
+             for level in (numerics._CONV_LEVELS[0], numerics._CONV_LEVELS[-1])]
+    blocked = [numerics._convolution_once(f, t, 0j, q, level) for t, q, level in cases]
+    monkeypatch.setattr(numerics, "_CONV_BLOCK", None)  # one block for the whole grid
+    for (t, q, level), a in zip(cases, blocked):
+        b = numerics._convolution_once(f, t, 0j, q, level)
+        assert abs(a - b) <= 1e-14 * max(1.0, abs(a)), (t, q, level, a, b)
 
 
 # -- commutation of the expansion map ---------------------------------------------------
