@@ -34,19 +34,12 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EvaluationFailure, PreconditionFailed, QuadratureFailure, SingularEvaluation
-from .quadrature import bump, csum, panel_nodes, periodic_nodes, uniform_edges
-from .quadrature import refine
+from .quadrature import bump, csum, panel_nodes, periodic_nodes, refine, uniform_edges
 from .testfunctions import apply_operator_terms, build_builtin
 from .transform import apply_difference_terms, mellin_op
 from .syntax import format_operator
 
 ABS_TOL = 1e-10  # default quadrature target
-# A moment's rounding floor, in units of eps times its scale (see MomentTable).
-# The coarse-to-fine increment misses rounding that both levels share; with
-# this floor the table's error estimate covers the distance of every entry
-# of radial, mode1..3 and modeblend from its Bessel closed form at
-# k_max 0..8 (the largest need is 4.8, mode3's order 3 at k_max 3).
-_ROUNDING_ULPS = 8
 
 
 def _cpx(z):
@@ -93,11 +86,10 @@ class ResidualReport:
 @dataclass(frozen=True)
 class MomentTable:
     """The Haar integrals of orders p = -k_max..k_max of f at one s value, as
-    dicts keyed by p: ``values[p]``, its quadrature estimate ``errors[p]`` and
-    ``scales[p]``, the integral of |2 e^(p u) f_-p(e^u)|, the size its rounding
-    is relative to.  ``values[k]`` is the coefficient of t^-k at infinity and
-    ``-values[-k]`` the coefficient of t^k at zero; the report lists the two
-    sides."""
+    dicts keyed by p: ``values[p]``, its floored quadrature estimate
+    ``errors[p]`` and ``scales[p]``, the integral of |2 e^(p u) f_-p(e^u)|.
+    ``values[k]`` is the coefficient of t^-k at infinity and ``-values[-k]``
+    that of t^k at zero; the report lists the two sides."""
 
     s: complex
     k_max: int
@@ -107,9 +99,7 @@ class MomentTable:
 
     @property
     def error(self):
-        """The largest entry estimate, each floored at _ROUNDING_ULPS ulps of its scale."""
-        floor = _ROUNDING_ULPS * np.finfo(float).eps
-        return max(max(self.errors[p], floor * self.scales[p]) for p in self.values)
+        return max(self.errors.values())
 
     def to_dict(self):
         return {
@@ -124,11 +114,18 @@ class MomentTable:
 # -- Haar-measure integrals -----------------------------------------------------
 
 
-def _haar_rows(panel_width, order, n_theta, u_lo=-5.2, u_hi=5.2, budget=None):
+_HAAR_WINDOW = (-5.2, 5.2)  # the Haar integrals' range of u = log r
+
+
+def _radial_nodes(panel_width, order, window=_HAAR_WINDOW):
+    return panel_nodes(uniform_edges(*window, panel_width), order)
+
+
+def _haar_rows(panel_width, order, n_theta, window=_HAAR_WINDOW, budget=None):
     """The polar grid on panels in u = log r times uniform angles, as
     (radii, xi, weights) blocks of whole radial rows, each of at most
     ``budget`` points (at least one row); one block when ``budget`` is None."""
-    u, wu = panel_nodes(uniform_edges(u_lo, u_hi, panel_width), order)
+    u, wu = _radial_nodes(panel_width, order, window)
     theta, wth = periodic_nodes(n_theta)
     phase = np.exp(1j * theta)[None, :]
     step = len(u) if budget is None else max(1, budget // n_theta)
@@ -137,8 +134,8 @@ def _haar_rows(panel_width, order, n_theta, u_lo=-5.2, u_hi=5.2, budget=None):
         yield r, r[:, None] * phase, wu[i:i + step, None] * wth
 
 
-def _haar_grid(panel_width, order, n_theta, u_lo=-5.2, u_hi=5.2):
-    ((_, xi, w),) = _haar_rows(panel_width, order, n_theta, u_lo, u_hi)
+def _haar_grid(panel_width, order, n_theta):
+    ((_, xi, w),) = _haar_rows(panel_width, order, n_theta)
     return xi, w
 
 
@@ -148,7 +145,7 @@ _HAAR_LEVELS = ((0.9, 12), (0.55, 16))  # (panel width, order) in u = log r
 def _haar_integral_once(f, powers, s, level):
     """The order-p integrals on one level and the integrals of the moduli of
     their integrands, both exact zeros when f has no angular order -p."""
-    u, w = panel_nodes(uniform_edges(-5.2, 5.2, level[0]), level[1])
+    u, w = _radial_nodes(*level)
     modes = f.modes(np.exp(u), s)
     values, scales = np.zeros(len(powers), complex), np.zeros(len(powers))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -174,18 +171,11 @@ def _check_side(side):
 
 def haar_integral(f, powers, s=0j, tol=ABS_TOL):
     """(1/2i*pi) integral of xi^p * f over the Haar measure for each p in
-    ``powers``, as (values, estimates, scales) tuples; one split of f into
+    ``powers``, as (values, estimates, scales) arrays; one split of f into
     angular orders per level.  A scale is the integral of the modulus of the
     value's radial integrand on the settled level: |value| <= scale."""
     _require_two_sided_decay(f)
-    scales = []  # those of the last level evaluated, the settled one
-
-    def values_at(level):
-        values, scales[:] = _haar_integral_once(f, powers, s, level)
-        return values
-
-    values, increments = refine(_HAAR_LEVELS, values_at, tol, 1e-8)
-    return tuple(values), tuple(increments), tuple(scales)
+    return refine(_HAAR_LEVELS, partial(_haar_integral_once, f, powers, s), tol, 1e-8)
 
 
 def moment_table(f, k_max, s=0j, tol=ABS_TOL):
@@ -245,20 +235,23 @@ _CONV_BLOCK = 2 ** 14
 
 
 def _convolution_once(f, t, s, extra_power, level):
+    """The convolution integral on one level and that of its integrand's modulus."""
     panel_w, order, n_theta, near_panels, near_order, n_phi = level
     h = 0.5 * abs(t)
-    u_lo = min(-5.2, math.log(abs(t)) - 1.5)
-    u_hi = max(5.2, math.log(2.5 * abs(t)))
+    window = (min(_HAAR_WINDOW[0], math.log(abs(t)) - 1.5),
+              max(_HAAR_WINDOW[1], math.log(2.5 * abs(t))))
     # far part: polar grid at the origin, kernel masked near xi = t; the mask
     # is exactly 1 where |xi - t| >= h, so only rows within h of |t| need it
-    parts = []
-    for r, xi, w in _haar_rows(panel_w, order, n_theta, u_lo, u_hi, _CONV_BLOCK):
+    parts, moduli = [], 0.0
+    for r, xi, w in _haar_rows(panel_w, order, n_theta, window, _CONV_BLOCK):
         vals = f(xi, s) * (t / (t - xi))
         if np.any(np.abs(r - abs(t)) < h):
             vals *= 1.0 - bump((np.abs(xi - t) / h - 0.5) * 2.0)
         if extra_power:
             vals *= xi ** extra_power
-        parts.append(csum(vals * w))
+        vals *= w
+        parts.append(csum(vals))
+        moduli += np.abs(vals).sum()
     far = (-1.0 / math.pi) * csum(parts)
     # near part: polar grid centered at t; the kernel singularity cancels
     # against the area element, leaving a smooth integrand
@@ -269,8 +262,8 @@ def _convolution_once(f, t, s, extra_power, level):
     vals_n = f(xi_n, s) * chi * np.exp(-1j * phi)[None, :] / np.abs(xi_n) ** 2
     if extra_power:
         vals_n = vals_n * xi_n ** extra_power
-    near = t / math.pi * csum(vals_n * (wr[:, None] * wp))
-    return far + near
+    vals_n *= wr[:, None] * wp
+    return far + t / math.pi * csum(vals_n), (moduli + abs(t) * np.abs(vals_n).sum()) / math.pi
 
 
 def _convolution_integral(f, t, s, extra_power, tol, rel_tol=1e-7):
@@ -284,8 +277,7 @@ def cauchy_convolve(f, t, s=0j, tol=1e-9):
     """Value of the kernel convolution (1/2i*pi) int f(xi,s)/(1-xi/t) dmu."""
     if t == 0:
         raise SingularEvaluation("the convolution kernel is centered on t != 0")
-    value, _est = _convolution_integral(f, complex(t), s, 0, tol)
-    return value
+    return _convolution_integral(f, complex(t), s, 0, tol)[0]
 
 
 def convolution_remainder(f, t, s=0j, n=0, side="infinity", tol=1e-9):
@@ -299,7 +291,7 @@ def convolution_remainder(f, t, s=0j, n=0, side="infinity", tol=1e-9):
     # the raw integral is O(1); relative accuracy carries through the
     # division by t^q, which is what the ratio checks need
     q = n + 1 if _check_side(side) == "infinity" else -n
-    value, est = _convolution_integral(f, t, s, q, tol, rel_tol=3e-6)
+    value, est, _ = _convolution_integral(f, t, s, q, tol, rel_tol=3e-6)
     return value / t ** q, est / abs(t) ** q
 
 
@@ -311,7 +303,7 @@ def _predicted_order(f, n, side, s):
     if not np.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     _require_two_sided_decay(f)
-    u, _ = panel_nodes(uniform_edges(-5.2, 5.2, _HAAR_LEVELS[0][0]), _HAAR_LEVELS[0][1])
+    u, _ = _radial_nodes(*_HAAR_LEVELS[0])
     carried = {k for k, row in f.modes(np.exp(u), s).items() if np.any(row)}
     sign = -1 if side == "infinity" else 1
     leading = [k for k in range(n + 1, n + 5) if sign * k in carried]
@@ -326,9 +318,9 @@ def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
     if n < 0:
         raise ValueError(f"remainder order n must be >= 0, got {n}")
     _check_side(side)
-    radii = tuple(sorted(float(r) for r in radii))
-    if not np.isfinite(radii).all():
-        raise ValueError(f"t must be finite, got radii {radii}")
+    radii = np.sort(tuple(radii))
+    if np.iscomplexobj(radii) or not np.isfinite(radii).all():
+        raise ValueError(f"t must be finite and real, got radii {radii.tolist()}")
     if side == "infinity" and radii[0] <= 1.0:
         raise ValueError("infinity-side radii must lie outside the unit circle")
     predicted, one_sided = _predicted_order(f, n, side, s)
@@ -467,11 +459,15 @@ def _ray_transforms(f, points, tol):
     def integrate(row, s, a, b, level):
         order, x, w, fx = level
         part = slice((a - lo) * order, (b - lo) * order)
-        return csum(fx[row, part] * x[part] ** (s - 1) * w[part])
+        integrand = fx[row, part] * x[part] ** (s - 1) * w[part]
+        return csum(integrand), np.abs(integrand).sum()
+
+    def transform(row, s, a, b):
+        return refine(levels, partial(integrate, row, s, a, b), tol, 1e-8)[:2]
 
     with np.errstate(over="ignore", invalid="ignore"):  # refine judges a non-finite sum
-        return [_caught(refine, levels, partial(integrate, row, s, *w), tol, 1e-8)
-                if isinstance(w, tuple) else w for row, (s, w) in enumerate(zip(points, windows))]
+        return [_caught(transform, row, s, *w) if isinstance(w, tuple) else w
+                for row, (s, w) in enumerate(zip(points, windows))]
 
 
 def ray_mellin(f, s, tol=ABS_TOL):

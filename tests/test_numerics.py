@@ -33,7 +33,6 @@ from mellinops import numerics
 from mellinops.numerics import (
     ABS_TOL,
     _HAAR_LEVELS,
-    _ROUNDING_ULPS,
     _cpx,
     _haar_grid,
     _haar_integral_once,
@@ -42,6 +41,7 @@ from mellinops.numerics import (
     annihilation_guard,
     stokes_checks,
 )
+from mellinops.quadrature import _ROUNDING_ULPS
 from mellinops.testfunctions import (
     BUILTIN_NAMES,
     Term,
@@ -287,6 +287,15 @@ def test_stokes_checks_fail_a_broken_identity_at_coupling_orders(name, coupling)
     assert not stokes_identity_check(broken, 2, 1.0).verdict
 
 
+def test_stokes_quad_error_is_floored_at_the_rounding_of_its_scale():
+    # the increments of these rows are 0 to 2 ulps, below the rounding the two
+    # levels share
+    f = build_builtin("modeblend")
+    table = moment_table(f, 6)
+    for k, rep in enumerate(stokes_checks(f, table)):
+        assert rep.extras["quad_error"] >= _ROUNDING_ULPS * np.finfo(float).eps * table.scales[k]
+
+
 # -- the singular convolution ---------------------------------------------------------
 
 
@@ -456,6 +465,13 @@ def test_non_finite_centers_are_usage_errors(monkeypatch, call, t):
         call(build_builtin("mode2"), t)
 
 
+def test_a_complex_radius_is_a_usage_error(monkeypatch):
+    monkeypatch.setattr(numerics, "_haar_rows", None)
+    monkeypatch.setattr(numerics, "panel_nodes", None)
+    with pytest.raises(ValueError, match=r"real, got radii \[\(10\+0j\), \(10\+1j\)\]"):
+        asymptotic_remainder_check(build_builtin("mode2"), 1, (10.0, 10 + 1j))
+
+
 def test_the_finest_convolution_level_holds_no_full_grid_arrays(monkeypatch):
     # the far grid of the finest level has 516,096 points, 8.3 MB per complex
     # array; walked in row blocks, one whole remainder stays well under that
@@ -485,9 +501,10 @@ def test_far_sum_does_not_depend_on_the_block_budget(monkeypatch, name):
              for level in (numerics._CONV_LEVELS[0], numerics._CONV_LEVELS[-1])]
     blocked = [numerics._convolution_once(f, t, 0j, q, level) for t, q, level in cases]
     monkeypatch.setattr(numerics, "_CONV_BLOCK", None)  # one block for the whole grid
-    for (t, q, level), a in zip(cases, blocked):
-        b = numerics._convolution_once(f, t, 0j, q, level)
+    for (t, q, level), (a, scale_a) in zip(cases, blocked):
+        b, scale_b = numerics._convolution_once(f, t, 0j, q, level)
         assert abs(a - b) <= 1e-14 * max(1.0, abs(a)), (t, q, level, a, b)
+        assert abs(scale_a - scale_b) <= 1e-14 * scale_a, (t, q, level, scale_a, scale_b)
 
 
 # -- commutation of the expansion map ---------------------------------------------------
@@ -705,12 +722,14 @@ def test_ray_grid_equals_the_scalar_calls_bit_for_bit(name, points):
 
 @pytest.mark.parametrize(
     "name, s, bits",
-    [  # frozen: the bits of the transform taken one s at a time, each probing f alone
-        ("gamma", 1.75, ("0x1.d68f5d0f97139p-1", "0x0.0p+0", "0x0.0p+0")),
-        ("gaussian", 2.5 + 1.5j, ("0x1.542f3ba79deb9p-2", "-0x1.ee78ee3d3f853p-6", "0x0.0p+0")),
-        ("bessel", 0.5, ("0x1.eb43de8286e12p-3", "0x0.0p+0", "0x1.0000000000000p-54")),
+    [  # frozen: the bits of the transform taken one s at a time, each probing f alone;
+       # each estimate is the floor, 8 ulps of the sum of the integrand's moduli
+        ("gamma", 1.75, ("0x1.d68f5d0f97139p-1", "0x0.0p+0", "0x1.d68f5d0f9713ap-50")),
+        ("gaussian", 2.5 + 1.5j, ("0x1.542f3ba79deb9p-2", "-0x1.ee78ee3d3f853p-6",
+                                  "0x1.d013fc47eeee3p-51")),
+        ("bessel", 0.5, ("0x1.eb43de8286e12p-3", "0x0.0p+0", "0x1.eb43de8286e12p-52")),
         ("sep-mode2", 3.25 + 1.5j,
-         ("-0x1.9341b81d49516p+0", "0x1.8a28f452c28a0p+1", "0x0.0p+0")),
+         ("-0x1.9341b81d49516p+0", "0x1.8a28f452c28a0p+1", "0x1.2b8b7df9b95f5p-47")),
     ],
 )
 def test_ray_mellin_values_are_frozen(name, s, bits):

@@ -5,30 +5,39 @@ import numpy as np
 import pytest
 
 from mellinops import QuadratureFailure
-from mellinops.quadrature import csum, gauss_legendre, panel_nodes, refine, uniform_edges
+from mellinops.quadrature import (
+    _ROUNDING_ULPS,
+    csum,
+    gauss_legendre,
+    panel_nodes,
+    refine,
+    uniform_edges,
+)
+
+EPS = np.finfo(float).eps
 
 
-def recorder(values):
-    """evaluate() over levels 0, 1, ... returning ``values``; records calls."""
+def recorder(values, scale=0.0):
+    """evaluate() over levels 0, 1, ... returning (``values``, ``scale``); records calls."""
     seen = []
 
     def evaluate(level):
         seen.append(level)
-        return values[level]
+        return values[level], scale
 
     return evaluate, seen
 
 
 def test_refine_settles_at_second_level():
     evaluate, seen = recorder([1.0, 1.0 + 1e-12, 5.0])
-    value, increment = refine(range(3), evaluate, 1e-10, 0.0)
+    value, increment, _ = refine(range(3), evaluate, 1e-10, 0.0)
     assert value == 1.0 + 1e-12 and increment == pytest.approx(1e-12)
     assert seen == [0, 1]
 
 
 def test_refine_walks_on_to_a_later_level():
     evaluate, seen = recorder([1.0, 1.5, 1.25, 1.25 + 1e-11])
-    value, increment = refine(range(4), evaluate, 1e-10, 0.0)
+    value, increment, _ = refine(range(4), evaluate, 1e-10, 0.0)
     assert value == 1.25 + 1e-11 and increment == pytest.approx(1e-11)
     assert seen == [0, 1, 2, 3]
 
@@ -36,7 +45,7 @@ def test_refine_walks_on_to_a_later_level():
 def test_refine_relative_floor():
     # an increment of 1e-3 on a value near 1e6 settles at rel_tol 1e-8
     evaluate, _ = recorder([1e6, 1e6 + 1e-3])
-    assert refine(range(2), evaluate, 1e-10, 1e-8) == (1e6 + 1e-3, pytest.approx(1e-3))
+    assert refine(range(2), evaluate, 1e-10, 1e-8)[:2] == (1e6 + 1e-3, pytest.approx(1e-3))
     evaluate, _ = recorder([1e6, 1e6 + 1e-3])
     with pytest.raises(QuadratureFailure):
         refine(range(2), evaluate, 1e-10, 1e-10)
@@ -54,7 +63,7 @@ def test_refine_arrays_walk_on_while_any_entry_is_unsettled():
     values = [np.array(row, dtype=object) for row in
               ([1.0, 2.0], [1.0, 2.5], [1.0, 2.25], [1.0, 2.25 + 1e-11])]
     evaluate, seen = recorder(values)
-    value, increment = refine(range(4), evaluate, 1e-10, 0.0)
+    value, increment, _ = refine(range(4), evaluate, 1e-10, 0.0)
     assert list(value) == [1.0, 2.25 + 1e-11]
     assert increment[0] == 0.0 and increment[1] == pytest.approx(1e-11)
     assert seen == [0, 1, 2, 3]
@@ -101,10 +110,39 @@ def test_refine_judges_a_nan_increment_whatever_errno_holds():
 
     def evaluate(level):
         libm.pow(10.0, 400.0)
-        return nan if level else 1 + 0j
+        return (nan if level else 1 + 0j), 1.0
 
     with pytest.raises(QuadratureFailure, match="increment nan is not finite"):
         refine(range(2), evaluate, 1e-10, 1e-8)
+
+
+def test_refine_floors_the_estimate_at_the_rounding_of_its_scale():
+    # an increment below 8 ulps of the scale reports the floor; the stop test
+    # reads the raw increment, so the level that settles does not move
+    evaluate, seen = recorder([1.0, 1.0 + EPS, 5.0], scale=4.0)
+    assert refine(range(3), evaluate, 1e-10, 0.0) == (1.0 + EPS, _ROUNDING_ULPS * EPS * 4.0, 4.0)
+    assert seen == [0, 1]
+
+
+def test_refine_floors_an_array_estimate_entry_by_entry():
+    scale = np.array([2.0, 1.0])
+    evaluate, _ = recorder([np.array([1.0, 3.0]), np.array([1.0, 3.0 + 1e-12])], scale)
+    _, estimate, settled_scale = refine(range(2), evaluate, 1e-10, 0.0)
+    assert estimate[0] == _ROUNDING_ULPS * EPS * 2.0  # a zero increment lifted to its floor
+    assert estimate[1] == abs((3.0 + 1e-12) - 3.0)  # an increment above its floor kept
+    assert settled_scale is scale
+
+
+def test_refine_settles_a_level_whose_floor_exceeds_the_tolerance():
+    evaluate, seen = recorder([1.0, 1.0, 2.0], scale=1e10)
+    value, estimate, _ = refine(range(3), evaluate, 1e-10, 0.0)
+    assert value == 1.0 and estimate == _ROUNDING_ULPS * EPS * 1e10 > 1e-10
+    assert seen == [0, 1]
+
+
+def test_refine_with_a_zero_scale_reports_the_increment():
+    evaluate, _ = recorder([1j, 1j + 3e-11])
+    assert refine(range(2), evaluate, 1e-10, 0.0)[1] == abs((1j + 3e-11) - 1j)
 
 
 @pytest.mark.parametrize(
