@@ -15,6 +15,11 @@ Conventions fixed here once:
   the point xi = t is covered by a smooth partition of unity and a locally
   polar grid centered at t, on which the 1/|xi - t| singularity cancels
   against the area element.
+* The convolution's far field reads f through its angular split
+  (``TestFunction.modes``): on the polar grid at the origin, f(xi) xi^q is the
+  sum over k of f_k(r) r^q e^(i(k+q) theta), a product of a radial and an
+  angular table, so f itself is evaluated only on the near field's grid.  A
+  function with an exp(P(t)) factor has no such split: QuadratureFailure.
 * The ray transform is integral over (0, inf) of f(t) t^(s-1) dt on dyadic
   panels 2^a..2^b, each s on its own window, certified and chosen from
   probes of f at t = 2^k.  A whole s grid takes one probe and one evaluation
@@ -121,22 +126,21 @@ def _radial_nodes(panel_width, order, window=_HAAR_WINDOW):
     return panel_nodes(uniform_edges(*window, panel_width), order)
 
 
-def _haar_rows(panel_width, order, n_theta, window=_HAAR_WINDOW, budget=None):
-    """The polar grid on panels in u = log r times uniform angles, as
-    (radii, xi, weights) blocks of whole radial rows, each of at most
-    ``budget`` points (at least one row); one block when ``budget`` is None."""
-    u, wu = _radial_nodes(panel_width, order, window)
-    theta, wth = periodic_nodes(n_theta)
-    phase = np.exp(1j * theta)[None, :]
-    step = len(u) if budget is None else max(1, budget // n_theta)
-    for i in range(0, len(u), step):
-        r = np.exp(u[i:i + step])
-        yield r, r[:, None] * phase, wu[i:i + step, None] * wth
-
-
 def _haar_grid(panel_width, order, n_theta):
-    ((_, xi, w),) = _haar_rows(panel_width, order, n_theta)
-    return xi, w
+    """The polar grid on panels in u = log r times uniform angles, as (xi, weights)."""
+    u, wu = _radial_nodes(panel_width, order)
+    theta, wth = periodic_nodes(n_theta)
+    return np.exp(u)[:, None] * np.exp(1j * theta), wu[:, None] * wth
+
+
+def _angular_split(f, r, theta, s, q):
+    """f(xi, s) * xi^q on the polar grid xi = r e^(i theta), as a function of a
+    slice of its rows: the sum over f's angular orders k of f_k(r) r^q e^(i(k+q)
+    theta), one product of an (orders x radii) and an (orders x angles) table."""
+    modes = f.modes(r, s)
+    radial = np.array([f_k * r ** q for f_k in modes.values()], complex).reshape(len(modes), len(r))
+    phases = np.exp(1j * np.multiply.outer(np.add(list(modes), q), theta))
+    return lambda rows: radial[:, rows].T @ phases
 
 
 _HAAR_LEVELS = ((0.9, 12), (0.55, 16))  # (panel width, order) in u = log r
@@ -234,25 +238,37 @@ _CONV_LEVELS = (
 _CONV_BLOCK = 2 ** 14
 
 
-def _convolution_once(f, t, s, extra_power, level):
-    """The convolution integral on one level and that of its integrand's modulus."""
-    panel_w, order, n_theta, near_panels, near_order, n_phi = level
+def _far_field(f, t, s, q, panel_w, order, n_theta):
+    """The far part of the integral and the sum of its terms' moduli, on the
+    polar grid at the origin.  The kernel's mask is exactly 1 where
+    |xi - t| >= h, so only rows within h of |t| need it."""
     h = 0.5 * abs(t)
     window = (min(_HAAR_WINDOW[0], math.log(abs(t)) - 1.5),
               max(_HAAR_WINDOW[1], math.log(2.5 * abs(t))))
-    # far part: polar grid at the origin, kernel masked near xi = t; the mask
-    # is exactly 1 where |xi - t| >= h, so only rows within h of |t| need it
+    u, wu = _radial_nodes(panel_w, order, window)
+    r = np.exp(u)
+    theta, wth = periodic_nodes(n_theta)
+    f_xi_q = _angular_split(f, r, theta, s, q)
+    phase = np.exp(1j * theta)
+    step = len(r) if _CONV_BLOCK is None else max(1, _CONV_BLOCK // n_theta)
     parts, moduli = [], 0.0
-    for r, xi, w in _haar_rows(panel_w, order, n_theta, window, _CONV_BLOCK):
-        vals = f(xi, s) * (t / (t - xi))
-        if np.any(np.abs(r - abs(t)) < h):
+    for i in range(0, len(r), step):
+        rows = slice(i, i + step)
+        xi = r[rows, None] * phase
+        vals = f_xi_q(rows) * (t / (t - xi))
+        if np.any(np.abs(r[rows] - abs(t)) < h):
             vals *= 1.0 - bump((np.abs(xi - t) / h - 0.5) * 2.0)
-        if extra_power:
-            vals *= xi ** extra_power
-        vals *= w
+        vals *= wu[rows, None] * wth
         parts.append(csum(vals))
         moduli += np.abs(vals).sum()
-    far = (-1.0 / math.pi) * csum(parts)
+    return (-1.0 / math.pi) * csum(parts), moduli
+
+
+def _convolution_once(f, t, s, extra_power, level):
+    """The convolution integral on one level and that of its integrand's modulus."""
+    panel_w, order, n_theta, near_panels, near_order, n_phi = level
+    far, moduli = _far_field(f, t, s, extra_power, panel_w, order, n_theta)
+    h = 0.5 * abs(t)
     # near part: polar grid centered at t; the kernel singularity cancels
     # against the area element, leaving a smooth integrand
     rho, wr = panel_nodes(np.linspace(0.0, h, near_panels + 1), near_order)
@@ -401,26 +417,27 @@ def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
 _RAY_PROBES = np.arange(-84.0, 85.0)  # the window's dyadic probes are t = 2^k
 
 
-def _ray_window(f, probed, re_s, tol):
-    """Window on the ray from the dyadic probes, given |f| on them.  An active
-    end probe needs the mass beyond it, w_end / a at the rate
-    a = log2(w_inner / w_end) per doubling, to be at most ``tol``; a non-finite
-    probe has no certificate.  Returns the exponents (a, b) of the panel edges
+def _ray_windows(f, probed, re_s, tol):
+    """Windows on the ray from the dyadic probes, given |f| on them, one per
+    real part in ``re_s``.  An active end probe needs the mass beyond it,
+    w_end / a at the rate a = log2(w_inner / w_end) per doubling, to be at most
+    ``tol``; a non-finite probe has no certificate, and the point gets its
+    QuadratureFailure.  A window is the exponents (a, b) of the panel edges
     2^a..2^b: two doublings past the outer active probes and always reaching
-    1, or the empty window (0, 0) when no probe is active."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.where(probed == 0, 0.0, probed * np.exp2(_RAY_PROBES) ** re_s)
+    1, or (0, 0) when no probe is active."""
     threshold = tol * 1e-4
-    certified = bool(np.all(np.isfinite(weight)))
-    for w_end, w_inner in (weight[:2], weight[:-3:-1]):  # (end, next inner) probes
-        if certified and w_end > threshold:
-            certified = w_inner > w_end and w_end / math.log2(w_inner / w_end) <= tol
-    if not certified:
-        raise QuadratureFailure(f"{f.name}: no ray-decay certificate at Re s = {re_s:g}")
-    active = _RAY_PROBES[weight > threshold]
-    if active.size == 0:
-        return 0, 0
-    return int(active[0]) - 2, max(int(active[-1]) + 2, 0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weight = np.where(probed == 0, 0.0, probed * np.exp2(_RAY_PROBES) ** re_s[:, None])
+        certified = np.isfinite(weight).all(axis=1)
+        for w_end, w_inner in ((weight[:, 0], weight[:, 1]), (weight[:, -1], weight[:, -2])):
+            decays = (w_inner > w_end) & (w_end / np.log2(w_inner / w_end) <= tol)
+            certified &= (w_end <= threshold) | decays
+    active = weight > threshold
+    starts = _RAY_PROBES[active.argmax(axis=1)] - 2
+    ends = np.maximum(_RAY_PROBES[-1 - active[:, ::-1].argmax(axis=1)] + 2, 0)
+    return [QuadratureFailure(f"{f.name}: no ray-decay certificate at Re s = {x:g}") if not ok
+            else (int(a), int(b)) if any_ else (0, 0)
+            for x, ok, any_, a, b in zip(re_s.tolist(), certified, active.any(axis=1), starts, ends)]
 
 
 def _caught(call, *args):
@@ -445,7 +462,7 @@ def _ray_transforms(f, points, tol):
     each s sums over its own window's panels, so the other points do not
     change its result."""
     probed = np.abs(f(np.exp2(_RAY_PROBES).astype(complex), 0j))
-    windows = [_caught(_ray_window, f, probed, s.real, tol) for s in points]
+    windows = _ray_windows(f, probed, np.real(points), tol)
     spans = [w for w in windows if isinstance(w, tuple)]
     lo = min((a for a, _ in spans), default=0)
     edges = np.exp2(np.arange(lo, max((b for _, b in spans), default=0) + 1.0))

@@ -459,14 +459,14 @@ def test_convolution_requires_two_sided_decay():
 def test_non_finite_centers_are_usage_errors(monkeypatch, call, t):
     # bad input (exit 7), not a quadrature failure (exit 6) or an OverflowError;
     # with the grid builders gone, a check after the first grid would not raise it
-    monkeypatch.setattr(numerics, "_haar_rows", None)
+    monkeypatch.setattr(numerics, "periodic_nodes", None)
     monkeypatch.setattr(numerics, "panel_nodes", None)
     with pytest.raises(ValueError, match="t must be finite"):
         call(build_builtin("mode2"), t)
 
 
 def test_a_complex_radius_is_a_usage_error(monkeypatch):
-    monkeypatch.setattr(numerics, "_haar_rows", None)
+    monkeypatch.setattr(numerics, "periodic_nodes", None)
     monkeypatch.setattr(numerics, "panel_nodes", None)
     with pytest.raises(ValueError, match=r"real, got radii \[\(10\+0j\), \(10\+1j\)\]"):
         asymptotic_remainder_check(build_builtin("mode2"), 1, (10.0, 10 + 1j))
@@ -505,6 +505,42 @@ def test_far_sum_does_not_depend_on_the_block_budget(monkeypatch, name):
         b, scale_b = numerics._convolution_once(f, t, 0j, q, level)
         assert abs(a - b) <= 1e-14 * max(1.0, abs(a)), (t, q, level, a, b)
         assert abs(scale_a - scale_b) <= 1e-14 * scale_a, (t, q, level, scale_a, scale_b)
+
+
+@pytest.mark.parametrize("name", HAAR_BUILTINS)
+def test_the_far_field_equals_f_evaluated_on_its_grid(monkeypatch, name):
+    # reference: f(xi, s) * xi^q evaluated on the same 2-D rows; the kernel,
+    # the mask, the weights and the near field are shared, so the two differ
+    # only in how f xi^q is read.  The far field calls f on no grid: the one
+    # call per level is the near field's
+    f, s, level = build_builtin(name), 0.75 + 0.25j, numerics._CONV_LEVELS[0]
+    cases = [(complex(t), q) for t in (10, 40, 0.1, 3 + 1j) for q in (0, 3, -2)]
+    shapes, call = [], TestFunction.__call__
+    monkeypatch.setattr(TestFunction, "__call__",
+                        lambda g, t, s=0j: shapes.append(np.shape(t)) or call(g, t, s))
+    split = [numerics._convolution_once(f, t, s, q, level) for t, q in cases]
+    assert shapes == [(level[3] * level[4], level[5])] * len(cases)
+
+    def direct(f, r, theta, s, q):
+        def values(rows):
+            xi = r[rows, None] * np.exp(1j * theta)
+            return f(xi, s) * xi ** q
+        return values
+
+    monkeypatch.setattr(numerics, "_angular_split", direct)
+    for (t, q), (a, scale_a) in zip(cases, split):
+        b, scale_b = numerics._convolution_once(f, t, s, q, level)
+        assert abs(a - b) <= 1e-14 * scale_a, (t, q, a, b)
+        assert abs(scale_a - scale_b) <= 1e-14 * scale_a, (t, q, scale_a, scale_b)
+
+
+def test_the_convolution_refuses_a_function_without_an_angular_split():
+    # Q(r) certifies decay on both sides, but exp(P(t)) has no angular split
+    f = TestFunction((Term(exp_t=((1, -1 + 0j),), exp_r=((-1, -1.0), (1, -1.0))),), "ray-bessel")
+    assert all(f.decay())
+    for call in (lambda: convolution_remainder(f, 10.0, n=1), lambda: cauchy_convolve(f, 10.0)):
+        with pytest.raises(QuadratureFailure, match="ray-bessel: exp\\(P\\(t\\)\\) has no angular split"):
+            call()
 
 
 # -- commutation of the expansion map ---------------------------------------------------
