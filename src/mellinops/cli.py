@@ -15,8 +15,8 @@ Exit codes are part of the contract:
     7  usage or configuration error (malformed argument, bad config key or value,
        unreadable config file, unwritable output path, negative order, a
        non-finite ``moments --s``; for ``expand``, a function that is not a
-       family, a bad radius, a non-finite ``--T0``, or an ``alpha_max`` whose
-       coefficients overflow at that radius)
+       family, a bad radius, a non-finite ``--T0``, an ``alpha_max`` whose
+       coefficients overflow at that radius, or one of 256 or more)
 
 Run configuration: RunConfig's defaults (``function``: gamma for verify, mode2
 for moments, geometric for expand), then the optional key=value file

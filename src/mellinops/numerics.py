@@ -24,6 +24,8 @@ Conventions fixed here once:
   panels 2^a..2^b, each s on its own window, certified and chosen from
   probes of f at t = 2^k.  A whole s grid takes one probe and one evaluation
   of f per refinement level, on the union of its windows.
+* The disc expansion evaluates its family once per circle: on the 256-node
+  ring, on the 16-point reconstruction circle, and (dfdt) on the ring again.
 
 Every integral is summed by :func:`quadrature.csum` in a fixed order;
 identical configurations give identical results.
@@ -124,13 +126,6 @@ _HAAR_WINDOW = (-5.2, 5.2)  # the Haar integrals' range of u = log r
 
 def _radial_nodes(panel_width, order, window=_HAAR_WINDOW):
     return panel_nodes(uniform_edges(*window, panel_width), order)
-
-
-def _haar_grid(panel_width, order, n_theta):
-    """The polar grid on panels in u = log r times uniform angles, as (xi, weights)."""
-    u, wu = _radial_nodes(panel_width, order)
-    theta, wth = periodic_nodes(n_theta)
-    return np.exp(u)[:, None] * np.exp(1j * theta), wu[:, None] * wth
 
 
 def _angular_split(f, r, theta, s, q):
@@ -250,7 +245,7 @@ def _far_field(f, t, s, q, panel_w, order, n_theta):
     theta, wth = periodic_nodes(n_theta)
     f_xi_q = _angular_split(f, r, theta, s, q)
     phase = np.exp(1j * theta)
-    step = len(r) if _CONV_BLOCK is None else max(1, _CONV_BLOCK // n_theta)
+    step = max(1, _CONV_BLOCK // n_theta)
     parts, moduli = [], 0.0
     for i in range(0, len(r), step):
         rows = slice(i, i + step)
@@ -533,16 +528,18 @@ def verify_commutation(P, f, s_grid, tol=1e-8, quad_tol=ABS_TOL):
     same tolerance."""
     if P.is_zero():
         raise ValueError("the zero operator annihilates every function; there is nothing to verify")
+    grid = tuple(complex(s) for s in s_grid)
+    if not np.isfinite(grid).all():
+        raise ValueError(f"grid points must be finite, got {grid}")
     annihilation_guard(P, f)
     Q = mellin_op(P)
-    grid = tuple(complex(s) for s in s_grid)
     closed_form = _CLOSED_FORMS.get(f.terms) if all(s.imag == 0 for s in grid) else None
     shifts = [c[0] for _, _, c, _ in Q.terms]
     points = tuple(dict.fromkeys(s + c for s in grid for c in shifts))  # in first-use order
     transforms = dict(zip(points, _ray_transforms(f, points, quad_tol)))
 
-    def F(z):  # a NaN point equals no key
-        return (_settled(transforms[z]) if z in transforms else ray_mellin(f, z, quad_tol))[0]
+    def F(z):
+        return _settled(transforms[z])[0]
 
     residuals = []
     relative = []
@@ -625,7 +622,8 @@ def parameter_expansion(
     The uniform circle rule is spectrally accurate here; coefficients obey
     the circle bound sup_t |u_alpha| <= sup_circle |f2| / radius^alpha, the
     partial sums of ||u_alpha|| (R/2)^alpha converge, and the truncated
-    series reconstructs f2 on the half-radius circle.
+    series reconstructs f2 on the half-radius circle.  f2 (and ``dfdt``) is
+    called once per circle, t as a row and T as a column; orders >= 256 alias.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
@@ -648,15 +646,17 @@ def parameter_expansion(
     ring = center + radius * np.exp(1j * phis)
 
     def evaluate(g, T):
+        """g(ts, T) with a row per T; EvaluationFailure names the first non-finite row's T."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = np.asarray(g(ts, T), dtype=complex)
-        if not np.all(np.isfinite(values)):
-            raise EvaluationFailure(f"disc function is not finite at T = {complex(T):.6g}")
+            values = np.broadcast_to(np.asarray(g(ts, T[:, None]), complex), (len(T), len(ts)))
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise EvaluationFailure(f"disc function is not finite at T = {complex(T[bad[0]]):.6g}")
         return values
 
     def disc_coefficients(g):
         """Samples of g(ts, .) on the ring and their coefficients u_0..u_alpha_max."""
-        samples = np.array([evaluate(g, xi) for xi in ring])
+        samples = evaluate(g, ring)
         coeffs = []
         with np.errstate(over="ignore", invalid="ignore"):
             for alpha in range(alpha_max + 1):
@@ -667,6 +667,8 @@ def parameter_expansion(
         return samples, tuple(coeffs)
 
     samples, coeffs = disc_coefficients(f2)
+    if alpha_max >= _DISC_NODES:
+        raise ValueError(f"alpha_max={alpha_max} aliases on the {_DISC_NODES}-node circle")
     sup_circle = float(np.max(np.abs(samples)))
 
     sup_alpha = [max(abs(v) for v in row) for row in coeffs]
@@ -679,16 +681,10 @@ def parameter_expansion(
     rho = radius / 2.0
     sums = tuple(accumulate(sup_alpha[a] * rho ** a for a in range(alpha_max + 1)))
 
-    # reconstruction on the half-radius circle
-    recon_phis, _ = periodic_nodes(16)
-    worst = 0.0
-    for psi in recon_phis:
-        T = center + rho * np.exp(1j * psi)
-        series = np.zeros_like(ts)
-        for a in range(alpha_max, -1, -1):
-            series = series * (T - center) + np.asarray(coeffs[a])
-        exact = evaluate(f2, T)
-        worst = max(worst, float(np.max(np.abs(series - exact))))
+    # reconstruction on the half-radius circle, by Horner's rule at all 16 nodes
+    recon = center + rho * np.exp(1j * periodic_nodes(16)[0])
+    series = np.polyval(np.array(coeffs[::-1]), (recon - center)[:, None])
+    worst = float(np.max(np.abs(series - evaluate(f2, recon))))
     recon_rel = worst / max(sup_circle, 1e-300)
 
     deriv = None if dfdt is None else disc_coefficients(dfdt)[1]

@@ -538,5 +538,12 @@ def test_overflowing_windows_and_orders_exit_with_a_named_cause(capsys, argv, co
 
 
 def test_expand_high_order_within_float_range_passes():
-    code, out = run(["expand", "--alpha-max", "1000"])
+    code, out = run(["expand", "--alpha-max", "255"])
     assert code == 0 and "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("alpha_max", [256, 1000])
+def test_expand_orders_that_alias_on_the_circle_are_usage_errors(capsys, alpha_max):
+    # order alpha reads the same 256 ring samples as order alpha - 256
+    assert run(["expand", "--alpha-max", str(alpha_max)]) == (EXIT_USAGE, "")
+    assert f"alpha_max={alpha_max} aliases on the 256-node circle" in capsys.readouterr().err

@@ -34,14 +34,14 @@ from mellinops.numerics import (
     ABS_TOL,
     _HAAR_LEVELS,
     _cpx,
-    _haar_grid,
     _haar_integral_once,
     _predicted_order,
+    _radial_nodes,
     _ray_transforms,
     annihilation_guard,
     stokes_checks,
 )
-from mellinops.quadrature import _ROUNDING_ULPS
+from mellinops.quadrature import _ROUNDING_ULPS, periodic_nodes
 from mellinops.testfunctions import (
     BUILTIN_NAMES,
     Term,
@@ -127,6 +127,13 @@ def test_moment_error_estimate_covers_the_closed_form(name):
         for k, want in enumerate(exact):
             value = table.values[k]
             assert abs(value - want) <= table.error, (k_max, k, value, want)
+
+
+def _haar_grid(panel_width, order, n_theta):
+    """The polar grid on the Haar panels in u = log r times uniform angles, as (xi, weights)."""
+    u, wu = _radial_nodes(panel_width, order)
+    theta, wth = periodic_nodes(n_theta)
+    return np.exp(u)[:, None] * np.exp(1j * theta), wu[:, None] * wth
 
 
 @pytest.mark.parametrize("name, s", [("modeblend", 0.5), ("sep-modeblend", 1.0 + 0.25j)])
@@ -500,7 +507,7 @@ def test_far_sum_does_not_depend_on_the_block_budget(monkeypatch, name):
     cases = [(complex(t), q, level) for t in (10, 40, 0.1, 3 + 1j) for q in (0, 3, -2)
              for level in (numerics._CONV_LEVELS[0], numerics._CONV_LEVELS[-1])]
     blocked = [numerics._convolution_once(f, t, 0j, q, level) for t, q, level in cases]
-    monkeypatch.setattr(numerics, "_CONV_BLOCK", None)  # one block for the whole grid
+    monkeypatch.setattr(numerics, "_CONV_BLOCK", 2 ** 30)  # one block for the whole grid
     for (t, q, level), (a, scale_a) in zip(cases, blocked):
         b, scale_b = numerics._convolution_once(f, t, 0j, q, level)
         assert abs(a - b) <= 1e-14 * max(1.0, abs(a)), (t, q, level, a, b)
@@ -807,6 +814,13 @@ def test_verify_evaluates_f_once_per_level(monkeypatch):
     assert sum(calls) == 3
 
 
+@pytest.mark.parametrize("point", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_verify_rejects_a_non_finite_grid_point_before_any_transform(monkeypatch, point):
+    monkeypatch.setattr(numerics, "_ray_transforms", None)
+    with pytest.raises(ValueError, match="grid points must be finite"):
+        verify_commutation(parse("th + t"), build_builtin("gamma"), (1.0, point, 2.0))
+
+
 def test_verify_commutation_guard_failure():
     with pytest.raises(PreconditionFailed):
         verify_commutation(parse("th + t"), build_builtin("gaussian"), GRID)
@@ -830,6 +844,66 @@ def geometric(t, T):
 
 def linear(t, T):
     return np.exp(-np.asarray(t, dtype=complex)) * T
+
+
+def power2(t, T):
+    return np.asarray(t, dtype=complex) ** 2 / (1.0 - T)
+
+
+def dpower2(t, T):
+    return 2.0 * np.asarray(t, dtype=complex) / (1.0 - T)
+
+
+def _bit_rows(rows):
+    return [[(z.real.hex(), z.imag.hex()) for z in row] for row in rows]
+
+
+def _expansion_node_by_node(f2, center, radius, alpha_max, t_grid, dfdt):
+    """Reference: the coefficient rows, the sup on the ring, the relative
+    reconstruction residual and the dfdt rows, f2 called at one scalar T per node."""
+    ts = np.asarray(t_grid, dtype=complex)
+    phis, _ = periodic_nodes(256)
+    ring = center + radius * np.exp(1j * phis)
+
+    def coefficients(g):
+        samples = np.array([np.asarray(g(ts, T), dtype=complex) for T in ring])
+        rows = []
+        for a in range(alpha_max + 1):
+            w = np.exp(-1j * a * phis) / (256 * radius ** a)
+            rows.append(tuple(complex(z) for z in (w[:, None] * samples).sum(axis=0)))
+        return samples, rows
+
+    samples, rows = coefficients(f2)
+    sup, worst, rho = float(np.max(np.abs(samples))), 0.0, radius / 2.0
+    for psi in periodic_nodes(16)[0]:
+        T = center + rho * np.exp(1j * psi)
+        series = np.zeros_like(ts)
+        for a in range(alpha_max, -1, -1):
+            series = series * (T - center) + np.asarray(rows[a])
+        worst = max(worst, float(np.max(np.abs(series - np.asarray(f2(ts, T), dtype=complex)))))
+    return rows, sup, worst / sup, dfdt and coefficients(dfdt)[1]
+
+
+@pytest.mark.parametrize(
+    "f2, dfdt, center, radius",
+    [(f2, None, center, radius) for f2 in (geometric, linear, power2)
+     for center in (0j, 0.1 - 0.2j) for radius in (0.3, 0.5)]
+    + [(power2, dpower2, 0.1 - 0.2j, 0.5)],
+)
+def test_expansion_evaluates_each_circle_once_bit_for_bit(f2, dfdt, center, radius):
+    # one call of f2 per circle (ring, then the reconstruction circle) and one
+    # of dfdt on the ring, each with T as a column; every bit as node by node
+    shapes = []
+
+    def counted(g):
+        return lambda t, T: shapes.append(np.shape(T)) or g(t, T)
+
+    res = parameter_expansion(counted(f2), center, radius, 20, dfdt=dfdt and counted(dfdt))
+    assert shapes == [(256, 1), (16, 1)] + [(256, 1)] * (dfdt is not None)
+    rows, sup, recon, deriv = _expansion_node_by_node(f2, center, radius, 20, res.t_grid, dfdt)
+    assert _bit_rows(res.coefficients) == _bit_rows(rows)
+    assert (res.sup_on_circle, res.reconstruction_residual) == (sup, recon)
+    assert _bit_rows(res.derivative_coefficients or ()) == _bit_rows(deriv or ())
 
 
 def test_expansion_linear_family():

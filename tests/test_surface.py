@@ -1,5 +1,5 @@
-"""The library surface: the exported names, each reached by a caller, and no
-import a module leaves unused."""
+"""The library surface: the exported names, each reached by a caller, every
+private definition read by the package, and no import a module leaves unused."""
 
 import ast
 import importlib.util
@@ -87,6 +87,32 @@ def test_every_exported_name_has_a_caller():
     callers += [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
     reached = references(callers)
     assert sorted(set(mellinops.__all__) - reached) == []
+
+
+def private_definitions(tree):
+    """The private names a module defines at its top level: functions, classes and constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_definition_has_a_caller():
+    # a private name is read by the package or it is code with no caller
+    paths = sorted(SRC.glob("*.py"))
+    defined = {name for path in paths
+               for name in private_definitions(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(defined - references(paths)) == []
+
+
+def test_private_definitions_are_found():
+    text = "_A = 1\n_b: int = 2\nC = 3\n__all__ = []\ndef _f():\n    _x = 1\nclass _K:\n    pass\n"
+    tree = ast.parse(text)
+    assert private_definitions(tree) == ["_A", "_b", "_f", "_K"]
 
 
 def test_a_definition_does_not_reach_itself(tmp_path):

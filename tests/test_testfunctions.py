@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mellinops import MixedAlgebra, SFactor, TestFunction, build_builtin, parse
-from mellinops.numerics import _CONV_LEVELS, _HAAR_LEVELS, _RAY_PROBES, _haar_grid
+from mellinops.numerics import _CONV_LEVELS, _HAAR_LEVELS, _RAY_PROBES, _radial_nodes
 from mellinops.quadrature import panel_nodes, periodic_nodes
 from mellinops.testfunctions import BUILTIN_NAMES, Term, apply_operator_terms, envelope_mode
 
@@ -149,6 +149,13 @@ def term_values(f, t, s=0j):
                 val = val * np.exp(expo)
             values.append(val)
     return values
+
+
+def _haar_grid(panel_width, order, n_theta):
+    """The polar grid on the Haar panels in u = log r times uniform angles, as (xi, weights)."""
+    u, wu = _radial_nodes(panel_width, order)
+    theta, wth = periodic_nodes(n_theta)
+    return np.exp(u)[:, None] * np.exp(1j * theta), wu[:, None] * wth
 
 
 def _near_grid(t, level):
