@@ -30,8 +30,8 @@ all of it.  ``verify`` reads the grid, function, quad_tol and check_tol.
 ``moments`` reads function, grid_imag and quad_tol (for its moment tables);
 it judges Stokes and commutation rows at a fixed 1e-6 and observed tail
 orders against a fixed band of 0.5, and its remainder check ignores quad_tol
-(the convolution targets a fixed 1e-9).  ``expand`` reads function and
-check_tol and ignores quad_tol.  ``koszul`` reads only n_max.
+(the convolution settles at a fixed 1e-9 or 3e-6 relative).  ``expand`` reads
+function and check_tol and ignores quad_tol.  ``koszul`` reads only n_max.
 """
 
 from __future__ import annotations

@@ -246,7 +246,7 @@ def koszul_reduce(i_set, j_set, n_max, n_samples=2):
             kernel_ok &= all(
                 poly.is_zero() for poly in shift_cycle(k, var).interior_terms(var).values()
             )
-            kernel_ok &= k.slice_at(var, 1) == TailSeries(arity, (), {(): phi})
+            kernel_ok &= k.coefficient(1) == phi
         steps.append({
             "variable": var,
             "kind": "zero",

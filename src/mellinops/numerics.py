@@ -14,7 +14,9 @@ Conventions fixed here once:
 * The singular convolution kernel 1/(1 - xi/t) is integrable in the plane;
   the point xi = t is covered by a smooth partition of unity and a locally
   polar grid centered at t, on which the 1/|xi - t| singularity cancels
-  against the area element.
+  against the area element.  ``convolution_remainder`` is its one entry point
+  (``cauchy_convolve`` is the zero-side tail after no terms, q = 0), settling
+  at one target, ``_CONV_TARGET``: 1e-9 absolute or 3e-6 relative.
 * The convolution's far field reads f through its angular split
   (``TestFunction.modes``): on the polar grid at the origin, f(xi) xi^q is the
   sum over k of f_k(r) r^q e^(i(k+q) theta), a product of a radial and an
@@ -225,6 +227,7 @@ _CONV_LEVELS = (
     (0.3, 20, 288, 16, 16, 160),
     (0.22, 24, 448, 20, 18, 224),
 )
+_CONV_TARGET = (1e-9, 3e-6)  # (absolute, relative) settling target of every convolution
 
 
 # Far-grid points per block of radial rows: the far sum runs block by block in
@@ -277,32 +280,27 @@ def _convolution_once(f, t, s, extra_power, level):
     return far + t / math.pi * csum(vals_n), (moduli + abs(t) * np.abs(vals_n).sum()) / math.pi
 
 
-def _convolution_integral(f, t, s, extra_power, tol, rel_tol=1e-7):
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    _require_two_sided_decay(f)
-    return refine(_CONV_LEVELS, partial(_convolution_once, f, t, s, extra_power), tol, rel_tol)
+def cauchy_convolve(f, t, s=0j):
+    """Value of the kernel convolution (1/2i*pi) int f(xi,s)/(1-xi/t) dmu: the
+    zero-side tail after no terms (q = 0) of :func:`convolution_remainder`."""
+    return convolution_remainder(f, t, s, 0, "zero")[0]
 
 
-def cauchy_convolve(f, t, s=0j, tol=1e-9):
-    """Value of the kernel convolution (1/2i*pi) int f(xi,s)/(1-xi/t) dmu."""
-    if t == 0:
-        raise SingularEvaluation("the convolution kernel is centered on t != 0")
-    return _convolution_integral(f, complex(t), s, 0, tol)[0]
-
-
-def convolution_remainder(f, t, s=0j, n=0, side="infinity", tol=1e-9):
+def convolution_remainder(f, t, s=0j, n=0, side="infinity"):
     """Exact tail after n expansion terms, as a single well-conditioned
     integral t^-q (1/2i*pi) int xi^q f / (1 - xi/t) dmu with q = n + 1 at
     infinity and q = -n at zero (there xi/(xi - t) = -(xi/t)/(1 - xi/t)
     turns the zero-side kernel into the same one, one power up)."""
     t = complex(t)
     if t == 0:
-        raise SingularEvaluation("remainders are evaluated away from 0")
+        raise SingularEvaluation("the convolution kernel is centered on t != 0")
+    q = n + 1 if _check_side(side) == "infinity" else -n
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    _require_two_sided_decay(f)
     # the raw integral is O(1); relative accuracy carries through the
     # division by t^q, which is what the ratio checks need
-    q = n + 1 if _check_side(side) == "infinity" else -n
-    value, est, _ = _convolution_integral(f, t, s, q, tol, rel_tol=3e-6)
+    value, est, _ = refine(_CONV_LEVELS, partial(_convolution_once, f, t, s, q), *_CONV_TARGET)
     return value / t ** q, est / abs(t) ** q
 
 
@@ -321,7 +319,7 @@ def _predicted_order(f, n, side, s):
     return (leading[0], False) if leading else (n + 5, True)
 
 
-def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
+def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j):
     """Verify that tails after n terms scale like radius^-m across consecutive
     radius doublings, within half an order.  m is the first order k in
     n+1..n+4 whose moment on that side f carries (see :func:`_predicted_order`);
@@ -332,13 +330,15 @@ def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j, tol=1e-9):
     radii = np.sort(tuple(radii))
     if np.iscomplexobj(radii) or not np.isfinite(radii).all():
         raise ValueError(f"t must be finite and real, got radii {radii.tolist()}")
+    if radii.size < 2 or radii[0] <= 0 or not np.all(np.diff(radii)):
+        raise ValueError(f"an order needs two or more distinct positive radii, got {radii.tolist()}")
     if side == "infinity" and radii[0] <= 1.0:
         raise ValueError("infinity-side radii must lie outside the unit circle")
     predicted, one_sided = _predicted_order(f, n, side, s)
     rems = []
     for r in radii:
         t = r if side == "infinity" else 1.0 / r
-        value, _ = convolution_remainder(f, t, s, n, side, tol)
+        value, _ = convolution_remainder(f, t, s, n, side)
         rems.append(abs(value))
     ratios, observed, offsets = [], [], []
     for lo, hi, a, b in zip(radii[:-1], radii[1:], rems[:-1], rems[1:]):
@@ -529,6 +529,8 @@ def verify_commutation(P, f, s_grid, tol=1e-8, quad_tol=ABS_TOL):
     if P.is_zero():
         raise ValueError("the zero operator annihilates every function; there is nothing to verify")
     grid = tuple(complex(s) for s in s_grid)
+    if not grid:
+        raise ValueError("the grid has no points; there is nothing to verify")
     if not np.isfinite(grid).all():
         raise ValueError(f"grid points must be finite, got {grid}")
     annihilation_guard(P, f)

@@ -187,16 +187,6 @@ class TailSeries(SparseSum):
         self._check(other)
         return self.interior_terms(var) == other.interior_terms(var)
 
-    def slice_at(self, var, n):
-        """Drop an axis by restricting its stored index to n."""
-        pos, axis = self.axis_for(var)
-        rest = self.axes[:pos] + self.axes[pos + 1 :]
-        terms = {}
-        for idx, poly in self.terms.items():
-            if idx[pos] == n:
-                terms[idx[:pos] + idx[pos + 1 :]] = poly
-        return TailSeries(self.coeff_arity, rest)._like(terms)
-
 
 def shift_cycle(series, var):
     """The difference operator tau_j t_j^-1 - 1 in the twisted action.

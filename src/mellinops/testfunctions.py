@@ -168,8 +168,8 @@ class TestFunction:
 
     def __call__(self, t, s=0j):
         t = np.asarray(t, dtype=complex)
-        if t.ndim == 0:  # the in-place steps below need arrays
-            return self(t.reshape(1), s).reshape(np.shape(s))[()]
+        if t.ndim == 0:  # the in-place steps below need arrays, of the shape of s
+            return self(np.broadcast_to(t, np.shape(s) or (1,)), s).reshape(np.shape(s))[()]
         r = np.abs(t)
         total = np.zeros_like(t)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):

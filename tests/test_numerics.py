@@ -357,6 +357,15 @@ def test_convolve_decomposition_zero_side(t, n):
     assert abs(total - (partial + rem)) <= 1e-12
 
 
+# the blends, the costliest near 0, are left out to keep this under a second
+@pytest.mark.parametrize("t", [12.0, 0.08 + 0.03j])
+@pytest.mark.parametrize("name", ["radial", "mode1", "mode2", "mode3", "sep-mode2", "sep-modeblend"])
+def test_convolve_is_the_zero_side_remainder_after_no_terms(name, t):
+    # one entry point and one target: q = 0 divides by t^0 = 1 exactly
+    f = build_builtin(name)
+    assert cauchy_convolve(f, t) == convolution_remainder(f, t, 0j, 0, "zero")[0]
+
+
 def test_remainder_scaling_bound_across_radii():
     # |K*f - sum_{k<=2}| <= C |t|^-3 with C estimated at |t| = 10
     f = build_builtin("gaussblend")
@@ -477,6 +486,19 @@ def test_a_complex_radius_is_a_usage_error(monkeypatch):
     monkeypatch.setattr(numerics, "panel_nodes", None)
     with pytest.raises(ValueError, match=r"real, got radii \[\(10\+0j\), \(10\+1j\)\]"):
         asymptotic_remainder_check(build_builtin("mode2"), 1, (10.0, 10 + 1j))
+
+
+@pytest.mark.parametrize("radii, side", [
+    ((10.0,), "infinity"), ((10.0, 10.0, 20.0), "infinity"), ((), "infinity"),
+    ((0.0, 10.0), "zero"), ((-10.0, 20.0), "zero"), ((-10.0, -20.0), "zero"),
+], ids=["one", "repeated", "none", "zero-radius", "negative", "both-negative"])
+def test_a_remainder_order_needs_two_distinct_positive_radii(monkeypatch, radii, side):
+    # one radius judges no pair, a repeated one divides by log2(1) = 0, and a
+    # zero-side radius r <= 0 puts t = 1/r at or across the origin
+    monkeypatch.setattr(numerics, "_predicted_order", None)
+    monkeypatch.setattr(numerics, "convolution_remainder", None)
+    with pytest.raises(ValueError, match="two or more distinct positive radii"):
+        asymptotic_remainder_check(build_builtin("mode2"), 1, radii, side=side)
 
 
 def test_the_finest_convolution_level_holds_no_full_grid_arrays(monkeypatch):
@@ -819,6 +841,13 @@ def test_verify_rejects_a_non_finite_grid_point_before_any_transform(monkeypatch
     monkeypatch.setattr(numerics, "_ray_transforms", None)
     with pytest.raises(ValueError, match="grid points must be finite"):
         verify_commutation(parse("th + t"), build_builtin("gamma"), (1.0, point, 2.0))
+
+
+def test_verify_rejects_an_empty_grid_before_any_transform(monkeypatch):
+    monkeypatch.setattr(numerics, "annihilation_guard", None)
+    monkeypatch.setattr(numerics, "_ray_transforms", None)
+    with pytest.raises(ValueError, match="the grid has no points"):
+        verify_commutation(parse("th + t"), build_builtin("gamma"), [])
 
 
 def test_verify_commutation_guard_failure():

@@ -218,6 +218,17 @@ def test_empty_function_is_zero_on_the_shape_of_t(t):
     assert np.shape(value) == np.shape(t) and not np.any(value)
 
 
+@pytest.mark.parametrize("s", [np.array([0.5, 1.5 + 0.25j]), np.array([[0.5], [1.5 + 0.25j], [2.0]])],
+                         ids=["row", "column"])
+@pytest.mark.parametrize("name", ["gamma", "sep-mode2"])
+def test_a_scalar_t_takes_the_shape_of_s(name, s):
+    # an s-free function and a separable one, against t broadcast to the shape of s
+    f = build_builtin(name)
+    value = f(2.0 - 0.5j, s)
+    assert value.shape == s.shape
+    assert np.array_equal(value, f(np.full(s.shape, 2.0 - 0.5j), s))
+
+
 def test_one_evaluation_holds_few_grid_arrays():
     # a cache of powers or phases per order would show here before it shows in
     # the process's peak memory
