@@ -25,12 +25,12 @@ Recognized keys: n_max, quad_tol, check_tol, grid_start, grid_stop, grid_count,
 grid_imag, function, output.  Reports are JSON with sorted keys and no
 timestamps, so identical runs produce identical bytes on one platform.
 
-Every report echoes the whole configuration, but not every subcommand reads
-all of it.  ``verify`` reads the grid, function, quad_tol and check_tol.
-``moments`` reads function, grid_imag and quad_tol (for its moment tables);
-it judges Stokes and commutation rows at a fixed 1e-6 and observed tail
-orders against a fixed band of 0.5, and its remainder check ignores quad_tol
-(the convolution settles at a fixed 1e-9 or 3e-6 relative).  ``expand`` reads
+Every report echoes the whole configuration, but not every subcommand reads all
+of it.  ``verify`` reads the grid, function, quad_tol and check_tol.
+``moments`` reads function, grid_imag and quad_tol (f's table and its checks);
+it judges Stokes and commutation rows at a fixed 1e-6 and observed tail orders
+against a fixed band of 0.5, and its remainder check ignores quad_tol (the
+convolution settles at a fixed 1e-9 or 3e-6 relative).  ``expand`` reads
 function and check_tol and ignores quad_tol.  ``koszul`` reads only n_max.
 """
 
@@ -192,11 +192,11 @@ def _cmd_moments(args, cfg):
     f = build_builtin(cfg.function)
     s = complex(args.s, cfg.grid_imag)
     table = moment_table(f, args.kmax, s, cfg.quad_tol)
-    reports = stokes_checks(f, table, tol=1e-6, quad_tol=cfg.quad_tol)
+    reports = stokes_checks(f, table)
     if args.remainders:
         reports.append(asymptotic_remainder_check(f, args.order, (10.0, 20.0, 40.0), s=s))
     if args.commutation:
-        reports.append(epsilon_commutation_check(f, s, args.kmax, tol=1e-6, quad_tol=cfg.quad_tol))
+        reports.append(epsilon_commutation_check(f, table))
     checks = [rep.to_dict() for rep in reports]
     return {"moments": table.to_dict(), "checks": checks}, all(rep.verdict for rep in reports)
 

@@ -191,7 +191,10 @@ def _sample_phis(coeff_arity, var):
     return [ShiftPolynomial.constant(1, coeff_arity), s, s * s - 3]
 
 
-def koszul_reduce(i_set, j_set, n_max, n_samples=2):
+_SAMPLES = 2  # sample series solved per elimination
+
+
+def koszul_reduce(i_set, j_set, n_max):
     """Eliminate variables highest-index first and report the outcome.
 
     Nonexpansion variables (outside I and J) are inert.  Each ``inf``
@@ -220,7 +223,7 @@ def koszul_reduce(i_set, j_set, n_max, n_samples=2):
         var = axis.var
         if axis.kind == INF_TYPE:
             solve_ok = round_trip_ok = True
-            for salt in range(n_samples):
+            for salt in range(_SAMPLES):
                 g = _sample_series(arity, current, salt)
                 a = solve_inf(g, var)
                 solve_ok &= shift_cycle(a, var) == g
@@ -228,7 +231,7 @@ def koszul_reduce(i_set, j_set, n_max, n_samples=2):
             steps.append({
                 "variable": var,
                 "kind": "inf",
-                "samples": n_samples,
+                "samples": _SAMPLES,
                 "solve_exact": solve_ok,
                 "round_trip_exact": round_trip_ok,
             })
@@ -237,7 +240,7 @@ def koszul_reduce(i_set, j_set, n_max, n_samples=2):
             break
         # zero-type elimination: surjectivity plus kernel transport
         solve_ok = kernel_ok = True
-        for salt in range(n_samples):
+        for salt in range(_SAMPLES):
             g = _sample_series(arity, current, salt)
             b = solve_zero(g, var)
             solve_ok &= shift_cycle(b, var).agrees_on_interior(g, var)
@@ -250,7 +253,7 @@ def koszul_reduce(i_set, j_set, n_max, n_samples=2):
         steps.append({
             "variable": var,
             "kind": "zero",
-            "samples": n_samples,
+            "samples": _SAMPLES,
             "solve_exact_interior": solve_ok,
             "kernel_check": kernel_ok,
         })

@@ -28,6 +28,7 @@ Conventions fixed here once:
   of f per refinement level, on the union of its windows.
 * The disc expansion evaluates its family once per circle: on the 256-node
   ring, on the 16-point reconstruction circle, and (dfdt) on the ring again.
+* The transport checks extend f's moment table at its tolerance, ``table.tol``.
 
 Every integral is summed by :func:`quadrature.csum` in a fixed order;
 identical configurations give identical results.
@@ -36,6 +37,7 @@ identical configurations give identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -49,6 +51,17 @@ from .transform import apply_difference_terms, mellin_op
 from .syntax import format_operator
 
 ABS_TOL = 1e-10  # default quadrature target
+_TRANSPORT_TOL = 1e-6  # the relative band of every transport row
+
+
+def _check_order(name, value):
+    """An order ``value`` as a non-negative int, checked before any grid is
+    built; a ValueError naming ``name`` otherwise."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return int(value)
 
 
 def _cpx(z):
@@ -96,15 +109,16 @@ class ResidualReport:
 class MomentTable:
     """The Haar integrals of orders p = -k_max..k_max of f at one s value, as
     dicts keyed by p: ``values[p]``, its floored quadrature estimate
-    ``errors[p]`` and ``scales[p]``, the integral of |2 e^(p u) f_-p(e^u)|.
-    ``values[k]`` is the coefficient of t^-k at infinity and ``-values[-k]``
-    that of t^k at zero; the report lists the two sides."""
+    ``errors[p]`` and ``scales[p]``, the integral of |2 e^(p u) f_-p(e^u)|,
+    settled at ``tol``.  ``values[k]`` is the coefficient of t^-k at infinity
+    and ``-values[-k]`` that of t^k at zero; the report lists the two sides."""
 
     s: complex
     k_max: int
     values: dict
     errors: dict
     scales: dict
+    tol: float
 
     @property
     def error(self):
@@ -180,30 +194,26 @@ def haar_integral(f, powers, s=0j, tol=ABS_TOL):
 
 
 def moment_table(f, k_max, s=0j, tol=ABS_TOL):
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = _check_order("k_max", k_max)
     if not np.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     orders = range(-k_max, k_max + 1)
     columns = haar_integral(f, orders, s, tol)
-    return MomentTable(complex(s), k_max, *(dict(zip(orders, column)) for column in columns))
+    return MomentTable(complex(s), k_max, *(dict(zip(orders, column)) for column in columns), tol)
 
 
-def stokes_identity_check(f, k, s=0j, tol=1e-6, quad_tol=ABS_TOL):
-    """Compare the moment of the holomorphic derivative against -k times
-    the plain moment (integration by parts; both sides by quadrature): row k
-    of :func:`stokes_checks` on f's table of orders -k..k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return stokes_checks(f, moment_table(f, k, s, quad_tol), tol, quad_tol)[k]
+def stokes_identity_check(f, k, s=0j):
+    """Row k of :func:`stokes_checks` on f's table of orders -k..k: the moment
+    of the holomorphic derivative against -k times the plain moment."""
+    return stokes_checks(f, moment_table(f, k, s))[k]
 
 
-def stokes_checks(f, table, tol=1e-6, quad_tol=ABS_TOL):
+def stokes_checks(f, table):
     """The transport identity for k = 0..table.k_max, reading each moment of f
     from ``table`` (f's moment table at ``table.s``) and every moment of the
     derivative from one integral.  Row k is judged against the larger side or
     the table's scale of order k, of which two vanishing sides are rounding."""
-    lhs, est, _ = haar_integral(f.wirtinger_t(), range(1, table.k_max + 2), table.s, quad_tol)
+    lhs, est, _ = haar_integral(f.wirtinger_t(), range(1, table.k_max + 2), table.s, table.tol)
     reports = []
     for k in range(table.k_max + 1):
         rhs = -k * table.values[k]
@@ -211,7 +221,7 @@ def stokes_checks(f, table, tol=1e-6, quad_tol=ABS_TOL):
         reports.append(ResidualReport(
             f"moment transport order {k}", f.name, (table.s,), (residual,),
             relative=(residual / max(abs(lhs[k]), abs(rhs), table.scales[k], 1e-300),),
-            tolerance=tol,
+            tolerance=_TRANSPORT_TOL,
             extras={"lhs": _cpx(lhs[k]), "rhs": _cpx(rhs),
                     "quad_error": max(est[k], table.errors[k])},
         ))
@@ -294,6 +304,7 @@ def convolution_remainder(f, t, s=0j, n=0, side="infinity"):
     t = complex(t)
     if t == 0:
         raise SingularEvaluation("the convolution kernel is centered on t != 0")
+    n = _check_order("remainder order n", n)
     q = n + 1 if _check_side(side) == "infinity" else -n
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -324,8 +335,7 @@ def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j):
     radius doublings, within half an order.  m is the first order k in
     n+1..n+4 whose moment on that side f carries (see :func:`_predicted_order`);
     when none is, m = n + 5 and only a shortfall below m counts (one-sided)."""
-    if n < 0:
-        raise ValueError(f"remainder order n must be >= 0, got {n}")
+    n = _check_order("remainder order n", n)
     _check_side(side)
     radii = np.sort(tuple(radii))
     if np.iscomplexobj(radii) or not np.isfinite(radii).all():
@@ -365,8 +375,8 @@ def asymptotic_remainder_check(f, n, radii, side="infinity", s=0j):
 # -- commutation of the expansion map with the operators ---------------------------
 
 
-def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
-    """Moment-table transport checks for the two displayed operators.
+def epsilon_commutation_check(f, table):
+    """Transport checks for the two displayed operators on f's ``table``.
 
     Both compare Haar orders p, at infinity (p = 0..k_max) and then at zero
     (p = -1..-k_max), where order p carries the actual exponent n = -p:
@@ -377,11 +387,10 @@ def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
         table at s + 1 moved up one order, minus the table at s; the order
         -1 entry at s + 1 moves into order 0, across the sides.
     """
-    s = complex(s)
-    table = moment_table(f, k_max + 1, s, quad_tol)
-    table_up = moment_table(f, k_max + 1, s + 1, quad_tol)
-    table_theta = moment_table(f.euler(), k_max, s, quad_tol)
-    table_h = moment_table(f.shift_s(1).times_t(-1) + f.scale(-1), k_max, s, quad_tol)
+    s, k_max = table.s, table.k_max
+    table_up = moment_table(f, k_max + 1, s + 1, table.tol)
+    table_theta = moment_table(f.euler(), k_max, s, table.tol)
+    table_h = moment_table(f.shift_s(1).times_t(-1) + f.scale(-1), k_max, s, table.tol)
     # each row is judged against the scales of the entries it compares, the
     # moduli of their radial integrands: entries of angular orders that f
     # lacks are exact zeros, and entries that cancel are rounding of them
@@ -401,7 +410,7 @@ def epsilon_commutation_check(f, s, k_max, tol=1e-6, quad_tol=ABS_TOL):
         grid=(s,),
         residuals=residuals,
         relative=relative,
-        tolerance=tol,
+        tolerance=_TRANSPORT_TOL,
         extras={"checks": [row[0] for row in rows], "k_max": k_max},
     )
 
@@ -482,13 +491,10 @@ def _ray_transforms(f, points, tol):
                 for row, (s, w) in enumerate(zip(points, windows))]
 
 
-def ray_mellin(f, s, tol=ABS_TOL):
-    """Adaptive transform along the positive ray: integral of f(t) t^(s-1) dt.
-
-    Returns (value, error estimate); raises QuadratureFailure when the
-    estimate exceeds the tolerance.
-    """
-    return _settled(_ray_transforms(f, (complex(s),), tol)[0])
+def ray_mellin(f, s):
+    """The integral of f(t) t^(s-1) dt along the positive ray as (value, error
+    estimate); QuadratureFailure when the estimate exceeds ``ABS_TOL``."""
+    return _settled(_ray_transforms(f, (complex(s),), ABS_TOL)[0])
 
 
 _GUARD_SAMPLES = np.exp(np.linspace(math.log(0.25), math.log(4.0), 12)).astype(complex)
@@ -631,8 +637,7 @@ def parameter_expansion(
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if not np.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
-    if alpha_max < 0:
-        raise ValueError(f"alpha_max must be >= 0, got {alpha_max}")
+    alpha_max = _check_order("alpha_max", alpha_max)
     # the circle rule divides by radius ** alpha; past the float range that
     # quotient and the coefficient sums overflow
     overflow = f"coefficients up to alpha_max={alpha_max} overflow at radius={radius}"

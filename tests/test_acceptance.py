@@ -22,6 +22,7 @@ from mellinops import (
     inverse_mellin_op,
     koszul_reduce,
     mellin_op,
+    moment_table,
     parameter_expansion,
     parse,
     stokes_identity_check,
@@ -118,9 +119,9 @@ def test_criterion_5_moments_stokes_remainders():
     worst = 0.0
     for k in range(9):
         f = build_builtin("radial") if k == 0 else build_builtin(f"mode{k}")
-        rep = stokes_identity_check(f, k, 0, tol=1e-6)
+        rep = stokes_identity_check(f, k, 0)
         worst = max(worst, rep.max_relative)
-        ok &= rep.verdict
+        ok &= rep.verdict and rep.tolerance == 1e-6
     blend = build_builtin("gaussblend")
     for n in range(4):
         rep = asymptotic_remainder_check(blend, n, (10.0, 20.0, 40.0))
@@ -134,9 +135,10 @@ def test_criterion_6_epsilon_commutation():
     ok = True
     worst = 0.0
     for name in ("sep-modeblend", "sep-mode2"):
-        rep = epsilon_commutation_check(build_builtin(name), 0.75 + 0.25j, 6, tol=1e-6)
+        f = build_builtin(name)
+        rep = epsilon_commutation_check(f, moment_table(f, 6, 0.75 + 0.25j))
         worst = max(worst, rep.max_relative)
-        ok &= rep.verdict
+        ok &= rep.verdict and rep.tolerance == 1e-6
     _report(6, f"moment transport, both operators, worst {worst:.1e}", ok)
 
 

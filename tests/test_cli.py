@@ -524,6 +524,17 @@ def test_moments_evaluates_f_and_its_derivative_once_per_level(monkeypatch):
     assert len(calls) == 4  # the table of f and the derivative moments, two levels each
 
 
+def test_moments_commutation_extends_the_runs_table(monkeypatch):
+    calls = []
+    split = TestFunction.modes
+    monkeypatch.setattr(TestFunction, "modes", lambda f, *a: calls.append(1) or split(f, *a))
+    argv = ["moments", "--function", "sep-modeblend", "--kmax", "8", "--commutation"]
+    assert run(argv)[0] == 0
+    # two levels each: f's table, the derivative moments, and the tables at
+    # s + 1, of the Euler derivative and of the cycled function; not f's again
+    assert len(calls) == 10
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [

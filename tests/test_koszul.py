@@ -298,7 +298,7 @@ def test_koszul_reduce_all_partitions_up_to_three_variables():
     for assign in itertools.product("ijn", repeat=3):
         i_set = tuple(k + 1 for k, a in enumerate(assign) if a == "i")
         j_set = tuple(k + 1 for k, a in enumerate(assign) if a == "j")
-        report = koszul_reduce(i_set, j_set, 12, n_samples=1)
+        report = koszul_reduce(i_set, j_set, 12)
         assert report.verdict == ("acyclic" if j_set else "h0"), (i_set, j_set)
         assert report.checks_passed
 
@@ -309,7 +309,8 @@ def test_round_trip_is_checked_off_the_samples(monkeypatch):
     right = koszul.solve_inf
 
     def right_on_samples_only(g, var):
-        samples = [koszul._sample_series(g.coeff_arity, g.axes, salt) for salt in range(2)]
+        samples = [koszul._sample_series(g.coeff_arity, g.axes, salt)
+                   for salt in range(koszul._SAMPLES)]
         return right(g, var) if g in samples else g
 
     monkeypatch.setattr(koszul, "solve_inf", right_on_samples_only)

@@ -294,6 +294,37 @@ def test_stokes_checks_fail_a_broken_identity_at_coupling_orders(name, coupling)
     assert not stokes_identity_check(broken, 2, 1.0).verdict
 
 
+def test_transport_checks_settle_every_integral_at_the_tables_tolerance(monkeypatch):
+    # every Haar integral the checks add, the derivative's and the tables of
+    # the Euler, shifted and cycled functions, reads the table's tolerance
+    tols = []
+    haar = numerics.haar_integral
+    monkeypatch.setattr(numerics, "haar_integral",
+                        lambda f, powers, s, tol: tols.append(tol) or haar(f, powers, s, tol))
+    f = build_builtin("sep-modeblend")
+    table = moment_table(f, 4, 0.75 + 0.25j, 1e-13)
+    assert table.tol == 1e-13 and tols == [1e-13]
+    stokes_checks(f, table)
+    epsilon_commutation_check(f, table)
+    assert tols == [1e-13] * 5
+
+
+@pytest.mark.parametrize("name", ["mode3", "modeblend", "gaussblend", "sep-modeblend"])
+def test_a_tables_entries_do_not_depend_on_its_k_max(name):
+    # Haar integrals settle entry by entry on their last level, so the checks
+    # may read f's moments from the run's table at any larger k_max
+    f = build_builtin(name)
+
+    def bits(table, k_max):
+        orders = range(-k_max, k_max + 1)
+        return [np.array([column[p] for p in orders]).tobytes()
+                for column in (table.values, table.errors, table.scales)]
+
+    for k_max in range(9):
+        assert bits(moment_table(f, k_max, 0.5 + 0.25j), k_max) == \
+            bits(moment_table(f, k_max + 1, 0.5 + 0.25j), k_max), k_max
+
+
 def test_stokes_quad_error_is_floored_at_the_rounding_of_its_scale():
     # the increments of these rows are 0 to 2 ulps, below the rounding the two
     # levels share
@@ -450,6 +481,23 @@ def test_negative_orders_are_named():
         asymptotic_remainder_check(f, -3, (10.0, 20.0))
 
 
+@pytest.mark.parametrize("name, call", [
+    ("k_max", lambda f: moment_table(f, 1.5)),
+    ("k_max", lambda f: stokes_identity_check(f, -1)),
+    ("order n", lambda f: convolution_remainder(f, 10.0, n=-1)),
+    ("order n", lambda f: convolution_remainder(f, 0.1, n=-2, side="zero")),
+    ("order n", lambda f: convolution_remainder(f, 10.0, n=1.5)),
+    ("order n", lambda f: asymptotic_remainder_check(f, 1.5, (10.0, 20.0))),
+    ("alpha_max", lambda f: parameter_expansion(geometric, 0j, 0.5, 1.5)),
+], ids=["table-1.5", "stokes-neg", "conv-neg", "conv-zero-neg", "conv-1.5", "tail-1.5",
+        "expand-1.5"])
+def test_orders_are_non_negative_integers_checked_before_any_grid(name, call):
+    f = CountingFunction(build_builtin("modeblend"))
+    with pytest.raises(ValueError, match=name):
+        call(f)
+    assert f.calls == 0
+
+
 def test_sides_are_spelled_out():
     f = build_builtin("modeblend")
     for side in ("inf", "0", "infinty"):
@@ -576,7 +624,8 @@ def test_the_convolution_refuses_a_function_without_an_angular_split():
 
 
 def test_epsilon_commutation_separable():
-    rep = epsilon_commutation_check(build_builtin("sep-modeblend"), 0.7 + 0.3j, 6)
+    f = build_builtin("sep-modeblend")
+    rep = epsilon_commutation_check(f, moment_table(f, 6, 0.7 + 0.3j))
     assert rep.verdict and rep.max_relative <= 1e-6
 
 
@@ -592,10 +641,11 @@ class ScaledEuler(TestFunction):
                                             ("gaussblend", {1, 2, 3, 4, 5})])
 def test_epsilon_commutation_fails_a_broken_euler_table_at_coupling_orders(name, coupling):
     f = build_builtin(name)
-    rep = epsilon_commutation_check(ScaledEuler(f.terms, f.name), 0.75 + 0.25j, 6)
+    table = moment_table(f, 6, 0.75 + 0.25j)
+    rep = epsilon_commutation_check(ScaledEuler(f.terms, f.name), table)
     failed = {label for label, rel in zip(rep.extras["checks"], rep.relative) if rel > rep.tolerance}
     assert failed == {f"euler:inf:{k}" for k in coupling}
-    assert epsilon_commutation_check(f, 0.75 + 0.25j, 6).verdict
+    assert epsilon_commutation_check(f, table).verdict
 
 
 class ScaledShift(TestFunction):
@@ -611,7 +661,7 @@ class ScaledShift(TestFunction):
 def test_epsilon_commutation_fails_a_broken_shift_at_cycle_rows(name, orders):
     # the unbroken functions pass in the Euler-table test above
     f = build_builtin(name)
-    rep = epsilon_commutation_check(ScaledShift(f.terms, f.name), 0.75 + 0.25j, 6)
+    rep = epsilon_commutation_check(ScaledShift(f.terms, f.name), moment_table(f, 6, 0.75 + 0.25j))
     failed = {label for label, rel in zip(rep.extras["checks"], rep.relative) if rel > rep.tolerance}
     assert failed == {f"cycle:inf:{k}" for k in orders}
 
@@ -629,9 +679,8 @@ def test_moment_table_zero_scale_is_the_integral_of_the_modulus():
 def test_epsilon_commutation_constant_in_s():
     # with no s-dependence the shift-cycle case degenerates to f/t - f
     f = build_builtin("modeblend")
-    rep = epsilon_commutation_check(f, 1.25, 4)
-    assert rep.verdict
     tab = moment_table(f, 4, 1.25)
+    assert epsilon_commutation_check(f, tab).verdict
     h = f.times_t(-1) + f.scale(-1)
     tab_h = moment_table(h, 3, 1.25)
     assert tab_h.values[2] == pytest.approx(tab.values[1] - tab.values[2], abs=1e-9)
@@ -649,12 +698,13 @@ def test_epsilon_commutation_theta_k0_transport():
 
 def test_epsilon_commutation_zero_function():
     zero = TestFunction((envelope_mode(0, weight=0.0),), "null")
-    rep = epsilon_commutation_check(zero, 1.0, 3)
+    rep = epsilon_commutation_check(zero, moment_table(zero, 3, 1.0))
     assert rep.verdict and max(rep.residuals) == 0.0
 
 
 def test_epsilon_commutation_rows_are_labelled_infinity_first():
-    rep = epsilon_commutation_check(build_builtin("sep-mode2"), 1.0, 3)
+    f = build_builtin("sep-mode2")
+    rep = epsilon_commutation_check(f, moment_table(f, 3, 1.0))
     inf, zero = [f"inf:{k}" for k in range(4)], [f"zero:{k}" for k in range(1, 4)]
     assert rep.extras["checks"] == [f"{kind}:{side}" for kind in ("euler", "cycle")
                                     for side in inf + zero]
@@ -670,9 +720,10 @@ SEP_TWOSIDED = TestFunction(
 
 
 def test_epsilon_commutation_on_both_sides():
-    rep = epsilon_commutation_check(SEP_TWOSIDED, 0.75 + 0.25j, 4)
+    table = moment_table(SEP_TWOSIDED, 4, 0.75 + 0.25j)
+    rep = epsilon_commutation_check(SEP_TWOSIDED, table)
     assert rep.verdict and rep.max_relative <= 1e-6
-    broken = epsilon_commutation_check(ScaledEuler(SEP_TWOSIDED.terms, "broken"), 0.75 + 0.25j, 4)
+    broken = epsilon_commutation_check(ScaledEuler(SEP_TWOSIDED.terms, "broken"), table)
     failed = {label for label, rel in zip(broken.extras["checks"], broken.relative)
               if rel > broken.tolerance}
     assert {"euler:zero:1", "euler:zero:2", "euler:inf:1", "euler:inf:2"} <= failed

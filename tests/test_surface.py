@@ -3,6 +3,7 @@ private definition read by the package, and no import a module leaves unused."""
 
 import ast
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -31,6 +32,19 @@ EXPORTED = [
 
 def test_exported_names():
     assert sorted(mellinops.__all__) == EXPORTED
+
+
+@pytest.mark.parametrize("module, name, params", [
+    ("numerics", "stokes_identity_check", "(f, k, s=0j)"),
+    ("numerics", "stokes_checks", "(f, table)"),
+    ("numerics", "epsilon_commutation_check", "(f, table)"),
+    ("numerics", "ray_mellin", "(f, s)"),
+    ("koszul", "koszul_reduce", "(i_set, j_set, n_max)"),
+])
+def test_checks_take_no_knob_their_callers_never_vary(module, name, params):
+    # a check's tolerances are its table's (the transport checks), ABS_TOL
+    # (ray_mellin) or fixed (koszul_reduce draws two samples)
+    assert str(inspect.signature(getattr(getattr(mellinops, module), name))) == params
 
 
 class References(ast.NodeVisitor):
