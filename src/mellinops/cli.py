@@ -29,8 +29,8 @@ Every report echoes the whole configuration, but not every subcommand reads all
 of it.  ``verify`` reads the grid, function, quad_tol and check_tol.
 ``moments`` reads function, grid_imag and quad_tol (f's table and its checks);
 it judges Stokes and commutation rows at a fixed 1e-6 and observed tail orders
-against a fixed band of 0.5, and its remainder check ignores quad_tol (the
-convolution settles at a fixed 1e-9 or 3e-6 relative).  ``expand`` reads
+against a fixed band of 0.5 at radii 20, 40 and 80, and its remainder check
+ignores quad_tol (tails settle at a fixed 1e-13 relative).  ``expand`` reads
 function and check_tol and ignores quad_tol.  ``koszul`` reads only n_max.
 """
 
@@ -188,13 +188,19 @@ def _cmd_verify(args, cfg):
     return report.to_dict(), report.verdict
 
 
+# the radii over which tail orders are observed; from r = 20 on, the envelope's
+# exp(-r) falls by e^-r < 2^-28 across a doubling, faster than the order
+# n + 5 <= 17 of any tail after n <= 12 terms
+_REMAINDER_RADII = (20.0, 40.0, 80.0)
+
+
 def _cmd_moments(args, cfg):
     f = build_builtin(cfg.function)
     s = complex(args.s, cfg.grid_imag)
     table = moment_table(f, args.kmax, s, cfg.quad_tol)
     reports = stokes_checks(f, table)
     if args.remainders:
-        reports.append(asymptotic_remainder_check(f, args.order, (10.0, 20.0, 40.0), s=s))
+        reports.append(asymptotic_remainder_check(f, args.order, _REMAINDER_RADII, s=s))
     if args.commutation:
         reports.append(epsilon_commutation_check(f, table))
     checks = [rep.to_dict() for rep in reports]

@@ -62,9 +62,10 @@ def refine(levels, evaluate, tol, rel_tol):
     ``evaluate(level)`` gives (value, scale): the sum of the terms and of their
     moduli.  Returns (value, estimate, scale) at the first level where every entry
     of the value (a number or an ndarray, by numpy's abs) moved by at most
-    max(tol, rel_tol * |entry|), the estimate being that move floored entry by
-    entry at _ROUNDING_ULPS ulps of the scale; raises QuadratureFailure with the
-    largest last increment when none does, and at once on a non-finite one.
+    max(tol, rel_tol * |entry|) or by at most its rounding floor, _ROUNDING_ULPS
+    ulps of the scale; the estimate is that move floored entry by entry.  Raises
+    QuadratureFailure with the largest last increment when no level settles, and
+    at once on a non-finite one.
     """
     previous = None
     for level in levels:
@@ -76,24 +77,11 @@ def refine(levels, evaluate, tol, rel_tol):
                 increment = np.abs(value - previous)
             if not (increment < np.inf).all():  # the largest is nan when there is one
                 raise QuadratureFailure(f"quadrature increment {np.max(increment)} is not finite")
-            if (increment <= np.maximum(tol, rel_tol * abs(value))).all():
-                floor = _ROUNDING_ULPS * np.finfo(float).eps * scale
+            floor = _ROUNDING_ULPS * np.finfo(float).eps * scale
+            if (increment <= np.maximum(np.maximum(tol, rel_tol * abs(value)), floor)).all():
                 return value, np.maximum(increment, floor), scale
         previous = value
     raise QuadratureFailure(
         f"quadrature did not settle below {tol:.3e} (last increment {np.max(increment):.3e})"
     )
 
-
-def bump(x):
-    """Smooth transition: 1 for x <= 0, 0 for x >= 1, C-infinity between."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    out[x <= 0.0] = 1.0
-    mid = (x > 0.0) & (x < 1.0)
-    y = x[mid]
-    with np.errstate(over="ignore", under="ignore"):
-        a = np.exp(-1.0 / y)
-        b = np.exp(-1.0 / (1.0 - y))
-    out[mid] = b / (a + b)
-    return out

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mellinops import MixedAlgebra, SFactor, TestFunction, build_builtin, parse
-from mellinops.numerics import _CONV_LEVELS, _HAAR_LEVELS, _RAY_PROBES, _radial_nodes
+from mellinops.numerics import _HAAR_LEVELS, _RAY_PROBES, _radial_nodes
 from mellinops.quadrature import panel_nodes, periodic_nodes
 from mellinops.testfunctions import BUILTIN_NAMES, Term, apply_operator_terms, envelope_mode
 
@@ -158,17 +158,17 @@ def _haar_grid(panel_width, order, n_theta):
     return np.exp(u)[:, None] * np.exp(1j * theta), wu[:, None] * wth
 
 
-def _near_grid(t, level):
-    """The convolution's locally polar grid around t on one level."""
-    _, _, _, near_panels, near_order, n_phi = level
-    rho, _ = panel_nodes(np.linspace(0.0, 0.5 * abs(t), near_panels + 1), near_order)
+def _near_grid(t, panels, order, n_phi):
+    """A locally polar grid around t, out to |t|/2: Gauss-Legendre panels in
+    the distance from t times uniform angles."""
+    rho, _ = panel_nodes(np.linspace(0.0, 0.5 * abs(t), panels + 1), order)
     phi, _ = periodic_nodes(n_phi)
     return t + rho[:, None] * np.exp(1j * phi[None, :])
 
 
 EVAL_GRIDS = {  # name: (t, s); the ray probes carry a column of s, as the ray transform does
     "haar": (_haar_grid(*_HAAR_LEVELS[1], 96)[0], 0.75 + 0.25j),
-    "near": (_near_grid(10.0, _CONV_LEVELS[-1]), 0.75 + 0.25j),
+    "near": (_near_grid(10.0, 20, 18, 224), 0.75 + 0.25j),
     "ray": (np.exp2(_RAY_PROBES).astype(complex)[None, :], np.array([[0.5], [1.75 + 1.5j]])),
 }
 IMAGES = {
@@ -232,8 +232,7 @@ def test_a_scalar_t_takes_the_shape_of_s(name, s):
 def test_one_evaluation_holds_few_grid_arrays():
     # a cache of powers or phases per order would show here before it shows in
     # the process's peak memory
-    level = _CONV_LEVELS[-1]
-    xi = _haar_grid(*level[:3])[0]  # the finest far grid of the convolution
+    xi = _haar_grid(0.22, 24, 448)[0]  # 516,096 points on the Haar window
     f = build_builtin("modeblend")
     for g in (f, f.wirtinger_t(), f.euler()):
         tracemalloc.start()
