@@ -25,7 +25,9 @@ Conventions fixed here once:
 * The ray transform is integral over (0, inf) of f(t) t^(s-1) dt on dyadic
   panels 2^a..2^b, each s on its own window, certified and chosen from
   probes of f at t = 2^k.  A whole s grid takes one probe and one evaluation
-  of f per refinement level, on the union of its windows.
+  of f per refinement level, on the union of its windows; per level it is
+  summed one row-wise reduction per window length, and one ``refine`` judges
+  the grid.
 * The disc expansion evaluates its family once per circle: on the 256-node
   ring, on the 16-point reconstruction circle, and (dfdt) on the ring again.
 * The transport checks extend f's moment table at its tolerance, ``table.tol``.
@@ -412,31 +414,47 @@ def _ray_transforms(f, points, tol):
     estimate) pair or the exception raised for it.  f is probed once and
     evaluated once per level, on points x the union of the windows' nodes;
     each s sums over its own window's panels, so the other points do not
-    change its result."""
+    change its result.  The integrands of the windows of one length are the
+    rows of one array, summed by one row-wise :func:`csum` and one row-wise
+    modulus sum per level; one :func:`refine` judges the whole grid, and only
+    when it raises does each point get its own refine over the same sums."""
     probed = np.abs(f(np.exp2(_RAY_PROBES).astype(complex), 0j))
     windows = _ray_windows(f, probed, np.real(points), tol)
+    groups = {}  # window length -> the rows of its certified points
+    for row, window in enumerate(windows):
+        if isinstance(window, tuple):
+            groups.setdefault(window[1] - window[0], []).append(row)
     spans = [w for w in windows if isinstance(w, tuple)]
     lo = min((a for a, _ in spans), default=0)
     edges = np.exp2(np.arange(lo, max((b for _, b in spans), default=0) + 1.0))
-    levels = []  # (order, nodes, weights, f on points x nodes)
+    levels = []  # (values, scales) of every point, 0 where it has no window
     for order in (16, 24):
         x, w = panel_nodes(edges, order)
         x = x.astype(complex)
-        fx = f(x[None, :], np.array(points, dtype=complex)[:, None])
-        levels.append((order, x, w, np.broadcast_to(fx, (len(points), x.size))))
+        fx = np.broadcast_to(f(x[None, :], np.array(points, dtype=complex)[:, None]),
+                             (len(points), x.size))
+        values, scales = np.zeros(len(points), complex), np.zeros(len(points))
+        with np.errstate(over="ignore", invalid="ignore"):  # refine judges a non-finite sum
+            for length, rows in groups.items():
+                integrands = np.empty((len(rows), length * order), complex)
+                for integrand, row in zip(integrands, rows):
+                    part = slice((windows[row][0] - lo) * order, (windows[row][1] - lo) * order)
+                    np.multiply(fx[row, part] * x[part] ** (points[row] - 1), w[part], out=integrand)
+                values[rows] = csum(integrands, axis=-1)
+                scales[rows] = np.abs(integrands).sum(axis=-1)
+                del integrands  # one group's buffer at a time
+        levels.append((values, scales))
 
-    def integrate(row, s, a, b, level):
-        order, x, w, fx = level
-        part = slice((a - lo) * order, (b - lo) * order)
-        integrand = fx[row, part] * x[part] ** (s - 1) * w[part]
-        return csum(integrand), np.abs(integrand).sum()
+    def settle(sums):  # each level's sums are already taken
+        return refine(sums, lambda level: level, tol, 1e-8)[:2]
 
-    def transform(row, s, a, b):
-        return refine(levels, partial(integrate, row, s, a, b), tol, 1e-8)[:2]
-
-    with np.errstate(over="ignore", invalid="ignore"):  # refine judges a non-finite sum
-        return [_caught(transform, row, s, *w) if isinstance(w, tuple) else w
-                for row, (s, w) in enumerate(zip(points, windows))]
+    with np.errstate(over="ignore", invalid="ignore"):  # refine judges an overflowing increment
+        try:
+            outcomes = zip(*(column.tolist() for column in settle(levels)))
+        except QuadratureFailure:  # a point failed: each point is judged alone
+            per_point = zip(*(zip(values.tolist(), scales.tolist()) for values, scales in levels))
+            outcomes = [_caught(settle, sums) for sums in per_point]
+        return [outcome if isinstance(w, tuple) else w for outcome, w in zip(outcomes, windows)]
 
 
 def ray_mellin(f, s):

@@ -5,9 +5,12 @@ uniform periodic grids; node layouts are fixed functions of the parameters.
 :func:`csum` is the one summation rule: numpy's pairwise sum, whose rounding
 error grows like log n (Higham, "The accuracy of floating point summation",
 SISC 1993), in a fixed order, so a given configuration always reproduces the
-same value.  Every adaptive rule refines through :func:`refine`, the one
-place where a coarse value is compared with a finer one and an error estimate
-set: the last increment, floored at eps times the sum of the terms' moduli.
+same value.  Along the last axis it sums a stack of equal-length rows in one
+call, each row to the bits it has alone: a grid of ray transforms is summed
+one row-wise reduction per window length and judged by one :func:`refine`.
+Every adaptive rule refines through :func:`refine`, the one place where a
+coarse value is compared with a finer one and an error estimate set: the last
+increment, floored at eps times the sum of the terms' moduli.
 """
 
 from __future__ import annotations
@@ -51,9 +54,12 @@ def periodic_nodes(count):
     return theta, 2.0 * pi / count
 
 
-def csum(values):
-    """Sum of an array as a Python complex (numpy's pairwise summation)."""
-    return complex(np.sum(values))
+def csum(values, axis=None):
+    """Sum of an array as a Python complex (numpy's pairwise summation), or
+    with ``axis=-1`` the array of its row sums; numpy sums each contiguous
+    row in the order it sums that row alone, so a row's sum has the same bits."""
+    total = np.sum(values, axis=axis)
+    return complex(total) if axis is None else total
 
 
 def refine(levels, evaluate, tol, rel_tol):

@@ -41,7 +41,7 @@ from mellinops.numerics import (
     annihilation_guard,
     stokes_checks,
 )
-from mellinops.quadrature import _ROUNDING_ULPS, periodic_nodes
+from mellinops.quadrature import _ROUNDING_ULPS, csum, panel_nodes, periodic_nodes, refine
 from mellinops.testfunctions import (
     BUILTIN_NAMES,
     Term,
@@ -873,10 +873,117 @@ def test_ray_grid_equals_the_scalar_calls_bit_for_bit(name, points):
         ("bessel", 0.5, ("0x1.eb43de8286e12p-3", "0x0.0p+0", "0x1.eb43de8286e12p-52")),
         ("sep-mode2", 3.25 + 1.5j,
          ("-0x1.9341b81d49516p+0", "0x1.8a28f452c28a0p+1", "0x1.2b8b7df9b95f5p-47")),
+        # exponents s - 1 where numpy's power may take a fast path (0, 0.5, 1, 2)
+        ("gamma", 1.0, ("0x1.fffffffffffe0p-1", "0x0.0p+0", "0x1.fffffffffffe0p-50")),
+        ("gamma", 1.5, ("0x1.c5bf891b4ef64p-1", "0x0.0p+0", "0x1.c5bf891b4ef63p-50")),
+        ("gamma", 2.0, ("0x1.ffffffffffffdp-1", "0x0.0p+0", "0x1.ffffffffffffcp-50")),
+        ("gamma", 3.0, ("0x1.0000000000000p+1", "0x0.0p+0", "0x1.ffffffffffffep-49")),
+        ("bessel", 1.0, ("0x1.1e7200e1d3482p-2", "0x0.0p+0", "0x1.1e7200e1d3482p-51")),
+        ("bessel", 1.5, ("0x1.7072e6e1e528cp-2", "0x0.0p+0", "0x1.7072e6e1e528dp-51")),
+        ("bessel", 2.0, ("0x1.03d998db9bd98p-1", "0x0.0p+0", "0x1.03d998db9bd97p-50")),
+        ("bessel", 3.0, ("0x1.4b76191410ab8p+0", "0x0.0p+0", "0x1.4b76191410ab8p-49")),
+        ("sep-mode2", 1.75 + 0.25j,
+         ("0x1.86b32d29f27eap-1", "0x1.7c8380c3a287bp-3", "0x1.969b6e467018ap-50")),
     ],
 )
 def test_ray_mellin_values_are_frozen(name, s, bits):
     assert _bits(*ray_mellin(build_builtin(name), s)) == bits
+
+
+def per_point_ray_transforms(f, points, tol):
+    """The reference rule: each s integrated level by level and refined on its
+    own, its integrand fx * x^(s-1) * w summed alone; windows as in numerics."""
+    probed = np.abs(f(np.exp2(numerics._RAY_PROBES).astype(complex), 0j))
+    windows = numerics._ray_windows(f, probed, np.real(points), tol)
+    spans = [w for w in windows if isinstance(w, tuple)]
+    lo = min((a for a, _ in spans), default=0)
+    edges = np.exp2(np.arange(lo, max((b for _, b in spans), default=0) + 1.0))
+    levels = []
+    for order in (16, 24):
+        x, w = panel_nodes(edges, order)
+        x = x.astype(complex)
+        fx = f(x[None, :], np.array(points, dtype=complex)[:, None])
+        levels.append((order, x, w, np.broadcast_to(fx, (len(points), x.size))))
+
+    def integrate(row, s, a, b, level):
+        order, x, w, fx = level
+        part = slice((a - lo) * order, (b - lo) * order)
+        integrand = fx[row, part] * x[part] ** (s - 1) * w[part]
+        return csum(integrand), np.abs(integrand).sum()
+
+    def transform(row, s, a, b):
+        return refine(levels, lambda level: integrate(row, s, a, b, level), tol, 1e-8)[:2]
+
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, (s, window) in enumerate(zip(points, windows)):
+            try:
+                outcomes.append(transform(row, s, *window) if isinstance(window, tuple) else window)
+            except QuadratureFailure as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def _outcome(outcome):
+    """The bits of a settled transform, or the message of a failed one."""
+    return str(outcome) if isinstance(outcome, Exception) else _bits(*outcome)
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [
+        ("gamma", [0.5 + 3.0 * i / 19 for i in range(20)]),
+        # a stride coprime to 48 interleaves the window lengths
+        ("gaussian", [0.5 + 3.0 * (7 * i % 48) / 47 for i in range(48)]),
+        # windows 2^-7..2^6, 2^-7..2^7, 2^-6..2^7 and 2^-5..2^7: length 13 at two offsets
+        ("bessel", [-0.5 + 8.0 * (5 * i % 32) / 31 for i in range(32)]),
+        ("sep-mode2", [complex(-0.5 + 8.0 * i / 11, im) for i in range(12) for im in (-1.5, 0.25, 1.5)]),
+    ],
+)
+def test_ray_grid_equals_the_per_point_rule_bit_for_bit(name, points):
+    f = build_builtin(name)
+    windows = numerics._ray_windows(
+        f, np.abs(f(np.exp2(numerics._RAY_PROBES).astype(complex), 0j)), np.real(points), ABS_TOL)
+    lengths = [b - a for a, b in windows]
+    assert len(set(lengths)) > 1 and len(set(lengths)) < len(lengths)  # rows share some lengths
+    expected = [_outcome(o) for o in per_point_ray_transforms(f, points, ABS_TOL)]
+    assert [_outcome(o) for o in _ray_transforms(f, points, ABS_TOL)] == expected
+
+
+@pytest.mark.parametrize(
+    "name, points, failures",
+    [  # an uncertified point among settled ones
+        ("gamma", [1.0, 0.05, 2.0, 1.5, 3.25],
+         {0.05: "gamma: no ray-decay certificate at Re s = 0.05"}),
+        # refine fails for the grid, so each point is refined alone
+        ("gaussian", [1.0, 200.0, 2.5, 150.0, 0.05, 3.0],
+         {200.0: "quadrature increment nan is not finite",
+          150.0: "quadrature did not settle below 1.000e-10 (last increment 7.587e+101)",
+          0.05: "gaussian: no ray-decay certificate at Re s = 0.05"}),
+    ],
+)
+def test_each_failing_ray_point_carries_its_own_failure(name, points, failures):
+    f = build_builtin(name)
+    outcomes = _ray_transforms(f, points, ABS_TOL)
+    for s, outcome in zip(points, outcomes):
+        if s in failures:
+            assert isinstance(outcome, QuadratureFailure) and str(outcome) == failures[s]
+        else:
+            assert _bits(*outcome) == _bits(*ray_mellin(f, s))
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ((1.0, 200.0, 0.05), "((200+0j),): quadrature increment nan is not finite"),
+        ((1.0, 0.05, 200.0), "((0.05+0j),): gaussian: no ray-decay certificate at Re s = 0.05"),
+    ],
+)
+def test_verify_raises_the_first_failing_point_in_residual_order(grid, message):
+    with pytest.raises(EvaluationFailure) as caught:
+        verify_commutation(parse("th + 2*t^2"), build_builtin("gaussian"), grid)
+    assert str(caught.value) == f"grid function failed at {message}"
+    assert isinstance(caught.value.__cause__, QuadratureFailure)
 
 
 # -- the end-to-end commutation shadow ------------------------------------------------------

@@ -164,3 +164,13 @@ def test_csum_sums_in_any_shape_to_a_python_complex():
     assert csum(values) == 66 + 132j and type(csum(values)) is complex
     # pairwise: a running sum of these 1e5 values is off by 1.9e-12 relative
     assert csum(np.ones(10 ** 5) * 0.1) == pytest.approx(1e4, rel=1e-15)
+
+
+# under numpy's 8-term unrolled sum, and past its 128-term pairwise block
+@pytest.mark.parametrize("length", [7, 16 * 13, 24 * 93 + 5])
+def test_csum_row_sums_have_the_bits_of_each_row_alone(length):
+    rng = np.random.default_rng(length)
+    rows = rng.standard_normal((5, length)) * np.exp(rng.uniform(-30, 30, (5, length))) * (1 - 3j)
+    totals = csum(rows, axis=-1)
+    assert totals.shape == (5,)
+    assert [complex(total) for total in totals] == [csum(row) for row in rows]
