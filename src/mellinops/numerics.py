@@ -27,7 +27,9 @@ Conventions fixed here once:
   probes of f at t = 2^k.  A whole s grid takes one probe and one evaluation
   of f per refinement level, on the union of its windows; per level it is
   summed one row-wise reduction per window length, and one ``refine`` judges
-  the grid.
+  the grid.  t^(s-1) is exp((s-1) log t) from one complex log of the level's
+  nodes, which is how numpy's power computes it unless s - 1 is a real
+  integer; then it is numpy's power itself.
 * The disc expansion evaluates its family once per circle: on the 256-node
   ring, on the 16-point reconstruction circle, and (dfdt) on the ring again.
 * The transport checks extend f's moment table at its tolerance, ``table.tol``.
@@ -409,6 +411,18 @@ def _settled(outcome):
     return outcome
 
 
+def _ray_power(x, log_x, c):
+    """x ** c for positive complex nodes x, given log_x = np.log(x), bit for
+    bit with numpy's power.  For a real integral c below 100 in size numpy
+    multiplies, so such a c keeps x ** c; any other c goes to glibc's cpow,
+    which is cexp(c * clog(x)).  The complex log of x > 0 has imaginary part
+    +0, so c * log_x rounds as it does there.  (The real log differs: glibc's
+    clog takes log1p((x - 1)(x + 1)) / 2 for 0.5 <= x < 2.)"""
+    if c.imag == 0 and float(c.real).is_integer():
+        return x ** c
+    return np.exp(c * log_x)
+
+
 def _ray_transforms(f, points, tol):
     """The ray transform at each complex s of ``points``, as its (value,
     estimate) pair or the exception raised for it.  f is probed once and
@@ -417,7 +431,9 @@ def _ray_transforms(f, points, tol):
     change its result.  The integrands of the windows of one length are the
     rows of one array, summed by one row-wise :func:`csum` and one row-wise
     modulus sum per level; one :func:`refine` judges the whole grid, and only
-    when it raises does each point get its own refine over the same sums."""
+    when it raises does each point get its own refine over the same sums.
+    Each level takes the complex log of its nodes once, and every point's
+    power x^(s-1) is :func:`_ray_power` of it, bit for bit x ** (s - 1)."""
     probed = np.abs(f(np.exp2(_RAY_PROBES).astype(complex), 0j))
     windows = _ray_windows(f, probed, np.real(points), tol)
     groups = {}  # window length -> the rows of its certified points
@@ -431,6 +447,7 @@ def _ray_transforms(f, points, tol):
     for order in (16, 24):
         x, w = panel_nodes(edges, order)
         x = x.astype(complex)
+        log_x = np.log(x)  # shared by every point's power
         fx = np.broadcast_to(f(x[None, :], np.array(points, dtype=complex)[:, None]),
                              (len(points), x.size))
         values, scales = np.zeros(len(points), complex), np.zeros(len(points))
@@ -439,7 +456,8 @@ def _ray_transforms(f, points, tol):
                 integrands = np.empty((len(rows), length * order), complex)
                 for integrand, row in zip(integrands, rows):
                     part = slice((windows[row][0] - lo) * order, (windows[row][1] - lo) * order)
-                    np.multiply(fx[row, part] * x[part] ** (points[row] - 1), w[part], out=integrand)
+                    power = _ray_power(x[part], log_x[part], points[row] - 1)
+                    np.multiply(fx[row, part] * power, w[part], out=integrand)
                 values[rows] = csum(integrands, axis=-1)
                 scales[rows] = np.abs(integrands).sum(axis=-1)
                 del integrands  # one group's buffer at a time
@@ -604,15 +622,17 @@ def parameter_expansion(
     if not np.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
     alpha_max = _check_order("alpha_max", alpha_max)
-    # the circle rule divides by radius ** alpha; past the float range that
-    # quotient and the coefficient sums overflow
+    # the circle rule divides by _DISC_NODES * radius ** alpha; past the float
+    # range that quotient and the coefficient sums overflow
     overflow = f"coefficients up to alpha_max={alpha_max} overflow at radius={radius}"
     try:
         top = radius ** alpha_max
     except OverflowError:
         top = math.inf
-    if not 0 < top < math.inf:
+    if not (0 < top < math.inf and 1 / (_DISC_NODES * top) < math.inf):
         raise ValueError(overflow)
+    if alpha_max >= _DISC_NODES:  # before any evaluation, whose loop runs over every order
+        raise ValueError(f"alpha_max={alpha_max} aliases on the {_DISC_NODES}-node circle")
     t_grid = tuple(complex(t) for t in t_grid)
     ts = np.asarray(t_grid, dtype=complex)
     phis, _ = periodic_nodes(_DISC_NODES)
@@ -640,8 +660,6 @@ def parameter_expansion(
         return samples, tuple(coeffs)
 
     samples, coeffs = disc_coefficients(f2)
-    if alpha_max >= _DISC_NODES:
-        raise ValueError(f"alpha_max={alpha_max} aliases on the {_DISC_NODES}-node circle")
     sup_circle = float(np.max(np.abs(samples)))
 
     sup_alpha = [max(abs(v) for v in row) for row in coeffs]

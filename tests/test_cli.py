@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -204,6 +205,31 @@ def test_verify_grid_function_failure_exit_code(tmp_path, capsys, config):
     assert code == EXIT_QUADRATURE and out == ""
     message = f"quadrature failure: grid function failed at {VERIFY_FAILURES[config]}\n"
     assert capsys.readouterr().err == message
+
+
+# (arguments, config file) of verify commands: the three acceptance pairs on the
+# default grid, Gamma off the real line, and a grid whose every ray point s has
+# s - 1 real and integral
+VERIFY_GOLDEN = [
+    (["th + t", "--function", "gamma"], ""),
+    (["th + 2*t^2", "--function", "gaussian"], ""),
+    (["th + t - tinv", "--function", "bessel"], ""),
+    (["th + t", "--function", "gamma"], "grid_imag = 1.5\n"),
+    (["th + t - tinv", "--function", "bessel"], "grid_start = -2\ngrid_stop = 4\ngrid_count = 7\n"),
+]
+
+
+def test_verify_report_bytes_are_pinned(tmp_path):
+    # sha256 of the stdout of the commands in order: the numeric reports the
+    # ray transform must keep byte for byte while it is made faster
+    cfg_file = tmp_path / "run.cfg"
+    digest = hashlib.sha256()
+    for argv, config in VERIFY_GOLDEN:
+        cfg_file.write_text(config)
+        code, out = run(["verify", *argv, "--config", str(cfg_file)])
+        assert code == 0, (argv, config)
+        digest.update(out.encode())
+    assert digest.hexdigest() == "1f3d9a158e01a220bb519dc85e4dfc0028fa7c112e5f975c60c6047b3f8f7ab5"
 
 
 class _Periodic(TestFunction):
@@ -551,6 +577,14 @@ def test_overflowing_windows_and_orders_exit_with_a_named_cause(capsys, argv, co
 def test_expand_high_order_within_float_range_passes():
     code, out = run(["expand", "--alpha-max", "255"])
     assert code == 0 and "NaN" not in out and "Infinity" not in out
+
+
+def test_expand_aliasing_order_exits_before_any_evaluation(capsys):
+    # the order is judged before the ring is evaluated and its orders looped over
+    start = time.perf_counter()
+    assert run(["expand", "--function", "linear", "--R", "1", "--alpha-max", str(10 ** 7)]) == (EXIT_USAGE, "")
+    assert time.perf_counter() - start < 1.0
+    assert "alpha_max=10000000 aliases on the 256-node circle" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha_max", [256, 1000])

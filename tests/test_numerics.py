@@ -951,6 +951,42 @@ def test_ray_grid_equals_the_per_point_rule_bit_for_bit(name, points):
 
 
 @pytest.mark.parametrize(
+    "name, points",
+    [  # s - 1 real and integral, where numpy's power multiplies, among points
+       # whose power is exp((s - 1) log x)
+        ("bessel", [-2.0, -1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 4.25]),
+        # 150 and 200 fail, so each point is refined alone
+        ("gaussian", [1.0, 150.0, 2.5, 200.0, 3.0, 1.75]),
+    ],
+)
+def test_ray_grid_with_both_power_branches_equals_the_per_point_rule(name, points):
+    f = build_builtin(name)
+    expected = [_outcome(o) for o in per_point_ray_transforms(f, points, ABS_TOL)]
+    assert [_outcome(o) for o in _ray_transforms(f, points, ABS_TOL)] == expected
+
+
+# exponents s - 1, complex as the grid's points are: non-integral real,
+# complex, real integral (numpy's power multiplies; one with imaginary part
+# -0.0) and 149 and 199 (cpow, through overflow).  A Python float 0.5 would
+# take numpy's sqrt instead
+RAY_EXPONENTS = st.sampled_from(
+    [-2.75, -0.5, 0.25, 0.5, 1.5, 3.25, 99.5, 100.5,
+     0.5 + 1.5j, -1.25 - 1.5j, 2.0 + 0.25j, 1.0 + 60.0j, 149.5 - 1.5j, 3.0 + 1e-300j,
+     *range(-5, 6), complex(2.0, -0.0), 149, 199]).map(complex)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from([16, 24]), RAY_EXPONENTS)
+def test_ray_power_is_numpys_power_bit_for_bit(order, c):
+    # both levels' nodes over 2^-90..2^40, wider than any window
+    x = panel_nodes(np.exp2(np.arange(-90.0, 41.0)), order)[0].astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power, expected = numerics._ray_power(x, np.log(x), c), x ** c
+    # compared as int64 views, so signed zeros, infinities and NaNs all count
+    assert np.array_equal(power.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
     "name, points, failures",
     [  # an uncertified point among settled ones
         ("gamma", [1.0, 0.05, 2.0, 1.5, 3.25],
