@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from functools import cache
@@ -235,6 +236,11 @@ def _parse_index_set(text):
 # -- entry point -----------------------------------------------------------------
 
 
+# Python 3.10 and 3.11 read only -5 and -.5 as negative numbers and take "-2e-1"
+# or "-inf" after a flag for an option; every negative float literal is a value
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 @cache
 def build_parser():
     """The argument parser, built on first use and then shared by every call of
@@ -295,6 +301,8 @@ def build_parser():
     p.add_argument("--alpha-max", dest="alpha_max", type=int, default=12)
     p.set_defaults(run=_cmd_expand, config_defaults={"function": "geometric"})
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return ap
 
 

@@ -26,10 +26,10 @@ Conventions fixed here once:
   panels 2^a..2^b, each s on its own window, certified and chosen from
   probes of f at t = 2^k.  A whole s grid takes one probe and one evaluation
   of f per refinement level, on the union of its windows; per level it is
-  summed one row-wise reduction per window length, and one ``refine`` judges
-  the grid.  t^(s-1) is exp((s-1) log t) from one complex log of the level's
-  nodes, which is how numpy's power computes it unless s - 1 is a real
-  integer; then it is numpy's power itself.
+  summed one row-wise reduction per window length, and one refinement step
+  judges each point by its own increment.  t^(s-1) is exp((s-1) log t) from
+  one complex log of the level's nodes, which is how numpy's power computes
+  it unless s - 1 is a real integer; then it is numpy's power itself.
 * The disc expansion evaluates its family once per circle: on the 256-node
   ring, on the 16-point reconstruction circle, and (dfdt) on the ring again.
 * The transport checks extend f's moment table at its tolerance, ``table.tol``.
@@ -49,7 +49,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EvaluationFailure, PreconditionFailed, QuadratureFailure, SingularEvaluation
-from .quadrature import csum, panel_nodes, periodic_nodes, refine, uniform_edges
+from .quadrature import (csum, panel_nodes, periodic_nodes, refine, refine_failure,
+                         refine_step, uniform_edges)
 from .testfunctions import apply_operator_terms, build_builtin
 from .transform import apply_difference_terms, mellin_op
 from .syntax import format_operator
@@ -396,14 +397,6 @@ def _ray_windows(f, probed, re_s, tol):
             for x, ok, any_, a, b in zip(re_s.tolist(), certified, active.any(axis=1), starts, ends)]
 
 
-def _caught(call, *args):
-    """call(*args), or the QuadratureFailure it raised."""
-    try:
-        return call(*args)
-    except QuadratureFailure as exc:
-        return exc
-
-
 def _settled(outcome):
     """The (value, estimate) pair of a :func:`_ray_transforms` outcome, or its exception raised."""
     if isinstance(outcome, Exception):
@@ -426,14 +419,10 @@ def _ray_power(x, log_x, c):
 def _ray_transforms(f, points, tol):
     """The ray transform at each complex s of ``points``, as its (value,
     estimate) pair or the exception raised for it.  f is probed once and
-    evaluated once per level, on points x the union of the windows' nodes;
-    each s sums over its own window's panels, so the other points do not
-    change its result.  The integrands of the windows of one length are the
-    rows of one array, summed by one row-wise :func:`csum` and one row-wise
-    modulus sum per level; one :func:`refine` judges the whole grid, and only
-    when it raises does each point get its own refine over the same sums.
-    Each level takes the complex log of its nodes once, and every point's
-    power x^(s-1) is :func:`_ray_power` of it, bit for bit x ** (s - 1)."""
+    evaluated once per level on the union x of the windows' nodes.  The
+    integrands of the windows of one length are the rows of one array, summed
+    by one row-wise :func:`csum` per level; one :func:`refine_step` judges each
+    s by its own increment, so the other points do not change its result."""
     probed = np.abs(f(np.exp2(_RAY_PROBES).astype(complex), 0j))
     windows = _ray_windows(f, probed, np.real(points), tol)
     groups = {}  # window length -> the rows of its certified points
@@ -451,7 +440,7 @@ def _ray_transforms(f, points, tol):
         fx = np.broadcast_to(f(x[None, :], np.array(points, dtype=complex)[:, None]),
                              (len(points), x.size))
         values, scales = np.zeros(len(points), complex), np.zeros(len(points))
-        with np.errstate(over="ignore", invalid="ignore"):  # refine judges a non-finite sum
+        with np.errstate(over="ignore", invalid="ignore"):  # the step judges a non-finite sum
             for length, rows in groups.items():
                 integrands = np.empty((len(rows), length * order), complex)
                 for integrand, row in zip(integrands, rows):
@@ -462,17 +451,12 @@ def _ray_transforms(f, points, tol):
                 scales[rows] = np.abs(integrands).sum(axis=-1)
                 del integrands  # one group's buffer at a time
         levels.append((values, scales))
-
-    def settle(sums):  # each level's sums are already taken
-        return refine(sums, lambda level: level, tol, 1e-8)[:2]
-
-    with np.errstate(over="ignore", invalid="ignore"):  # refine judges an overflowing increment
-        try:
-            outcomes = zip(*(column.tolist() for column in settle(levels)))
-        except QuadratureFailure:  # a point failed: each point is judged alone
-            per_point = zip(*(zip(values.tolist(), scales.tolist()) for values, scales in levels))
-            outcomes = [_caught(settle, sums) for sums in per_point]
-        return [outcome if isinstance(w, tuple) else w for outcome, w in zip(outcomes, windows)]
+    (coarse, _), (fine, scales) = levels
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing increment fails its point
+        judged = [column.tolist() for column in refine_step(coarse, fine, scales, tol, 1e-8)]
+    return [window if not isinstance(window, tuple)
+            else (value, estimate) if settled else refine_failure(increment, tol)
+            for window, value, increment, estimate, settled in zip(windows, fine.tolist(), *judged)]
 
 
 def ray_mellin(f, s):

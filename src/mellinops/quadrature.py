@@ -7,10 +7,10 @@ error grows like log n (Higham, "The accuracy of floating point summation",
 SISC 1993), in a fixed order, so a given configuration always reproduces the
 same value.  Along the last axis it sums a stack of equal-length rows in one
 call, each row to the bits it has alone: a grid of ray transforms is summed
-one row-wise reduction per window length and judged by one :func:`refine`.
-Every adaptive rule refines through :func:`refine`, the one place where a
-coarse value is compared with a finer one and an error estimate set: the last
-increment, floored at eps times the sum of the terms' moduli.
+one row-wise reduction per window length.  :func:`refine_step` is the one rule
+that judges a coarse value against a finer one, a number or an array alike,
+and sets the estimate: the last increment, floored at eps times the sum of the
+terms' moduli.  :func:`refine` is its level loop; a ray grid takes one step.
 """
 
 from __future__ import annotations
@@ -62,32 +62,41 @@ def csum(values, axis=None):
     return complex(total) if axis is None else total
 
 
-def refine(levels, evaluate, tol, rel_tol):
-    """Evaluate ``levels`` in order until two consecutive values agree.
+def refine_step(previous, value, scale, tol, rel_tol):
+    """Judge ``value`` against the coarser ``previous`` entry by entry, a number
+    or an ndarray alike.  Returns (increment, estimate, settled): |value -
+    previous|, that floored at _ROUNDING_ULPS ulps of ``scale``, and whether it
+    is finite and at most max(tol, rel_tol * |value|, floor)."""
+    # numpy's abs always: Python's complex abs() can differ in the last bit, and
+    # of a NaN it can raise OverflowError when an earlier overflow left errno set
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN increment
+        increment = np.abs(value - previous)
+    floor = _ROUNDING_ULPS * np.finfo(float).eps * scale
+    target = np.maximum(np.maximum(tol, rel_tol * np.abs(value)), floor)
+    return increment, np.maximum(increment, floor), (increment < np.inf) & (increment <= target)
 
-    ``evaluate(level)`` gives (value, scale): the sum of the terms and of their
-    moduli.  Returns (value, estimate, scale) at the first level where every entry
-    of the value (a number or an ndarray, by numpy's abs) moved by at most
-    max(tol, rel_tol * |entry|) or by at most its rounding floor, _ROUNDING_ULPS
-    ulps of the scale; the estimate is that move floored entry by entry.  Raises
-    QuadratureFailure with the largest last increment when no level settles, and
-    at once on a non-finite one.
-    """
+
+def refine_failure(increment, tol):
+    """The QuadratureFailure of an unsettled increment (a grid's largest)."""
+    if not increment < np.inf:  # nan or inf
+        return QuadratureFailure(f"quadrature increment {increment} is not finite")
+    return QuadratureFailure(
+        f"quadrature did not settle below {tol:.3e} (last increment {increment:.3e})")
+
+
+def refine(levels, evaluate, tol, rel_tol):
+    """Evaluate ``levels`` in order, ``evaluate(level)`` giving (value, scale),
+    the sums of the terms and of their moduli, until :func:`refine_step` settles
+    every entry; returns (value, estimate, scale).  Raises :func:`refine_failure`
+    of the largest last increment when no level settles, at once on a non-finite one."""
     previous = None
     for level in levels:
         value, scale = evaluate(level)
         if previous is not None:
-            # numpy's abs: Python's complex abs() of a NaN can raise OverflowError
-            # when an earlier overflow left errno set; inf - inf is judged below
-            with np.errstate(invalid="ignore"):
-                increment = np.abs(value - previous)
+            increment, estimate, settled = refine_step(previous, value, scale, tol, rel_tol)
             if not (increment < np.inf).all():  # the largest is nan when there is one
-                raise QuadratureFailure(f"quadrature increment {np.max(increment)} is not finite")
-            floor = _ROUNDING_ULPS * np.finfo(float).eps * scale
-            if (increment <= np.maximum(np.maximum(tol, rel_tol * abs(value)), floor)).all():
-                return value, np.maximum(increment, floor), scale
+                raise refine_failure(np.max(increment), tol)
+            if settled.all():
+                return value, estimate, scale
         previous = value
-    raise QuadratureFailure(
-        f"quadrature did not settle below {tol:.3e} (last increment {np.max(increment):.3e})"
-    )
-
+    raise refine_failure(np.max(increment), tol)

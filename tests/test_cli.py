@@ -232,6 +232,24 @@ def test_verify_report_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == "1f3d9a158e01a220bb519dc85e4dfc0028fa7c112e5f975c60c6047b3f8f7ab5"
 
 
+# moments commands whose tails are refined one number at a time: the remainder
+# orders of three functions, and one commutation table at s = 0.3
+MOMENTS_GOLDEN = [
+    ["--function", name, "--kmax", "4", "--remainders", "--order", str(n)]
+    for name in ("mode3", "modeblend", "gaussblend") for n in (0, 2, 8, 12)
+] + [["--function", "sep-modeblend", "--kmax", "8", "--s", "0.3", "--commutation"]]
+
+
+def test_moments_report_bytes_are_pinned():
+    # sha256 of the stdout of the commands in order
+    digest = hashlib.sha256()
+    for argv in MOMENTS_GOLDEN:
+        code, out = run(["moments", *argv])
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == "3bfa38aef1ff18145e8452bea1f5854fe73cb8469e677b02c0709b14d580d721"
+
+
 class _Periodic(TestFunction):
     """f(t, s) (1 + sin(2 pi s) / 10), whose ray transform F(s) (1 + sin(2 pi s) / 10)
     satisfies every difference equation with integer shifts that F does."""
@@ -521,6 +539,21 @@ def test_bad_orders_and_radii_exit_with_a_named_cause(capsys, argv, code, messag
 ])
 def test_non_finite_s_and_center_are_usage_errors(capsys, argv):
     assert run(argv) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["expand", "--T0", "-2e-1"], ["expand", "--T0=-2e-1"]),
+    (["moments", "--kmax", "2", "--s", "-5e-1"], ["moments", "--kmax", "2", "--s=-5e-1"]),
+])
+def test_a_negative_number_in_exponent_notation_follows_its_flag(spaced, joined):
+    # argparse of Python 3.10 and 3.11 took "-2e-1" for an option and exited 7
+    result = run(spaced)
+    assert result[0] == 0 and result == run(joined)
+
+
+def test_negative_infinity_after_its_flag_is_a_usage_error(capsys):
+    assert run(["moments", "--s", "-inf"]) == (EXIT_USAGE, "")
     assert capsys.readouterr().err.startswith("usage error: ")
 
 

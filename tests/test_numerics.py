@@ -955,7 +955,7 @@ def test_ray_grid_equals_the_per_point_rule_bit_for_bit(name, points):
     [  # s - 1 real and integral, where numpy's power multiplies, among points
        # whose power is exp((s - 1) log x)
         ("bessel", [-2.0, -1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 4.25]),
-        # 150 and 200 fail, so each point is refined alone
+        # 150 and 200 fail, each judged by its own increment
         ("gaussian", [1.0, 150.0, 2.5, 200.0, 3.0, 1.75]),
     ],
 )
@@ -991,7 +991,7 @@ def test_ray_power_is_numpys_power_bit_for_bit(order, c):
     [  # an uncertified point among settled ones
         ("gamma", [1.0, 0.05, 2.0, 1.5, 3.25],
          {0.05: "gamma: no ray-decay certificate at Re s = 0.05"}),
-        # refine fails for the grid, so each point is refined alone
+        # points that fail on their own increments among ones that settle
         ("gaussian", [1.0, 200.0, 2.5, 150.0, 0.05, 3.0],
          {200.0: "quadrature increment nan is not finite",
           150.0: "quadrature did not settle below 1.000e-10 (last increment 7.587e+101)",
@@ -1006,6 +1006,22 @@ def test_each_failing_ray_point_carries_its_own_failure(name, points, failures):
             assert isinstance(outcome, QuadratureFailure) and str(outcome) == failures[s]
         else:
             assert _bits(*outcome) == _bits(*ray_mellin(f, s))
+
+
+# ray points that fail (no certificate, an unsettled or a non-finite increment)
+# and points that settle, for some function or other
+RAY_POINTS = st.sampled_from(
+    [0.05, -0.5, 150.0, 200.0, 0.5 + 60j, 0.5, 1.0, 1.75, 2.5, 3.25, 2.5 + 1.5j]).map(complex)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(["gamma", "gaussian", "bessel", "sep-mode2"]),
+       st.lists(RAY_POINTS, min_size=1, max_size=8))
+def test_each_ray_point_is_judged_alone(name, points):
+    # a point settles or fails as it does alone, whatever else its grid holds
+    f = build_builtin(name)
+    alone = [_outcome(_ray_transforms(f, [s], ABS_TOL)[0]) for s in points]
+    assert [_outcome(o) for o in _ray_transforms(f, points, ABS_TOL)] == alone
 
 
 @pytest.mark.parametrize(

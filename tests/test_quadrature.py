@@ -78,6 +78,16 @@ def test_refine_arrays_settle_entry_by_entry_relative():
         refine(range(2), evaluate, 1e-10, 1e-8)
 
 
+def test_refine_judges_a_number_as_a_one_entry_array():
+    # Python's complex abs of v is one ulp below numpy's, so a relative target
+    # read from it would fail the increment |v - 0| that numpy's abs settles
+    v = -1.5885683833831 - 4.821664994140733j
+    for levels in ([0j, v], [np.array([0j]), np.array([v])]):
+        evaluate, _ = recorder(levels)
+        value, estimate, _ = refine(range(2), evaluate, 0.0, 1.0)
+        assert np.all(value == v) and np.all(estimate == np.abs(v))
+
+
 def test_refine_array_failure_quotes_the_largest_increment():
     evaluate, _ = recorder([np.array([0j, 0j, 0j]), np.array([1j, 3j, 2j])])
     with pytest.raises(QuadratureFailure, match=r"last increment 3\.000e\+00"):
