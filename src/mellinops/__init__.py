@@ -2,14 +2,11 @@
 truncated tail-series reductions, and quadrature verification harnesses."""
 
 from .errors import (
-    EvaluationFailure,
-    IndexOutOfRange,
     MellinopsError,
     MixedAlgebra,
     ParseError,
     PreconditionFailed,
     QuadratureFailure,
-    SingularEvaluation,
     TruncationOverflow,
 )
 from .ore import Algebra, GenKind, Generator, OreOperator, normalize

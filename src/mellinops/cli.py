@@ -7,20 +7,23 @@ Exit codes are part of the contract:
     0  success (all requested checks passed)
     1  a check ran but did not pass
     2  operator text did not parse
-    3  algebra mismatch (mixed or wrong-side generators)
+    3  algebra mismatch (mixed or wrong-side generators, an index above the arity)
     4  truncation window overflow (n_max below 4, or too large to index)
     5  annihilation guard failed
     6  quadrature failure (unsettled estimate, no decay certificate, failed grid
        function, a non-finite ``expand`` sample)
     7  usage or configuration error (malformed argument, bad config key or value,
        unreadable config file, unwritable output path, negative order, a
-       non-finite ``moments --s``; for ``expand``, a function that is not a
-       family, a bad radius, a non-finite ``--T0``, an ``alpha_max`` whose
-       coefficients overflow at that radius, or one of 256 or more)
+       non-finite ``moments --s``, a function the subcommand does not name; for
+       ``expand``, a bad radius, a non-finite ``--T0``, an ``alpha_max`` whose
+       coefficients overflow at that radius, or one of 256 or more; in the
+       library, a non-finite s or a zero or non-finite convolution ``t``)
 
 Run configuration: RunConfig's defaults (``function``: gamma for verify, mode2
 for moments, geometric for expand), then the optional key=value file
 (``--config``), then the flags ``--N`` (n_max), ``--function`` and ``--output``.
+``--function`` and the file's ``function`` accept the same names: the built-ins
+of ``BUILTIN_NAMES`` for verify and moments, the three families for expand.
 Recognized keys: n_max, quad_tol, check_tol, grid_start, grid_stop, grid_count,
 grid_imag, function, output.  Reports are JSON with sorted keys and no
 timestamps, so identical runs produce identical bytes on one platform.
@@ -47,8 +50,6 @@ from functools import cache
 import numpy as np
 
 from .errors import (
-    EvaluationFailure,
-    IndexOutOfRange,
     MixedAlgebra,
     ParseError,
     PreconditionFailed,
@@ -183,8 +184,16 @@ def _cmd_koszul(args, cfg):
     return report.to_dict(), report.matches_prediction and report.checks_passed
 
 
+def _function(args, cfg, names):
+    """``cfg.function`` if it is one of ``names``; the flag and the file alike."""
+    if cfg.function not in names:
+        raise ValueError(f"{args.command} has no function {cfg.function!r}; "
+                         f"choose from {', '.join(names)}")
+    return cfg.function
+
+
 def _cmd_verify(args, cfg):
-    op, f = parse(args.operator, algebra="D"), build_builtin(cfg.function)
+    f, op = build_builtin(_function(args, cfg, BUILTIN_NAMES)), parse(args.operator, algebra="D")
     report = verify_commutation(op, f, cfg.s_grid(), tol=cfg.check_tol, quad_tol=cfg.quad_tol)
     return report.to_dict(), report.verdict
 
@@ -196,7 +205,7 @@ _REMAINDER_RADII = (20.0, 40.0, 80.0)
 
 
 def _cmd_moments(args, cfg):
-    f = build_builtin(cfg.function)
+    f = build_builtin(_function(args, cfg, BUILTIN_NAMES))
     s = complex(args.s, cfg.grid_imag)
     table = moment_table(f, args.kmax, s, cfg.quad_tol)
     reports = stokes_checks(f, table)
@@ -216,11 +225,8 @@ _EXPAND_FAMILIES = {
 
 
 def _cmd_expand(args, cfg):
-    if cfg.function not in _EXPAND_FAMILIES:
-        families = ", ".join(_EXPAND_FAMILIES)
-        raise ValueError(f"expand has no function {cfg.function!r}; choose from {families}")
     result = parameter_expansion(
-        _EXPAND_FAMILIES[cfg.function],
+        _EXPAND_FAMILIES[_function(args, cfg, _EXPAND_FAMILIES)],
         center=complex(args.T0),
         radius=args.R,
         alpha_max=args.alpha_max,
@@ -259,6 +265,9 @@ def build_parser():
     common.add_argument("--output", help="write the JSON report to this path")
     common.set_defaults(config_defaults={})
     sub = ap.add_subparsers(dest="command", required=True)
+    # the accepted names of --function, printed as argparse prints choices;
+    # the handlers check them, for the flag and the config file alike
+    builtins, families = ("{" + ",".join(names) + "}" for names in (BUILTIN_NAMES, _EXPAND_FAMILIES))
 
     p = sub.add_parser("transform", help="map operator text across the correspondence")
     p.add_argument("expr")
@@ -280,12 +289,12 @@ def build_parser():
     p = sub.add_parser("verify", parents=[common],
                        help="commutation check for an annihilating pair")
     p.add_argument("operator")
-    p.add_argument("--function", choices=list(BUILTIN_NAMES), help="default: gamma")
+    p.add_argument("--function", metavar=builtins, help="default: gamma")
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("moments", parents=[common],
                        help="moment table plus transport identities")
-    p.add_argument("--function", choices=list(BUILTIN_NAMES), help="default: mode2")
+    p.add_argument("--function", metavar=builtins, help="default: mode2")
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--remainders", action="store_true")
@@ -295,7 +304,7 @@ def build_parser():
 
     p = sub.add_parser("expand", parents=[common],
                        help="disc-coefficient extraction and bounds")
-    p.add_argument("--function", choices=list(_EXPAND_FAMILIES), help="default: geometric")
+    p.add_argument("--function", metavar=families, help="default: geometric")
     p.add_argument("--T0", type=float, default=0.0)
     p.add_argument("--R", type=float, default=0.5)
     p.add_argument("--alpha-max", dest="alpha_max", type=int, default=12)
@@ -306,14 +315,14 @@ def build_parser():
     return ap
 
 
-# (exception types, exit code, stderr label); the first match wins
+# (exception type, exit code, stderr label): one type per code
 _EXIT_TABLE = (
-    ((ParseError,), EXIT_PARSE, "parse error"),
-    ((MixedAlgebra, IndexOutOfRange), EXIT_ALGEBRA, "algebra error"),
-    ((TruncationOverflow,), EXIT_TRUNCATION, "truncation error"),
-    ((PreconditionFailed,), EXIT_GUARD, "guard failure"),
-    ((QuadratureFailure, EvaluationFailure), EXIT_QUADRATURE, "quadrature failure"),
-    ((ValueError, KeyError), EXIT_USAGE, "usage error"),
+    (ParseError, EXIT_PARSE, "parse error"),
+    (MixedAlgebra, EXIT_ALGEBRA, "algebra error"),
+    (TruncationOverflow, EXIT_TRUNCATION, "truncation error"),
+    (PreconditionFailed, EXIT_GUARD, "guard failure"),
+    (QuadratureFailure, EXIT_QUADRATURE, "quadrature failure"),
+    (ValueError, EXIT_USAGE, "usage error"),
 )
 
 
@@ -332,10 +341,9 @@ def main(argv=None, stream=None):
         return 0 if passed else EXIT_FAIL
     except SystemExit as exc:  # argparse has printed the help (0) or the argument error
         return EXIT_USAGE if exc.code else 0
-    except tuple(t for types, _, _ in _EXIT_TABLE for t in types) as exc:
-        code, label = next((c, lab) for types, c, lab in _EXIT_TABLE if isinstance(exc, types))
-        # str() of a KeyError is the repr of its key; print the message itself
-        print(f"{label}: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    except tuple(t for t, _, _ in _EXIT_TABLE) as exc:
+        code, label = next((c, lab) for t, c, lab in _EXIT_TABLE if isinstance(exc, t))
+        print(f"{label}: {exc}", file=sys.stderr)
         return code
 
 

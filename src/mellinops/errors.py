@@ -1,20 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per CLI exit code 2 to 6."""
 
 
 class MellinopsError(Exception):
     """Base class for all package errors."""
-
-
-class MixedAlgebra(MellinopsError):
-    """Operands live in different algebras (or incompatible arities)."""
-
-
-class IndexOutOfRange(MellinopsError):
-    """A generator index exceeds the declared number of variables."""
-
-
-class TruncationOverflow(MellinopsError):
-    """A series exponent falls outside the configured truncation window."""
 
 
 class ParseError(MellinopsError):
@@ -25,17 +13,17 @@ class ParseError(MellinopsError):
         self.offset = offset
 
 
-class EvaluationFailure(MellinopsError):
-    """A grid function could not be evaluated at a required point."""
+class MixedAlgebra(MellinopsError):
+    """Operands live in different algebras or arities, or an index lies outside 1..arity."""
 
 
-class QuadratureFailure(MellinopsError):
-    """A quadrature error estimate exceeded the requested tolerance."""
-
-
-class SingularEvaluation(MellinopsError):
-    """Evaluation requested at a non-removable singular point."""
+class TruncationOverflow(MellinopsError):
+    """A series exponent falls outside the configured truncation window."""
 
 
 class PreconditionFailed(MellinopsError):
     """A guard check (e.g. numeric annihilation) did not hold."""
+
+
+class QuadratureFailure(MellinopsError):
+    """An error estimate exceeded its tolerance, or a function failed at a needed point."""

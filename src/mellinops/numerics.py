@@ -48,7 +48,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EvaluationFailure, PreconditionFailed, QuadratureFailure, SingularEvaluation
+from .errors import PreconditionFailed, QuadratureFailure
 from .quadrature import (csum, panel_nodes, periodic_nodes, refine, refine_failure,
                          refine_step, uniform_edges)
 from .testfunctions import apply_operator_terms, build_builtin
@@ -167,7 +167,10 @@ def _haar_integral_once(f, powers, s, level):
     return values, scales
 
 
-def _require_two_sided_decay(f):
+def _require_haar_input(f, s):
+    """A finite s (a usage error), then f's two-sided rapid-decay certificate."""
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if not all(f.decay()):
         raise QuadratureFailure(
             f"{f.name}: no two-sided rapid-decay certificate for a Haar integral"
@@ -185,7 +188,7 @@ def haar_integral(f, powers, s=0j, tol=ABS_TOL):
     ``powers``, as (values, estimates, scales) arrays; one split of f into
     angular orders per level.  A scale is the integral of the modulus of the
     value's radial integrand on the settled level: |value| <= scale."""
-    _require_two_sided_decay(f)
+    _require_haar_input(f, s)
     # only the first two levels: on finer ones the fixed window settles integrands
     # it cuts off (order 100 of mode100 peaks past u = 5.2); such an order fails
     return refine(_HAAR_LEVELS[:2], partial(_haar_integral_once, f, powers, s), tol, 1e-8)
@@ -193,8 +196,6 @@ def haar_integral(f, powers, s=0j, tol=ABS_TOL):
 
 def moment_table(f, k_max, s=0j, tol=ABS_TOL):
     k_max = _check_order("k_max", k_max)
-    if not np.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
     orders = range(-k_max, k_max + 1)
     columns = haar_integral(f, orders, s, tol)
     return MomentTable(complex(s), k_max, *(dict(zip(orders, column)) for column in columns), tol)
@@ -258,12 +259,12 @@ def convolution_remainder(f, t, s=0j, n=0, side="infinity"):
     at its rounding floor."""
     t = complex(t)
     if t == 0:
-        raise SingularEvaluation("the convolution kernel is centered on t != 0")
+        raise ValueError("the convolution kernel is centered on t != 0")
     n = _check_order("remainder order n", n)
     q = n + 1 if _check_side(side) == "infinity" else -n
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    _require_two_sided_decay(f)
+    _require_haar_input(f, s)
     return refine(_HAAR_LEVELS, partial(_tail_once, f, t, s, q), 0.0, 1e-13)[:2]
 
 
@@ -272,9 +273,7 @@ def _predicted_order(f, n, side, s):
     n+1..n+4 whose moment on ``side`` can be non-zero, that is, whose angular
     order of f (-k at infinity, k at zero) is not identically zero on the first
     Haar level's radii; when none is, (n + 5, True)."""
-    if not np.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
-    _require_two_sided_decay(f)
+    _require_haar_input(f, s)
     u, _ = _radial_nodes(*_HAAR_LEVELS[0])
     carried = {k for k, row in f.modes(np.exp(u), s).items() if np.any(row)}
     sign = -1 if side == "infinity" else 1
@@ -623,12 +622,12 @@ def parameter_expansion(
     ring = center + radius * np.exp(1j * phis)
 
     def evaluate(g, T):
-        """g(ts, T) with a row per T; EvaluationFailure names the first non-finite row's T."""
+        """g(ts, T) with a row per T; QuadratureFailure names the first non-finite row's T."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = np.broadcast_to(np.asarray(g(ts, T[:, None]), complex), (len(T), len(ts)))
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
-            raise EvaluationFailure(f"disc function is not finite at T = {complex(T[bad[0]]):.6g}")
+            raise QuadratureFailure(f"disc function is not finite at T = {complex(T[bad[0]]):.6g}")
         return values
 
     def disc_coefficients(g):

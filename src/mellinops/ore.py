@@ -37,7 +37,7 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
-from .errors import IndexOutOfRange, MixedAlgebra
+from .errors import MixedAlgebra
 from .shiftpoly import binomial_shift
 from .sparse import RATIONALS, SparseSum, cleared, divided, rational
 
@@ -211,15 +211,16 @@ class OreOperator(SparseSum):
                 c = tuple(map(add, c1, c2))
                 # fixed: the degrees of the untransported rows since the last
                 # transported one, appended to every expanded term in one go
-                expansion, fixed = [((), x * y)], ()
+                expansion, fixed = [((), x * y)], []
                 for e1, k, e2 in zip(e1s, ks, e2s):
                     if e1 and k:
-                        row = _mono_mul(e1, k, e2)
+                        row, fixed = _mono_mul(e1, k, e2), tuple(fixed)
                         expansion = [(degs + fixed + (deg,), n * w)
                                      for degs, n in expansion for deg, w in row]
-                        fixed = ()
+                        fixed = []
                     else:  # the row would be ((e1 + e2, 1),)
-                        fixed += (e1 + e2,)
+                        fixed.append(e1 + e2)
+                fixed = tuple(fixed)
                 for degs, n in expansion:
                     degs += fixed
                     key = (a, degs[:p], c, degs[p:])
@@ -245,7 +246,7 @@ def resolve_algebra(kinds, max_index, algebra, arity):
     algebra admits both sides.  A single wrong-side generator under a
     one-sided hint is left to :meth:`OreOperator.generator`.  The arity
     defaults to ``max_index``; an index outside 1..arity raises
-    IndexOutOfRange.
+    MixedAlgebra.
     """
     mixed = bool(kinds & T_SIDE) and bool(kinds & S_SIDE)
     if algebra is None:
@@ -262,7 +263,7 @@ def resolve_algebra(kinds, max_index, algebra, arity):
     if arity is None:
         arity = max_index
     if not 1 <= max_index <= arity:
-        raise IndexOutOfRange(f"index {max_index} not in 1..{arity}")
+        raise MixedAlgebra(f"index {max_index} not in 1..{arity}")
     return algebra, arity
 
 

@@ -310,7 +310,7 @@ def build_builtin(name):
         return ray_exponential(_RAYS[name], name)
     mode = re.fullmatch(r"mode(-?[0-9]+)", name)  # an integer suffix selects the mode
     if not (mode or name in _ENVELOPES):
-        raise KeyError(f"unknown built-in function {name!r}")
+        raise ValueError(f"unknown built-in function {name!r}")
     modes, radial, g = ((int(mode[1]),), None, None) if mode else _ENVELOPES[name]
     return TestFunction(tuple(
         envelope_mode(m, g, 1.0 / factorial(m) if len(modes) > 1 else 1.0, radial)

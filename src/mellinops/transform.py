@@ -13,7 +13,7 @@ e^{2i*pi*s}.)
 
 from __future__ import annotations
 
-from .errors import EvaluationFailure, MixedAlgebra
+from .errors import MixedAlgebra, QuadratureFailure
 from .ore import Algebra, OreOperator
 
 
@@ -76,11 +76,11 @@ def apply_difference_terms(Q, F, s):
         try:
             value = F(shifted[0]) if scalar_mode else F(shifted)
         except Exception as exc:  # noqa: BLE001 - surface as the contract error
-            raise EvaluationFailure(f"grid function failed at {shifted}: {exc}") from exc
+            raise QuadratureFailure(f"grid function failed at {shifted}: {exc}") from exc
         if value is None:
-            raise EvaluationFailure(f"grid function returned nothing at {shifted}")
+            raise QuadratureFailure(f"grid function returned nothing at {shifted}")
         value = complex(value)
         if value != value:  # NaN
-            raise EvaluationFailure(f"grid function returned NaN at {shifted}")
+            raise QuadratureFailure(f"grid function returned NaN at {shifted}")
         out.append(weight * value)
     return out

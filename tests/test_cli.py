@@ -483,6 +483,47 @@ def test_expand_config_function_must_be_a_family(tmp_path, capsys):
     assert "'gamma'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["verify", "th + t"], mellinops.BUILTIN_NAMES),
+    (["moments", "--kmax", "2"], mellinops.BUILTIN_NAMES),
+    (["expand"], ("geometric", "linear", "power2")),
+])
+@pytest.mark.parametrize("function", ["mode7", "mode-3", "nosuch"])
+def test_config_function_follows_the_flags_rule(tmp_path, capsys, argv, names, function):
+    # build_builtin reads any mode<k>; the flag and the file accept the same names
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"function = {function}\n")
+    assert run(argv + ["--config", str(cfg_file)]) == (EXIT_USAGE, "")
+    from_file = capsys.readouterr().err
+    assert run(argv + ["--function", function]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == from_file == (
+        f"usage error: {argv[0]} has no function {function!r}; choose from {', '.join(names)}\n")
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"\xff\xfen\x00_\x00m\x00a\x00x\x00")  # UTF-16 with its byte-order mark
+    assert run(["koszul", "--I", "1", "--config", str(cfg_file)]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == (
+        "usage error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_each_exit_code_has_one_exception_type():
+    assert [code for _, code, _ in cli._EXIT_TABLE] == list(range(EXIT_PARSE, EXIT_USAGE + 1))
+    assert all(isinstance(exc_type, type) for exc_type, _, _ in cli._EXIT_TABLE)
+    errors = list(_subclasses(mellinops.MellinopsError))
+    for exc_type in errors:
+        rows = [code for row_type, code, _ in cli._EXIT_TABLE if issubclass(exc_type, row_type)]
+        assert len(rows) == 1, exc_type
+    assert len(errors) == EXIT_QUADRATURE - EXIT_PARSE + 1
+
+
 @pytest.mark.parametrize("kmax", [0, 1, 2])
 def test_moments_of_a_mode_below_and_at_its_order_pass(kmax):
     # below order 2 every moment of mode2 vanishes, so both sides of each Stokes

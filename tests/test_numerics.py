@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mellinops import (
-    EvaluationFailure,
     PreconditionFailed,
     QuadratureFailure,
     ResidualReport,
     SFactor,
-    SingularEvaluation,
     asymptotic_remainder_check,
     build_builtin,
     cauchy_convolve,
@@ -343,7 +341,7 @@ def test_convolve_zero_function():
 
 
 def test_convolve_requires_nonzero_center():
-    with pytest.raises(SingularEvaluation):
+    with pytest.raises(ValueError, match="^the convolution kernel is centered on t != 0$"):
         cauchy_convolve(build_builtin("modeblend"), 0.0)
 
 
@@ -512,6 +510,23 @@ def test_convolution_requires_two_sided_decay():
     for call in (lambda: cauchy_convolve(gamma, 10.0), lambda: convolution_remainder(gamma, 10.0)):
         with pytest.raises(QuadratureFailure, match="two-sided rapid-decay certificate"):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, s: haar_integral(f, range(3), s=s),
+    lambda f, s: moment_table(f, 2, s),
+    lambda f, s: convolution_remainder(f, 10.0, s=s),
+    lambda f, s: asymptotic_remainder_check(f, 1, (20.0, 40.0), s=s),
+], ids=["haar_integral", "moment_table", "convolution_remainder", "asymptotic_remainder_check"])
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+def test_non_finite_s_is_a_usage_error_at_every_haar_entry(monkeypatch, call, s):
+    # bad input (exit 7) ahead of the decay certificate, not a non-finite
+    # increment (exit 6): with the grid builder gone no integral is summed
+    monkeypatch.setattr(numerics, "_radial_nodes", None)
+    with pytest.raises(ValueError, match="^s must be finite, got "):
+        call(build_builtin("mode2"), s)
+    with pytest.raises(ValueError, match="^s must be finite, got "):
+        call(build_builtin("gamma"), s)  # no two-sided decay certificate either
 
 
 @pytest.mark.parametrize("call", [
@@ -1032,7 +1047,7 @@ def test_each_ray_point_is_judged_alone(name, points):
     ],
 )
 def test_verify_raises_the_first_failing_point_in_residual_order(grid, message):
-    with pytest.raises(EvaluationFailure) as caught:
+    with pytest.raises(QuadratureFailure) as caught:
         verify_commutation(parse("th + 2*t^2"), build_builtin("gaussian"), grid)
     assert str(caught.value) == f"grid function failed at {message}"
     assert isinstance(caught.value.__cause__, QuadratureFailure)
@@ -1226,5 +1241,5 @@ def test_expansion_rejects_negative_alpha_max():
 @pytest.mark.parametrize("radius", [1.0, 2.0])
 def test_expansion_through_a_pole_fails(radius):
     # R = 1 puts the pole T = 1 on the ring, R = 2 on the reconstruction circle
-    with pytest.raises(EvaluationFailure, match="not finite"):
+    with pytest.raises(QuadratureFailure, match="^disc function is not finite at T = "):
         parameter_expansion(geometric, 0j, radius, 12)

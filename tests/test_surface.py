@@ -15,10 +15,10 @@ SRC = Path(mellinops.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTED = [
-    "Algebra", "Axis", "BUILTIN_NAMES", "CongruenceResult", "EvaluationFailure",
-    "ExpansionResult", "GenKind", "Generator", "INF_TYPE", "IndexOutOfRange",
+    "Algebra", "Axis", "BUILTIN_NAMES", "CongruenceResult",
+    "ExpansionResult", "GenKind", "Generator", "INF_TYPE",
     "KoszulReport", "MellinopsError", "MixedAlgebra", "MomentTable", "OreOperator", "ParseError", "PreconditionFailed", "QuadratureFailure",
-    "ResidualReport", "SFactor", "ShiftPolynomial", "SingularEvaluation", "TailSeries",
+    "ResidualReport", "SFactor", "ShiftPolynomial", "TailSeries",
     "TestFunction", "TruncationOverflow", "ZERO_TYPE", "apply_difference",
     "asymptotic_remainder_check", "build_builtin", "cauchy_convolve",
     "convolution_remainder", "epsilon_commutation_check", "errors", "format_operator",

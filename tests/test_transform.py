@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mellinops import (
-    EvaluationFailure,
     MixedAlgebra,
     OreOperator,
+    QuadratureFailure,
     apply_difference,
     inverse_mellin_op,
     mellin_op,
@@ -151,14 +151,14 @@ def test_apply_difference_failures():
     def bad(_s):
         raise RuntimeError("no data")
 
-    with pytest.raises(EvaluationFailure):
+    with pytest.raises(QuadratureFailure, match=r"^grid function failed at \(2\.0,\): no data$"):
         apply_difference(Q, bad, 1.0)
-    with pytest.raises(EvaluationFailure):
+    with pytest.raises(QuadratureFailure, match=r"^grid function returned NaN at \(2\.0,\)$"):
         apply_difference(Q, lambda s: float("nan"), 1.0)
     with pytest.raises(MixedAlgebra):
         apply_difference(parse("t"), lambda s: s, 1.0)
     # the per-term form, which the commutation harness uses, keeps the guards
-    with pytest.raises(EvaluationFailure):
+    with pytest.raises(QuadratureFailure, match="^grid function returned NaN at "):
         apply_difference_terms(parse("tau - s"), lambda s: float("nan"), 1.0)
     with pytest.raises(ValueError):
         apply_difference_terms(parse("tau - s"), lambda s: s, (1.0, 2.0))
