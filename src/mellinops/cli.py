@@ -34,7 +34,8 @@ of it.  ``verify`` reads the grid, function, quad_tol and check_tol.
 it judges Stokes and commutation rows at a fixed 1e-6 and observed tail orders
 against a fixed band of 0.5 at radii 20, 40 and 80, and its remainder check
 ignores quad_tol (tails settle at a fixed 1e-13 relative).  ``expand`` reads
-function and check_tol and ignores quad_tol.  ``koszul`` reads only n_max.
+function and check_tol and ignores quad_tol.  ``koszul`` reads only n_max,
+and its config file may not set ``function`` (a usage error).
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ class RunConfig:
 _CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
-def load_config(path=None, overrides=None, defaults=None):
-    """``defaults``, then the key=value file at ``path``, then non-None ``overrides``."""
+def load_config(path=None, overrides=None, defaults=None, unread=()):
+    """``defaults``, then the key=value file at ``path``, then non-None
+    ``overrides``; a key of ``unread`` in the file is an error."""
     cfg = RunConfig(**(defaults or {}))
     if path:
         try:
@@ -136,6 +138,8 @@ def load_config(path=None, overrides=None, defaults=None):
                 lines = fh.readlines()
         except OSError as exc:
             raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read config {path}: {exc}") from exc
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -145,6 +149,8 @@ def load_config(path=None, overrides=None, defaults=None):
             key, value = (x.strip() for x in line.split("=", 1))
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in unread:
+                raise ValueError(f"{path}:{lineno}: this subcommand does not read {key!r}")
             setattr(cfg, key, _CONFIG_TYPES[key](value))
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -263,7 +269,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value run configuration file")
     common.add_argument("--output", help="write the JSON report to this path")
-    common.set_defaults(config_defaults={})
+    common.set_defaults(config_defaults={}, config_unread=())
     sub = ap.add_subparsers(dest="command", required=True)
     # the accepted names of --function, printed as argparse prints choices;
     # the handlers check them, for the flag and the config file alike
@@ -284,7 +290,7 @@ def build_parser():
     p.add_argument("--I", default="", help="comma-separated zero-type variables")
     p.add_argument("--J", default="", help="comma-separated infinity-type variables")
     p.add_argument("--N", dest="n_max", metavar="N", type=int, help="truncation window top")
-    p.set_defaults(run=_cmd_koszul)
+    p.set_defaults(run=_cmd_koszul, config_unread=("function",))
 
     p = sub.add_parser("verify", parents=[common],
                        help="commutation check for an annihilating pair")
@@ -335,7 +341,7 @@ def main(argv=None, stream=None):
             print(args.run(args), file=stream)
             return 0
         overrides = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES}
-        cfg = load_config(args.config, overrides, args.config_defaults)
+        cfg = load_config(args.config, overrides, args.config_defaults, args.config_unread)
         report, passed = args.run(args, cfg)
         _emit_report(report, cfg, stream)
         return 0 if passed else EXIT_FAIL

@@ -22,14 +22,14 @@ Conventions fixed here once:
   window widened to log|t| +- 1, settling at 1e-13 relative or at its
   rounding floor.  A function with an exp(P(t)) factor has no angular split:
   QuadratureFailure.
-* The ray transform is integral over (0, inf) of f(t) t^(s-1) dt on dyadic
-  panels 2^a..2^b, each s on its own window, certified and chosen from
-  probes of f at t = 2^k.  A whole s grid takes one probe and one evaluation
-  of f per refinement level, on the union of its windows; per level it is
-  summed one row-wise reduction per window length, and one refinement step
-  judges each point by its own increment.  t^(s-1) is exp((s-1) log t) from
-  one complex log of the level's nodes, which is how numpy's power computes
-  it unless s - 1 is a real integer; then it is numpy's power itself.
+* The ray transform, the integral of f(t) t^(s-1) dt = f(e^u) e^(su) du, is
+  the trapezoid rule on the nested lattice u = j log 2 / m, m = 2, 4, 8, 16,
+  over each s's window 2^a..2^b of whole doublings, chosen and certified from
+  probes of f at t = 2^k.  A grid takes one probe and one evaluation of f per
+  level, later levels on their new odd nodes only.  Each point's terms lie on
+  the lattice of 2^-86..2^86, zero outside its window, so they sum to the bits
+  they have alone; a level pair judges a point once its coarse level resolves
+  e^(i Im(s) u), h (|Im s| + 1) <= pi.  The estimate adds the mass beyond.
 * The disc expansion evaluates its family once per circle: on the 256-node
   ring, on the 16-point reconstruction circle, and (dfdt) on the ring again.
 * The transport checks extend f's moment table at its tolerance, ``table.tol``.
@@ -371,6 +371,11 @@ def epsilon_commutation_check(f, table):
 
 
 _RAY_PROBES = np.arange(-84.0, 85.0)  # the window's dyadic probes are t = 2^k
+_RAY_LEVELS = (2, 4, 8, 16)  # nodes per doubling
+_RAY_IM_MAX = math.pi * 8 / math.log(2) - 1  # h (|Im s| + 1) <= pi at h = log 2 / 8
+# the finest lattice u = j log 2 / 16 over 2^-86..2^86, the widest windows
+_RAY_U = np.arange(-86 * 16, 86 * 16 + 1) * (math.log(2) / 16)
+_RAY_X = np.exp(_RAY_U).astype(complex)
 
 
 def _ray_windows(f, probed, re_s, tol):
@@ -378,9 +383,11 @@ def _ray_windows(f, probed, re_s, tol):
     real part in ``re_s``.  An active end probe needs the mass beyond it,
     w_end / a at the rate a = log2(w_inner / w_end) per doubling, to be at most
     ``tol``; a non-finite probe has no certificate, and the point gets its
-    QuadratureFailure.  A window is the exponents (a, b) of the panel edges
-    2^a..2^b: two doublings past the outer active probes and always reaching
-    1, or (0, 0) when no probe is active."""
+    QuadratureFailure.  A window (a, b, tail) spans 2^a..2^b, two doublings
+    past the outer active probes and always reaching 1, or is (0, 0, 0.0) with
+    no active probe; tail bounds the mass beyond it by each side's w / a two
+    doublings out, w the outer active probe and a its rate against the one
+    outside it (inside, at an end)."""
     threshold = tol * 1e-4
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weight = np.where(probed == 0, 0.0, probed * np.exp2(_RAY_PROBES) ** re_s[:, None])
@@ -388,12 +395,18 @@ def _ray_windows(f, probed, re_s, tol):
         for w_end, w_inner in ((weight[:, 0], weight[:, 1]), (weight[:, -1], weight[:, -2])):
             decays = (w_inner > w_end) & (w_end / np.log2(w_inner / w_end) <= tol)
             certified &= (w_end <= threshold) | decays
-    active = weight > threshold
-    starts = _RAY_PROBES[active.argmax(axis=1)] - 2
-    ends = np.maximum(_RAY_PROBES[-1 - active[:, ::-1].argmax(axis=1)] + 2, 0)
+        active = weight > threshold
+        outer = np.stack((active.argmax(1), active.shape[1] - 1 - active[:, ::-1].argmax(1)))
+        # weight widened by one column each way, an end probe's inner neighbour mirrored outside it
+        padded = np.concatenate((weight[:, 1:2], weight, weight[:, -2:-1]), axis=1)
+        rows = np.arange(len(weight))
+        w = weight[rows, outer]
+        rate = np.abs(np.log2(w / padded[rows, outer + [[0], [2]]]))
+        tail = (w * np.exp2(-2 * rate) / rate).sum(axis=0)
+    starts, ends = _RAY_PROBES[outer[0]] - 2, np.maximum(_RAY_PROBES[outer[1]] + 2, 0)
     return [QuadratureFailure(f"{f.name}: no ray-decay certificate at Re s = {x:g}") if not ok
-            else (int(a), int(b)) if any_ else (0, 0)
-            for x, ok, any_, a, b in zip(re_s.tolist(), certified, active.any(axis=1), starts, ends)]
+            else (int(a), int(b), float(t)) if any_ else (0, 0, 0.0)
+            for x, ok, any_, a, b, t in zip(re_s, certified, active.any(1), starts, ends, tail)]
 
 
 def _settled(outcome):
@@ -403,64 +416,53 @@ def _settled(outcome):
     return outcome
 
 
-def _ray_power(x, log_x, c):
-    """x ** c for positive complex nodes x, given log_x = np.log(x), bit for
-    bit with numpy's power.  For a real integral c below 100 in size numpy
-    multiplies, so such a c keeps x ** c; any other c goes to glibc's cpow,
-    which is cexp(c * clog(x)).  The complex log of x > 0 has imaginary part
-    +0, so c * log_x rounds as it does there.  (The real log differs: glibc's
-    clog takes log1p((x - 1)(x + 1)) / 2 for 0.5 <= x < 2.)"""
-    if c.imag == 0 and float(c.real).is_integer():
-        return x ** c
-    return np.exp(c * log_x)
-
-
 def _ray_transforms(f, points, tol):
     """The ray transform at each complex s of ``points``, as its (value,
-    estimate) pair or the exception raised for it.  f is probed once and
-    evaluated once per level on the union x of the windows' nodes.  The
-    integrands of the windows of one length are the rows of one array, summed
-    by one row-wise :func:`csum` per level; one :func:`refine_step` judges each
-    s by its own increment, so the other points do not change its result."""
-    probed = np.abs(f(np.exp2(_RAY_PROBES).astype(complex), 0j))
-    windows = _ray_windows(f, probed, np.real(points), tol)
-    groups = {}  # window length -> the rows of its certified points
-    for row, window in enumerate(windows):
-        if isinstance(window, tuple):
-            groups.setdefault(window[1] - window[0], []).append(row)
-    spans = [w for w in windows if isinstance(w, tuple)]
-    lo = min((a for a, _ in spans), default=0)
-    edges = np.exp2(np.arange(lo, max((b for _, b in spans), default=0) + 1.0))
-    levels = []  # (values, scales) of every point, 0 where it has no window
-    for order in (16, 24):
-        x, w = panel_nodes(edges, order)
-        x = x.astype(complex)
-        log_x = np.log(x)  # shared by every point's power
-        fx = np.broadcast_to(f(x[None, :], np.array(points, dtype=complex)[:, None]),
-                             (len(points), x.size))
-        values, scales = np.zeros(len(points), complex), np.zeros(len(points))
+    estimate) pair or the exception raised for it, by the module docstring's
+    rule: f probed once, then evaluated once per level for the points still
+    open, their terms summed by one row-wise :func:`csum` per level."""
+    points = np.array(points, dtype=complex)
+    windows = _ray_windows(f, np.abs(f(np.exp2(_RAY_PROBES).astype(complex), 0j)), points.real, tol)
+    # a point leaves at once with no certificate, as 0 with no active probe, or
+    # when no level pair resolves its Im s; None marks the points refined below
+    outcomes = [w if not isinstance(w, tuple) else (0j, 0.0) if w[0] == w[1]
+                else QuadratureFailure(f"the ray lattice resolves |Im s| <= {_RAY_IM_MAX:.2f} only")
+                if abs(y) > _RAY_IM_MAX else None for y, w in zip(points.imag, windows)]
+    rows = np.array([i for i, outcome in enumerate(outcomes) if outcome is None], np.intp)
+    # the windows' first and last nodes, as indices into _RAY_U
+    ends = (np.array([w[:2] if isinstance(w, tuple) else (0, 0) for w in windows]) + 86) * 16
+    value, scale = np.zeros(points.size, complex), np.zeros(points.size)
+    for level, m in enumerate(_RAY_LEVELS):
+        if not rows.size:
+            break
+        step, h, s, previous = 16 // m, math.log(2) / m, points[rows], value[rows]
+        nodes = np.arange(step, _RAY_U.size, 2 * step) if level else np.arange(0, _RAY_U.size, step)
+        first = nodes.searchsorted(ends[rows, 0].min())
+        hull = nodes[first:nodes.searchsorted(ends[rows, 1].max(), "right")]
+        r, c = np.nonzero((ends[rows, :1] <= hull) & (hull <= ends[rows, 1:]))
+        fx = np.broadcast_to(f(_RAY_X[hull][None, :], s[:, None]), (rows.size, hull.size))
+        terms = np.zeros((rows.size, nodes.size), complex)
         with np.errstate(over="ignore", invalid="ignore"):  # the step judges a non-finite sum
-            for length, rows in groups.items():
-                integrands = np.empty((len(rows), length * order), complex)
-                for integrand, row in zip(integrands, rows):
-                    part = slice((windows[row][0] - lo) * order, (windows[row][1] - lo) * order)
-                    power = _ray_power(x[part], log_x[part], points[row] - 1)
-                    np.multiply(fx[row, part] * power, w[part], out=integrand)
-                values[rows] = csum(integrands, axis=-1)
-                scales[rows] = np.abs(integrands).sum(axis=-1)
-                del integrands  # one group's buffer at a time
-        levels.append((values, scales))
-    (coarse, _), (fine, scales) = levels
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing increment fails its point
-        judged = [column.tolist() for column in refine_step(coarse, fine, scales, tol, 1e-8)]
-    return [window if not isinstance(window, tuple)
-            else (value, estimate) if settled else refine_failure(increment, tol)
-            for window, value, increment, estimate, settled in zip(windows, fine.tolist(), *judged)]
+            terms[r, first + c] = fx[r, c] * np.exp(s[r] * _RAY_U[hull][c])
+            value[rows] = h * csum(terms, axis=-1) + previous / 2
+            scale[rows] = h * np.abs(terms).sum(axis=-1) + scale[rows] / 2
+            if not level:
+                continue
+            increment, estimate, settled = refine_step(previous, value[rows], scale[rows], tol, 1e-8)
+        # judged once the coarse level resolves e^(i Im(s) u): an aliased increment is blind
+        settled &= 2 * h * (np.abs(s.imag) + 1) <= math.pi
+        done = settled | ~(increment < np.inf) | (level == len(_RAY_LEVELS) - 1)
+        for i, inc, est, ok in zip(rows[done], increment[done], estimate[done], settled[done]):
+            outcomes[i] = ((complex(value[i]), float(est) + windows[i][2]) if ok
+                           else refine_failure(inc, tol))
+        rows = rows[~done]
+    return outcomes
 
 
 def ray_mellin(f, s):
     """The integral of f(t) t^(s-1) dt along the positive ray as (value, error
-    estimate); QuadratureFailure when the estimate exceeds ``ABS_TOL``."""
+    estimate); QuadratureFailure when no judged increment settles within
+    ``ABS_TOL`` or 1e-8 of the value."""
     return _settled(_ray_transforms(f, (complex(s),), ABS_TOL)[0])
 
 
@@ -475,7 +477,7 @@ def annihilation_guard(P, f):
     scale = np.max(np.abs(parts), axis=0)
     scale = np.where(scale > 0, scale, 1.0)
     worst = float(np.max(np.abs(total) / scale))
-    if worst > _GUARD_TOL:
+    if not worst <= _GUARD_TOL:  # a NaN residual fails
         raise PreconditionFailed(
             f"operator does not annihilate {f.name}: relative residual {worst:.3e}"
         )

@@ -1,16 +1,17 @@
 """Shared quadrature building blocks.
 
-All rules are tensor products of composite Gauss-Legendre panels with
-uniform periodic grids; node layouts are fixed functions of the parameters.
-:func:`csum` is the one summation rule: numpy's pairwise sum, whose rounding
-error grows like log n (Higham, "The accuracy of floating point summation",
-SISC 1993), in a fixed order, so a given configuration always reproduces the
-same value.  Along the last axis it sums a stack of equal-length rows in one
-call, each row to the bits it has alone: a grid of ray transforms is summed
-one row-wise reduction per window length.  :func:`refine_step` is the one rule
-that judges a coarse value against a finer one, a number or an array alike,
-and sets the estimate: the last increment, floored at eps times the sum of the
-terms' moduli.  :func:`refine` is its level loop; a ray grid takes one step.
+The radial and disc rules are composite Gauss-Legendre panels and uniform
+periodic grids (the ray transform's trapezoid lattice is in numerics); node
+layouts are fixed functions of the parameters.  :func:`csum` is the one
+summation rule: numpy's pairwise sum, whose rounding error grows like log n
+(Higham, "The accuracy of floating point summation", SISC 1993), in a fixed
+order, so a given configuration always reproduces the same value.  Along the
+last axis it sums a stack of equal-length rows in one call, each row to the
+bits it has alone: a grid of ray transforms is summed one row-wise reduction
+per level.  :func:`refine_step` is the one rule that judges a coarse value
+against a finer one, a number or an array alike, and sets the estimate: the
+last increment, floored at eps times the sum of the terms' moduli.
+:func:`refine` is its level loop; a ray grid takes one step per level.
 """
 
 from __future__ import annotations

@@ -190,8 +190,8 @@ def test_moments_quadrature_failure_exit_code():
 VERIFY_FAILURES = {  # config: the first failing point and its own message
     # no ray-decay certificate below Re s = 0
     "grid_start = -0.5\ngrid_stop = 0.5\n": "((-0.5+0j),): gamma: no ray-decay certificate at Re s = -0.5",
-    # the ray transform does not settle; the increment is the point's own
-    "grid_imag = 60\n": "((0.5+60j),): quadrature did not settle below 1.000e-10 (last increment 8.138e-06)",
+    # the ray transform's finest level pair cannot judge Im s = 60
+    "grid_imag = 60\n": "((0.5+60j),): the ray lattice resolves |Im s| <= 35.26 only",
     # t^(s-1) overflows on the ray: the sums are NaN
     "grid_stop = 200\ngrid_count = 3\n": "((100.25+0j),): quadrature increment nan is not finite",
 }
@@ -229,7 +229,7 @@ def test_verify_report_bytes_are_pinned(tmp_path):
         code, out = run(["verify", *argv, "--config", str(cfg_file)])
         assert code == 0, (argv, config)
         digest.update(out.encode())
-    assert digest.hexdigest() == "1f3d9a158e01a220bb519dc85e4dfc0028fa7c112e5f975c60c6047b3f8f7ab5"
+    assert digest.hexdigest() == "1cee7ecf3fdf205c4dba154e4281025f68519e143826c057f266a92b0764b734"
 
 
 # moments commands whose tails are refined one number at a time: the remainder
@@ -504,8 +504,20 @@ def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_bytes(b"\xff\xfen\x00_\x00m\x00a\x00x\x00")  # UTF-16 with its byte-order mark
     assert run(["koszul", "--I", "1", "--config", str(cfg_file)]) == (EXIT_USAGE, "")
-    assert capsys.readouterr().err == (
-        "usage error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+    assert capsys.readouterr().err == (f"usage error: cannot read config {cfg_file}: "
+                                       "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("function", ["nosuch", "gamma"])
+def test_a_koszul_config_may_not_set_the_function_it_never_reads(tmp_path, capsys, function):
+    # a report that exits 0 echoes no function koszul was given but never read
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"n_max = 6\nfunction = {function}\n")
+    assert run(["koszul", "--I", "1", "--config", str(cfg_file)]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"usage error: {cfg_file}:2: this subcommand does not read 'function'\n"
+    cfg_file.write_text("n_max = 6\n")
+    code, out = run(["koszul", "--I", "1", "--config", str(cfg_file)])
+    assert code == 0 and json.loads(out)["config"]["n_max"] == 6
 
 
 def _subclasses(cls):
