@@ -2,6 +2,11 @@
 
 Subcommands: transform | parse | koszul | verify | moments | expand.
 
+The parser, ``transform`` and ``parse`` run on the exact operator layer alone.
+A handler imports the rest of what it runs when it runs: ``koszul`` the
+tail-series reductions, and ``verify``, ``moments`` and ``expand`` the numeric
+layer (``testfunctions``, ``quadrature``, ``numerics``, and numpy with them).
+
 Exit codes are part of the contract:
 
     0  success (all requested checks passed)
@@ -48,8 +53,6 @@ import sys
 from dataclasses import dataclass, fields
 from functools import cache
 
-import numpy as np
-
 from .errors import (
     MixedAlgebra,
     ParseError,
@@ -57,18 +60,7 @@ from .errors import (
     QuadratureFailure,
     TruncationOverflow,
 )
-from .koszul import koszul_reduce
-from .numerics import (
-    ABS_TOL,
-    asymptotic_remainder_check,
-    epsilon_commutation_check,
-    moment_table,
-    parameter_expansion,
-    stokes_checks,
-    verify_commutation,
-)
 from .syntax import format_operator, parse
-from .testfunctions import BUILTIN_NAMES, build_builtin
 from .transform import inverse_mellin_op, mellin_op
 
 EXIT_FAIL = 1
@@ -79,13 +71,28 @@ EXIT_GUARD = 5
 EXIT_QUADRATURE = 6
 EXIT_USAGE = 7
 
+# verify and moments read one of these; build_builtin also takes any mode<k>
+BUILTIN_NAMES = (
+    "gamma",
+    "gaussian",
+    "bessel",
+    "radial",
+    "mode1",
+    "mode2",
+    "mode3",
+    "modeblend",
+    "gaussblend",
+    "sep-mode2",
+    "sep-modeblend",
+)
+
 
 @dataclass
 class RunConfig:
     """Run parameters shared by the report-producing subcommands."""
 
     n_max: int = 12
-    quad_tol: float = ABS_TOL
+    quad_tol: float = 1e-10  # numerics.ABS_TOL, which a test ties to this one
     check_tol: float = 1e-8
     grid_start: float = 0.5
     grid_stop: float = 3.0
@@ -151,7 +158,12 @@ def load_config(path=None, overrides=None, defaults=None, unread=()):
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in unread:
                 raise ValueError(f"{path}:{lineno}: this subcommand does not read {key!r}")
-            setattr(cfg, key, _CONFIG_TYPES[key](value))
+            convert = _CONFIG_TYPES[key]
+            try:
+                setattr(cfg, key, convert(value))
+            except ValueError:
+                kind = "an int" if convert is int else "a float"  # str takes any text
+                raise ValueError(f"{path}:{lineno}: {key} must be {kind}, got {value!r}") from None
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
@@ -186,6 +198,8 @@ def _cmd_parse(args):
 
 
 def _cmd_koszul(args, cfg):
+    from .koszul import koszul_reduce
+
     report = koszul_reduce(_parse_index_set(args.I), _parse_index_set(args.J), cfg.n_max)
     return report.to_dict(), report.matches_prediction and report.checks_passed
 
@@ -198,8 +212,16 @@ def _function(args, cfg, names):
     return cfg.function
 
 
+def _builtin(args, cfg):
+    from .testfunctions import build_builtin
+
+    return build_builtin(_function(args, cfg, BUILTIN_NAMES))
+
+
 def _cmd_verify(args, cfg):
-    f, op = build_builtin(_function(args, cfg, BUILTIN_NAMES)), parse(args.operator, algebra="D")
+    from .numerics import verify_commutation
+
+    f, op = _builtin(args, cfg), parse(args.operator, algebra="D")
     report = verify_commutation(op, f, cfg.s_grid(), tol=cfg.check_tol, quad_tol=cfg.quad_tol)
     return report.to_dict(), report.verdict
 
@@ -211,7 +233,10 @@ _REMAINDER_RADII = (20.0, 40.0, 80.0)
 
 
 def _cmd_moments(args, cfg):
-    f = build_builtin(_function(args, cfg, BUILTIN_NAMES))
+    from .numerics import (asymptotic_remainder_check, epsilon_commutation_check, moment_table,
+                           stokes_checks)
+
+    f = _builtin(args, cfg)
     s = complex(args.s, cfg.grid_imag)
     table = moment_table(f, args.kmax, s, cfg.quad_tol)
     reports = stokes_checks(f, table)
@@ -223,16 +248,21 @@ def _cmd_moments(args, cfg):
     return {"moments": table.to_dict(), "checks": checks}, all(rep.verdict for rep in reports)
 
 
-_EXPAND_FAMILIES = {
-    "geometric": lambda t, T: np.exp(-np.asarray(t, dtype=complex)) / (1.0 - T),
-    "linear": lambda t, T: np.exp(-np.asarray(t, dtype=complex)) * T,
-    "power2": lambda t, T: np.asarray(t, dtype=complex) ** 2 / (1.0 - T),
-}
+_EXPAND_FAMILIES = ("geometric", "linear", "power2")
 
 
 def _cmd_expand(args, cfg):
+    import numpy as np
+
+    from .numerics import parameter_expansion
+
+    family = dict(zip(_EXPAND_FAMILIES, (  # in the order of their names
+        lambda t, T: np.exp(-np.asarray(t, dtype=complex)) / (1.0 - T),
+        lambda t, T: np.exp(-np.asarray(t, dtype=complex)) * T,
+        lambda t, T: np.asarray(t, dtype=complex) ** 2 / (1.0 - T),
+    )))[_function(args, cfg, _EXPAND_FAMILIES)]
     result = parameter_expansion(
-        _EXPAND_FAMILIES[_function(args, cfg, _EXPAND_FAMILIES)],
+        family,
         center=complex(args.T0),
         radius=args.R,
         alpha_max=args.alpha_max,

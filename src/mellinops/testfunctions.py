@@ -316,17 +316,3 @@ def build_builtin(name):
         envelope_mode(m, g, 1.0 / factorial(m) if len(modes) > 1 else 1.0, radial)
         for m in modes), name)
 
-
-BUILTIN_NAMES = (
-    "gamma",
-    "gaussian",
-    "bessel",
-    "radial",
-    "mode1",
-    "mode2",
-    "mode3",
-    "modeblend",
-    "gaussblend",
-    "sep-mode2",
-    "sep-modeblend",
-)

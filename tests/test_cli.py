@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mellinops
-from mellinops import TestFunction, build_builtin, cli, stokes_identity_check
+from mellinops import TestFunction, build_builtin, cli, numerics, stokes_identity_check, testfunctions
 from mellinops.cli import (
     EXIT_ALGEBRA,
     EXIT_FAIL,
@@ -260,7 +260,7 @@ class _Periodic(TestFunction):
 
 @pytest.mark.parametrize("operator, function", [("th + t", "gamma"), ("th + 2*t^2", "gaussian")])
 def test_verify_fails_a_transform_off_by_a_periodic_factor(monkeypatch, operator, function):
-    monkeypatch.setattr(cli, "build_builtin", lambda name: _Periodic(build_builtin(name).terms, name))
+    monkeypatch.setattr(testfunctions, "build_builtin", lambda name: _Periodic(build_builtin(name).terms, name))
     code, out = run(["verify", operator, "--function", function])
     report = json.loads(out)["report"]
     assert max(report["relative_residuals"]) <= report["tolerance"]  # blind to the factor
@@ -518,6 +518,58 @@ def test_a_koszul_config_may_not_set_the_function_it_never_reads(tmp_path, capsy
     cfg_file.write_text("n_max = 6\n")
     code, out = run(["koszul", "--I", "1", "--config", str(cfg_file)])
     assert code == 0 and json.loads(out)["config"]["n_max"] == 6
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n_max = 1e3", "n_max must be an int, got '1e3'"),
+    ("grid_count = 2.5", "grid_count must be an int, got '2.5'"),
+    ("quad_tol = abc", "quad_tol must be a float, got 'abc'"),
+])
+def test_a_config_value_that_does_not_convert_names_its_line(tmp_path, capsys, line, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"# run\n{line}\n")
+    assert run(["verify", "th + t", "--config", str(cfg_file)]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"usage error: {cfg_file}:2: {message}\n"
+
+
+def test_the_default_quad_tol_is_the_numeric_layers():
+    # RunConfig spells ABS_TOL itself, so that the parser loads no numpy
+    assert RunConfig().quad_tol == numerics.ABS_TOL
+
+
+NUMERIC_LAYER = ("numpy", "mellinops.numerics", "mellinops.quadrature", "mellinops.testfunctions")
+EXACT_RUNS = [["transform", "t"], ["parse", "th*t"], ["koszul", "--I", "1", "--N", "4"]] + [
+    [command, "--help"] for command in ("transform", "parse", "koszul", "verify", "moments", "expand")]
+
+
+def test_exact_subcommands_and_help_load_no_numeric_layer():
+    # a fresh interpreter on the package this test imports (the installed one
+    # when no PYTHONPATH is set); verify then loads the numeric layer itself
+    code = f"""if True:
+        import contextlib, io, json, sys
+        import mellinops
+        from mellinops.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in {EXACT_RUNS!r}]
+            loaded = sorted(set({NUMERIC_LAYER!r}) & set(sys.modules))
+            verify = main(["verify", "th + t"])
+        print(json.dumps([codes, loaded, verify]))
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(mellinops.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(EXACT_RUNS), [], 0]
+
+
+@pytest.mark.parametrize("command, names", [
+    ("verify", cli.BUILTIN_NAMES),
+    ("moments", cli.BUILTIN_NAMES),
+    ("expand", ("geometric", "linear", "power2")),
+])
+def test_help_lists_every_function_name(capsys, command, names):
+    assert run([command, "--help"]) == (0, "")
+    assert "--function {" + ",".join(names) + "}\n" in capsys.readouterr().out
 
 
 def _subclasses(cls):

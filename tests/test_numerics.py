@@ -28,6 +28,7 @@ from mellinops import (
     verify_commutation,
 )
 from mellinops import cli, numerics
+from mellinops.cli import BUILTIN_NAMES
 from mellinops.numerics import (
     ABS_TOL,
     _HAAR_LEVELS,
@@ -41,7 +42,6 @@ from mellinops.numerics import (
 )
 from mellinops.quadrature import _ROUNDING_ULPS, csum, periodic_nodes, refine_failure, refine_step
 from mellinops.testfunctions import (
-    BUILTIN_NAMES,
     Term,
     TestFunction,
     envelope_mode,

@@ -34,6 +34,23 @@ def test_exported_names():
     assert sorted(mellinops.__all__) == EXPORTED
 
 
+def test_every_exported_name_resolves():
+    # the deferred ones through the package's __getattr__
+    missing = [name for name in mellinops.__all__ if getattr(mellinops, name, None) is None]
+    assert missing == []
+
+
+def test_a_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from mellinops import *", namespace)
+    assert sorted(set(mellinops.__all__) - set(namespace)) == []
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'nosuch'"):
+        mellinops.nosuch  # noqa: B018
+
+
 @pytest.mark.parametrize("module, name, params", [
     ("numerics", "stokes_identity_check", "(f, k, s=0j)"),
     ("numerics", "stokes_checks", "(f, table)"),

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from mellinops import MixedAlgebra, SFactor, TestFunction, build_builtin, parse
 from mellinops.numerics import _HAAR_LEVELS, _RAY_PROBES, _radial_nodes
 from mellinops.quadrature import panel_nodes, periodic_nodes
-from mellinops.testfunctions import BUILTIN_NAMES, Term, apply_operator_terms, envelope_mode
+from mellinops.cli import BUILTIN_NAMES
+from mellinops.testfunctions import Term, apply_operator_terms, envelope_mode
 
 
 def wirtinger_fd(f, t, s=0j, h=1e-5):
