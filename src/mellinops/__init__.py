@@ -2,10 +2,11 @@
 truncated tail-series reductions, and quadrature verification harnesses.
 
 ``import mellinops`` loads what ``transform`` and ``parse`` run: the errors,
-the operator algebras and the correspondence.  Every other module, the
-tail-series reductions (``series``, ``koszul``) and the numeric layer
-(``testfunctions``, ``quadrature``, ``numerics``, and numpy with them), loads
-on the first access to one of its names (PEP 562), as listed in ``_DEFERRED``.
+the operator algebras and the correspondence.  Every other module, the shift
+polynomials and tail-series reductions (``shiftpoly``, ``series``,
+``koszul``) and the numeric layer (``testfunctions``, ``quadrature``,
+``numerics``, and numpy with them), loads on the first access to one of its
+names (PEP 562), as listed in ``_DEFERRED``.
 """
 
 from importlib import import_module as _import_module
@@ -19,7 +20,6 @@ from .errors import (
     TruncationOverflow,
 )
 from .ore import Algebra, GenKind, Generator, OreOperator, normalize
-from .shiftpoly import ShiftPolynomial
 from .transform import apply_difference, inverse_mellin_op, mellin_op
 from .syntax import format_operator, parse
 
@@ -27,6 +27,7 @@ __version__ = "0.1.0"
 
 # exported name -> the module that defines it; a module name maps to itself
 _DEFERRED = {
+    **dict.fromkeys(("shiftpoly", "ShiftPolynomial"), "shiftpoly"),
     **dict.fromkeys(("series", "Axis", "INF_TYPE", "TailSeries", "ZERO_TYPE", "shift_cycle"),
                     "series"),
     **dict.fromkeys(("koszul", "CongruenceResult", "KoszulReport", "induced_action_congruence",

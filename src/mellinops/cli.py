@@ -2,27 +2,31 @@
 
 Subcommands: transform | parse | koszul | verify | moments | expand.
 
-The parser, ``transform`` and ``parse`` run on the exact operator layer alone.
-A handler imports the rest of what it runs when it runs: ``koszul`` the
-tail-series reductions, and ``verify``, ``moments`` and ``expand`` the numeric
-layer (``testfunctions``, ``quadrature``, ``numerics``, and numpy with them).
+The parser, ``transform`` and ``parse`` run on the exact operator layer alone,
+without ``json``, ``dataclasses`` or the shift polynomials.  A handler imports
+the rest of what it runs when it runs: ``koszul`` the tail-series reductions
+(``shiftpoly``, ``series``), ``verify``, ``moments`` and ``expand`` the numeric
+layer (``testfunctions``, ``quadrature``, ``numerics``, and numpy with them),
+and every report subcommand ``json``.
 
 Exit codes are part of the contract:
 
     0  success (all requested checks passed)
     1  a check ran but did not pass
-    2  operator text did not parse
-    3  algebra mismatch (mixed or wrong-side generators, an index above the arity)
+    2  operator text did not parse, or has a zero denominator
+    3  algebra mismatch (mixed or wrong-side generators, an index above the arity
+       or too large to index)
     4  truncation window overflow (n_max below 4, or too large to index)
     5  annihilation guard failed
     6  quadrature failure (unsettled estimate, no decay certificate, failed grid
        function, a non-finite ``expand`` sample)
-    7  usage or configuration error (malformed argument, bad config key or value,
-       unreadable config file, unwritable output path, negative order, a
-       non-finite ``moments --s``, a function the subcommand does not name; for
-       ``expand``, a bad radius, a non-finite ``--T0``, an ``alpha_max`` whose
-       coefficients overflow at that radius, or one of 256 or more; in the
-       library, a non-finite s or a zero or non-finite convolution ``t``)
+    7  usage or configuration error (malformed argument, a koszul variable too
+       large to index, bad config key or value, unreadable config file,
+       unwritable output path, negative order, a non-finite ``moments --s``,
+       a function the subcommand does not name; for ``expand``, a bad radius,
+       a non-finite ``--T0``, an ``alpha_max`` whose coefficients overflow at
+       that radius, or one of 256 or more; in the library, a non-finite s or a
+       zero or non-finite convolution ``t``)
 
 Run configuration: RunConfig's defaults (``function``: gamma for verify, mode2
 for moments, geometric for expand), then the optional key=value file
@@ -46,11 +50,9 @@ and its config file may not set ``function`` (a usage error).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
 from functools import cache
 
 from .errors import (
@@ -87,9 +89,9 @@ BUILTIN_NAMES = (
 )
 
 
-@dataclass
 class RunConfig:
-    """Run parameters shared by the report-producing subcommands."""
+    """Run parameters shared by the report-producing subcommands: the annotated
+    class attributes, in order, are the keys and their defaults."""
 
     n_max: int = 12
     quad_tol: float = 1e-10  # numerics.ABS_TOL, which a test ties to this one
@@ -100,6 +102,12 @@ class RunConfig:
     grid_imag: float = 0.0
     function: str = "gamma"
     output: str = ""
+
+    def __init__(self, **values):
+        for key, value in values.items():
+            if key not in _CONFIG_TYPES:
+                raise TypeError(f"RunConfig() got an unexpected keyword argument {key!r}")
+            setattr(self, key, value)
 
     def validate(self):
         if self.n_max < 4:
@@ -132,7 +140,7 @@ class RunConfig:
         }
 
 
-_CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+_CONFIG_TYPES = {key: type(getattr(RunConfig, key)) for key in RunConfig.__annotations__}
 
 
 def load_config(path=None, overrides=None, defaults=None, unread=()):
@@ -171,6 +179,8 @@ def load_config(path=None, overrides=None, defaults=None, unread=()):
 
 
 def _emit_report(report, cfg, stream):
+    import json
+
     payload = {"config": cfg.echo(), "report": report}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if cfg.output:

@@ -20,6 +20,7 @@ are witnessed as explicit images of the differential).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 from .ore import GenKind, Generator
@@ -209,6 +210,8 @@ def koszul_reduce(i_set, j_set, n_max):
         raise ValueError("I and J must be disjoint")
     predicted = "acyclic" if j_set else "h0"
     arity = max(i_set + j_set, default=1)
+    if arity >= sys.maxsize:  # a coefficient exponent holds arity entries
+        raise ValueError(f"variable index {arity} not in 1..{sys.maxsize - 1}")
 
     axes = tuple(
         Axis(v, INF_TYPE if v in j_set else ZERO_TYPE, n_max)

@@ -33,13 +33,13 @@ e1 + e2 and costs no multiplication.
 from __future__ import annotations
 
 import enum
+import sys
 from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
 from .errors import MixedAlgebra
-from .shiftpoly import binomial_shift
-from .sparse import RATIONALS, SparseSum, cleared, divided, rational
+from .sparse import RATIONALS, SparseSum, binomial_shift, cleared, divided, rational
 
 
 class Algebra(str, enum.Enum):
@@ -245,8 +245,9 @@ def resolve_algebra(kinds, max_index, algebra, arity):
     kinds from both sides raise MixedAlgebra; with a hint only the combined
     algebra admits both sides.  A single wrong-side generator under a
     one-sided hint is left to :meth:`OreOperator.generator`.  The arity
-    defaults to ``max_index``; an index outside 1..arity raises
-    MixedAlgebra.
+    defaults to ``max_index``; an index outside 1..arity, or an arity of
+    ``sys.maxsize`` or more (a monomial key holds tuples of arity entries),
+    raises MixedAlgebra.
     """
     mixed = bool(kinds & T_SIDE) and bool(kinds & S_SIDE)
     if algebra is None:
@@ -264,6 +265,8 @@ def resolve_algebra(kinds, max_index, algebra, arity):
         arity = max_index
     if not 1 <= max_index <= arity:
         raise MixedAlgebra(f"index {max_index} not in 1..{arity}")
+    if arity >= sys.maxsize:
+        raise MixedAlgebra(f"index {arity} not in 1..{sys.maxsize - 1}")
     return algebra, arity
 
 

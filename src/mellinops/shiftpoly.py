@@ -10,21 +10,9 @@ is polynomial in s under translation.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from operator import index
 
-from .sparse import RATIONALS, SparseSum, rational
-
-
-@lru_cache(maxsize=None)
-def binomial_shift(degree, k):
-    """The Taylor shift of one power: (x + k)^degree as ((i, weight), ...),
-    weight = C(degree, i) * k^(degree - i), for i = 0..degree.
-
-    Rows are cached by (degree, k).  A float hashes like its int, so a row
-    is built only from ints: the cache holds exact rows alone."""
-    degree, k = index(degree), index(k)
-    return tuple((i, comb(degree, i) * k ** (degree - i)) for i in range(degree + 1))
+from .sparse import RATIONALS, SparseSum, binomial_shift, rational
 
 
 class ShiftPolynomial(SparseSum):

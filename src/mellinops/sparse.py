@@ -1,4 +1,5 @@
-"""The additive structure shared by the exact value types, and their scalar.
+"""The additive structure shared by the exact value types, their scalar, and
+the Taylor-shift row of one power that their products and shifts expand by.
 
 A :class:`SparseSum` is an immutable map ``terms`` from keys to nonzero
 coefficients in a space fixed by a shape.  A coefficient is the one exact
@@ -19,7 +20,9 @@ coefficient.  A value is falsy when it is zero, as a number is.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import comb, lcm
+from operator import index
 
 RATIONALS = (int, Fraction)  # the types that rational() accepts
 
@@ -30,6 +33,17 @@ def rational(x):
     if not isinstance(x, RATIONALS):
         raise TypeError(f"exact rational expected, got {type(x).__name__}")
     return int(x) if x.denominator == 1 else x
+
+
+@lru_cache(maxsize=None)
+def binomial_shift(degree, k):
+    """The Taylor shift of one power: (x + k)^degree as ((i, weight), ...),
+    weight = C(degree, i) * k^(degree - i), for i = 0..degree.
+
+    Rows are cached by (degree, k).  A float hashes like its int, so a row
+    is built only from ints: the cache holds exact rows alone."""
+    degree, k = index(degree), index(k)
+    return tuple((i, comb(degree, i) * k ** (degree - i)) for i in range(degree + 1))
 
 
 def cleared(terms):

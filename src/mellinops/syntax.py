@@ -137,7 +137,11 @@ class _Parser:
             return OreOperator.generator(GenKind(tok.text), index, self.algebra, self.arity)
         if tok.kind == "rat":
             self.take()
-            return OreOperator.scalar(Fraction(tok.text), self.algebra, self.arity)
+            try:
+                value = Fraction(tok.text)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", tok.offset) from None
+            return OreOperator.scalar(value, self.algebra, self.arity)
         if tok.kind == "(":
             self.take()
             inner = self.parse_expr()

@@ -42,7 +42,7 @@ from math import factorial
 import numpy as np
 
 from .ore import Algebra
-from .shiftpoly import binomial_shift
+from .sparse import binomial_shift
 from .errors import MixedAlgebra, QuadratureFailure
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -7,7 +8,6 @@ import shlex
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,12 @@ def test_parse_roundtrip_command():
 def test_parse_error_exit_code():
     code, _ = run(["transform", "t*+th"])
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv, offset", [(["parse", "1/0"], 0), (["transform", "t*3/00"], 2)])
+def test_a_zero_denominator_is_a_parse_error_at_its_literal(capsys, argv, offset):
+    assert run(argv) == (EXIT_PARSE, "")
+    assert capsys.readouterr().err == f"parse error: zero denominator (offset {offset})\n"
 
 
 def test_algebra_mismatch_exit_code():
@@ -538,8 +544,9 @@ def test_the_default_quad_tol_is_the_numeric_layers():
 
 
 NUMERIC_LAYER = ("numpy", "mellinops.numerics", "mellinops.quadrature", "mellinops.testfunctions")
-EXACT_RUNS = [["transform", "t"], ["parse", "th*t"], ["koszul", "--I", "1", "--N", "4"]] + [
-    [command, "--help"] for command in ("transform", "parse", "koszul", "verify", "moments", "expand")]
+HELP_RUNS = [[command, "--help"]
+             for command in ("transform", "parse", "koszul", "verify", "moments", "expand")]
+EXACT_RUNS = [["transform", "t"], ["parse", "th*t"], ["koszul", "--I", "1", "--N", "4"]] + HELP_RUNS
 
 
 def test_exact_subcommands_and_help_load_no_numeric_layer():
@@ -560,6 +567,37 @@ def test_exact_subcommands_and_help_load_no_numeric_layer():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0] * len(EXACT_RUNS), [], 0]
+
+
+# what transform, parse and --help never run: the report encoder, dataclasses
+# (and the inspect, ast and dis that it imports), the shift polynomials, the
+# tail-series reductions and the numeric layer
+TEXT_RUNS = [["transform", "t"], ["parse", "th*t"]] + HELP_RUNS
+NOT_RUN_BY_TEXT = ("dataclasses", "inspect", "json", "mellinops.shiftpoly", "mellinops.series",
+                   "mellinops.koszul") + NUMERIC_LAYER
+
+
+def test_cold_start_of_transform_parse_and_help_loads_only_what_they_run():
+    # a fresh interpreter, as in the test above; it reports through repr,
+    # since json is among the modules it must not load
+    code = f"""if True:
+        import contextlib, io, sys
+        from mellinops.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in {TEXT_RUNS!r}]
+        print(repr([codes, sorted(set({NOT_RUN_BY_TEXT!r}) & set(sys.modules))]))
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(mellinops.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [[0] * len(TEXT_RUNS), []]
+
+
+def test_run_config_takes_its_keys_alone():
+    assert RunConfig(n_max=6).n_max == 6 and RunConfig().n_max == 12
+    with pytest.raises(TypeError, match="'nmax'"):
+        RunConfig(nmax=6)
 
 
 @pytest.mark.parametrize("command, names", [
@@ -665,7 +703,7 @@ def test_negative_infinity_after_its_flag_is_a_usage_error(capsys):
 def test_docstring_matches_config_keys_and_exit_codes():
     doc = cli.__doc__
     keys = re.search(r"Recognized keys:\s+([^.]*)\.", doc).group(1)
-    assert [k.strip() for k in keys.split(",")] == [f.name for f in fields(cli.RunConfig)]
+    assert [k.strip() for k in keys.split(",")] == list(cli.RunConfig.__annotations__)
     table = {int(m) for m in re.findall(r"^    (\d)  ", doc, flags=re.MULTILINE)}
     codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
     assert codes and codes | {0} <= table
@@ -705,6 +743,13 @@ def test_moments_commutation_extends_the_runs_table(monkeypatch):
         (["expand", "--alpha-max", "1074"], EXIT_USAGE, "alpha_max=1074 overflow at radius=0.5"),
         (["expand", "--R", "4", "--alpha-max", "600"], EXIT_USAGE, "alpha_max=600 overflow at radius=4.0"),
         (["koszul", "--I", "1", "--N", str(10 ** 20)], EXIT_TRUNCATION, "n_max=100000000000000000000"),
+        # an index with no tuple of its length
+        (["parse", f"t_{10 ** 23}"], EXIT_ALGEBRA, f"index {10 ** 23} not in 1..{sys.maxsize - 1}"),
+        (["transform", f"th*t_{sys.maxsize}"], EXIT_ALGEBRA, f"index {sys.maxsize} not in 1.."),
+        (["koszul", "--I", str(10 ** 20), "--N", "4"], EXIT_USAGE,
+         f"variable index {10 ** 20} not in 1..{sys.maxsize - 1}"),
+        (["koszul", "--I", "1", "--J", str(sys.maxsize), "--N", "4"], EXIT_USAGE,
+         f"variable index {sys.maxsize} not in 1.."),
     ],
 )
 def test_overflowing_windows_and_orders_exit_with_a_named_cause(capsys, argv, code, message):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,12 @@ def test_algebra_inference_and_hints():
         parse("tau", algebra="D")
 
 
+def test_an_arity_too_large_to_hold_is_an_algebra_error():
+    # a monomial key holds tuples of arity entries
+    with pytest.raises(MixedAlgebra, match=f"not in 1..{sys.maxsize - 1}$"):
+        parse("t", arity=sys.maxsize)
+
+
 def test_syntax_error_offsets():
     fixtures = [
         ("t**th", 2),        # empty factor after '*'
@@ -78,6 +85,7 @@ def test_syntax_error_offsets():
         ("t th", 2),         # implicit multiplication is not in the grammar
         ("tx", 0),           # glued identifier characters
         ("", 0),             # empty input has no atom
+        ("t + 3/0", 4),      # zero denominator, at its literal
     ]
     for text, offset in fixtures:
         with pytest.raises(ParseError) as err:
