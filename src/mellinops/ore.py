@@ -24,10 +24,13 @@ which is exactly what iterated single-relation rewriting produces.  A
 product runs on integers: each operand's coefficients are cleared to integer
 numerators over the lcm of their denominators, the double loop multiplies and
 accumulates ints only, and each result term is divided by the product of the
-two denominators once.  Per pair of monomials each of the 2p variables
-contributes one row; a row with nothing to transport (a th/s degree of 0 on
-the left, or a t/tau exponent of 0 on the right) is the single degree
-e1 + e2 and costs no multiplication.
+two denominators once (a Fraction only where the quotient is not integral).
+Each operand term is split once into its algebra's own half: exponents,
+degrees and transport shifts (D: t, th and +t; S: tau, s and -tau; the
+combined algebra both).  A pair of monomials starts from the exponent and
+degree sums, and only a variable whose left degree meets a nonzero right
+shift expands by its cached row.  The sums are keyed on that half, and each
+result term gets its four-slot key once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import enum
 import sys
 from functools import lru_cache
-from operator import add
+from operator import add, mul, neg
 from typing import NamedTuple
 
 from .errors import MixedAlgebra
@@ -101,10 +104,31 @@ def _mono_mul(e1, k, e2):
 
     Moving the right factor's t_j^a left past th_j^e1 transports th_j to
     (th_j + a); moving its tau_j^c past s_j^e1 transports s_j to (s_j - c).
-    The rows of the 2p variables multiply out to the product of two normal
+    The rows of the variables multiply out to the product of two normal
     monomials, and every resulting degree tuple is distinct.
     """
     return tuple((i + e2, w) for i, w in binomial_shift(e1, k) if w)
+
+
+def _halves(algebra, items):
+    """Each (key, numerator) on its algebra's own half, as (exponents + degrees,
+    degrees, transport shifts, numerator): t_j^a moves th_j by +a, and tau_j^c
+    moves s_j by -c."""
+    if algebra is Algebra.D:
+        return [(a + b, b, a, x) for (a, b, _, _), x in items]
+    if algebra is Algebra.S:
+        return [(c + d, d, tuple(map(neg, c)), x) for (_, _, c, d), x in items]
+    return [(a + c + b + d, b + d, a + tuple(map(neg, c)), x) for (a, b, c, d), x in items]
+
+
+def _joined(algebra, p, sums):
+    """Sums keyed by exponents + degrees, keyed by four-slot keys again."""
+    z = (0,) * p
+    if algebra is Algebra.D:
+        return {(v[:p], v[p:], z, z): n for v, n in sums.items()}
+    if algebra is Algebra.S:
+        return {(z, z, v[:p], v[p:]): n for v, n in sums.items()}
+    return {(v[:p], v[2 * p:3 * p], v[p:2 * p], v[3 * p:]): n for v, n in sums.items()}
 
 
 class OreOperator(SparseSum):
@@ -117,8 +141,8 @@ class OreOperator(SparseSum):
     builds its results through the unchecked
     :meth:`~mellinops.sparse.SparseSum._like`, since its operands are already
     clean.  ``*`` works on integer numerators, one common denominator per
-    operand, and skips the rows that transport nothing (see the module
-    docstring).
+    operand, on each key's own half, and expands only the variables that
+    transport (see the module docstring).
     """
 
     __slots__ = ("algebra", "arity")
@@ -196,36 +220,27 @@ class OreOperator(SparseSum):
         if isinstance(other, RATIONALS):
             return self.scale(other)
         self._check(other)
-        p = self.arity
+        algebra = self.algebra
         den_left, left = cleared(self.terms)
         den_right, right = cleared(other.terms)
-        # per right term: t- and tau-exponents, the transport shifts k (t_j^a
-        # moves th_j by +a, tau_j^c moves s_j by -c), the degrees, the numerator
-        right = [(a2, c2, a2 + tuple(-v for v in c2), b2 + d2, y)
-                 for (a2, b2, c2, d2), y in right]
-        sums = {}
-        for (a1, b1, c1, d1), x in left:
-            e1s = b1 + d1
-            for a2, c2, ks, e2s, y in right:
-                a = tuple(map(add, a1, a2))
-                c = tuple(map(add, c1, c2))
-                # fixed: the degrees of the untransported rows since the last
-                # transported one, appended to every expanded term in one go
-                expansion, fixed = [((), x * y)], []
-                for e1, k, e2 in zip(e1s, ks, e2s):
-                    if e1 and k:
-                        row, fixed = _mono_mul(e1, k, e2), tuple(fixed)
-                        expansion = [(degs + fixed + (deg,), n * w)
-                                     for degs, n in expansion for deg, w in row]
-                        fixed = []
-                    else:  # the row would be ((e1 + e2, 1),)
-                        fixed.append(e1 + e2)
-                fixed = tuple(fixed)
-                for degs, n in expansion:
-                    degs += fixed
-                    key = (a, degs[:p], c, degs[p:])
+        right = _halves(algebra, right)
+        sums = {}  # keyed by exponents + degrees on the algebra's own half
+        for v1, g1, _, x in _halves(algebra, left):
+            q = len(g1)
+            for v2, g2, k2, y in right:
+                key = tuple(map(add, v1, v2))
+                if not any(map(mul, g1, k2)):  # no variable transports
+                    sums[key] = sums.get(key, 0) + x * y
+                    continue
+                expansion = [(key, x * y)]
+                for j, g in enumerate(g1):
+                    if g and k2[j]:  # degree q + j of the key expands by its row
+                        i, row = q + j, _mono_mul(g, k2[j], g2[j])
+                        expansion = [(v[:i] + (deg,) + v[i + 1:], n * w)
+                                     for v, n in expansion for deg, w in row]
+                for key, n in expansion:
                     sums[key] = sums.get(key, 0) + n
-        return self._like(divided(sums, den_left * den_right))
+        return self._like(divided(_joined(algebra, self.arity, sums), den_left * den_right))
 
     __rmul__ = __mul__  # reached by scalars, which commute with every operator
 

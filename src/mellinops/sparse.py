@@ -48,15 +48,19 @@ def binomial_shift(degree, k):
 
 def cleared(terms):
     """(den, items): den is the lcm of the coefficients' denominators, and
-    items lists each (key, coefficient * den), an int."""
-    den = lcm(*(c.denominator for c in terms.values()))
+    items yields each (key, coefficient * den), an int (the terms' own items
+    when den is 1, since an integral coefficient is an int)."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return 1, terms.items()
     return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
 
 
 def divided(sums, den):
-    """Integer sums over den, as terms for ``SparseSum._like`` (which turns
-    integral quotients into ints and drops zeros)."""
-    return sums if den == 1 else {k: Fraction(n, den) for k, n in sums.items()}
+    """Integer sums over den, as terms for ``SparseSum._like`` (which drops
+    zeros): an int where den divides the sum, else a Fraction."""
+    return sums if den == 1 else {
+        k: n // den if not n % den else Fraction(n, den) for k, n in sums.items()}
 
 
 class SparseSum:

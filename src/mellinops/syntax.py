@@ -11,8 +11,12 @@ Generators are ``t``, ``tinv``, ``th`` (the Euler operator t*d/dt), ``s``,
 ``tau``, ``tauinv``, with an underscore index suffix for several variables
 (``t_2``, ``tau_3``); the suffix may be omitted when p = 1.  ``Dt`` is a
 convenience token for the plain derivative d/dt and expands to tinv*th.
-Rational literals look like ``5`` or ``3/2``.  Parse errors carry the byte
-offset of the offending token.
+Rational literals look like ``5`` or ``3/2``.  An exponent is at most
+``MAX_EXPONENT`` (1000), since a power is that many products; a larger one is
+a parse error at the exponent.  So is an integer with more digits than
+Python's ``int`` converts (``sys.get_int_max_str_digits()``, 4300 by
+default), at its token.  Parse errors carry the byte offset of the offending
+token.
 """
 
 from __future__ import annotations
@@ -32,6 +36,17 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+MAX_EXPONENT = 1000
+
+
+def _integer(text, offset):
+    """int(text), or a ParseError at offset where text has too many digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("integer literal too long", offset) from None
+
 
 class _Token:
     __slots__ = ("kind", "text", "index", "offset")
@@ -68,7 +83,8 @@ def tokenize(text):
                 end = m.end()
                 if end < len(text) and (text[end].isalnum() or text[end] == "_"):
                     raise ParseError(f"malformed symbol near {name!r}", offset)
-                tokens.append(_Token("gen", base, int(idx) if idx else None, offset))
+                index = _integer(idx, offset) if idx else None
+                tokens.append(_Token("gen", base, index, offset))
             elif m.group("rat"):
                 tokens.append(_Token("rat", m.group("rat"), None, offset))
             else:
@@ -122,7 +138,10 @@ class _Parser:
             tok = self.take("rat")
             if "/" in tok.text:
                 raise ParseError("exponent must be a natural number", tok.offset)
-            return atom ** int(tok.text)
+            n = _integer(tok.text, tok.offset)
+            if n > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT}", tok.offset)
+            return atom ** n
         return atom
 
     def parse_atom(self):
@@ -141,6 +160,8 @@ class _Parser:
                 value = Fraction(tok.text)
             except ZeroDivisionError:
                 raise ParseError("zero denominator", tok.offset) from None
+            except ValueError:  # a numerator or denominator with too many digits
+                raise ParseError("integer literal too long", tok.offset) from None
             return OreOperator.scalar(value, self.algebra, self.arity)
         if tok.kind == "(":
             self.take()
@@ -197,7 +218,8 @@ def _format_monomial(key, arity):
 
 
 def format_operator(P):
-    """Deterministic canonical text; ``parse(format_operator(P)) == P``."""
+    """Deterministic canonical text; ``parse(format_operator(P)) == P`` while
+    no exponent of P exceeds ``MAX_EXPONENT``."""
     if P.is_zero():
         return "0"
     pieces = []

@@ -27,6 +27,7 @@ from mellinops.cli import (
     load_config,
     main,
 )
+from mellinops.syntax import MAX_EXPONENT
 
 
 def run(argv):
@@ -64,6 +65,27 @@ def test_parse_error_exit_code():
 def test_a_zero_denominator_is_a_parse_error_at_its_literal(capsys, argv, offset):
     assert run(argv) == (EXIT_PARSE, "")
     assert capsys.readouterr().err == f"parse error: zero denominator (offset {offset})\n"
+
+
+def test_an_exponent_above_the_bound_is_refused_before_any_product(capsys):
+    # a power is that many products: this one would run until killed
+    start = time.perf_counter()
+    assert run(["parse", "t^99999999999999999999999"]) == (EXIT_PARSE, "")
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"parse error: exponent above {MAX_EXPONENT} (offset 2)\n"
+    assert run(["parse", f"t^{MAX_EXPONENT}"]) == (0, f"t^{MAX_EXPONENT}\n")
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("t_" + "1" * 5000, 0),
+    ("7" * 5000 + "/3", 0),
+    ("t + 3/" + "7" * 5000, 4),
+    ("t^" + "7" * 5000, 2),
+], ids=["index", "numerator", "denominator", "exponent"])
+def test_an_integer_too_long_to_convert_is_a_parse_error_at_its_token(capsys, text, offset):
+    # more digits than int() converts (4300 by default)
+    assert run(["parse", text]) == (EXIT_PARSE, "")
+    assert capsys.readouterr().err == f"parse error: integer literal too long (offset {offset})\n"
 
 
 def test_algebra_mismatch_exit_code():

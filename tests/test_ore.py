@@ -173,12 +173,14 @@ def int_tuples(p, lo, hi):
     return st.tuples(*[st.integers(lo, hi)] * p)
 
 
-def normal_operators(p):
-    """One to three normal-form terms in the combined algebra, built from keys."""
-    keys = st.tuples(int_tuples(p, -2, 2), int_tuples(p, 0, 2),
-                     int_tuples(p, -2, 2), int_tuples(p, 0, 2))
-    terms = st.dictionaries(keys, COEFFS, min_size=1, max_size=3)
-    return terms.map(lambda t: OreOperator("Dtilde", p, t))
+def normal_operators(algebra, p):
+    """One to three normal-form terms, built from keys: t^a th^b in D,
+    tau^c s^d in S, and all four slots in the combined algebra."""
+    z, half = st.just((0,) * p), (int_tuples(p, -2, 2), int_tuples(p, 0, 2))
+    torus = (z, z) if algebra == "S" else half
+    shift = (z, z) if algebra == "D" else half
+    terms = st.dictionaries(st.tuples(*torus, *shift), COEFFS, min_size=1, max_size=3)
+    return terms.map(lambda t: OreOperator(algebra, p, t))
 
 
 def vectors(p):
@@ -204,12 +206,14 @@ def act(op, vec):
     return {m: g for m, g in out.items() if g}
 
 
+# one-sided operators too: a D or S product works on its own half of each key
 product_cases = st.one_of([
-    st.tuples(normal_operators(p), normal_operators(p), vectors(p)) for p in (1, 2, 3)
+    st.tuples(normal_operators(algebra, p), normal_operators(algebra, p), vectors(p))
+    for algebra in ("Dtilde", "D", "S") for p in (1, 2, 3)
 ])
 
 
-@settings(max_examples=120, deadline=None, database=None)
+@settings(max_examples=240, deadline=None, database=None)
 @given(product_cases)
 def test_products_act_as_compositions(case):
     x, y, vec = case

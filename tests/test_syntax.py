@@ -86,6 +86,7 @@ def test_syntax_error_offsets():
         ("tx", 0),           # glued identifier characters
         ("", 0),             # empty input has no atom
         ("t + 3/0", 4),      # zero denominator, at its literal
+        ("(t+1)^1001", 6),   # exponent above MAX_EXPONENT, at the exponent
     ]
     for text, offset in fixtures:
         with pytest.raises(ParseError) as err:
