@@ -20,13 +20,13 @@ Exit codes are part of the contract:
     5  annihilation guard failed
     6  quadrature failure (unsettled estimate, no decay certificate, failed grid
        function, a non-finite ``expand`` sample)
-    7  usage or configuration error (malformed argument, a koszul variable too
-       large to index, bad config key or value, unreadable config file,
-       unwritable output path, negative order, a non-finite ``moments --s``,
-       a function the subcommand does not name; for ``expand``, a bad radius,
-       a non-finite ``--T0``, an ``alpha_max`` whose coefficients overflow at
-       that radius, or one of 256 or more; in the library, a non-finite s or a
-       zero or non-finite convolution ``t``)
+    7  usage or configuration error (malformed argument, a koszul variable
+       index that is not an integer in 1..sys.maxsize - 1, bad config key or
+       value, unreadable config file, unwritable output path, negative order,
+       a non-finite ``moments --s``, a function the subcommand does not name;
+       for ``expand``, a bad radius, a non-finite ``--T0``, an ``alpha_max``
+       whose coefficients overflow at that radius, or one of 256 or more; in
+       the library, a non-finite s or a zero or non-finite convolution ``t``)
 
 Run configuration: RunConfig's defaults (``function``: gamma for verify, mode2
 for moments, geometric for expand), then the optional key=value file
@@ -210,7 +210,8 @@ def _cmd_parse(args):
 def _cmd_koszul(args, cfg):
     from .koszul import koszul_reduce
 
-    report = koszul_reduce(_parse_index_set(args.I), _parse_index_set(args.J), cfg.n_max)
+    i_set, j_set = _parse_index_set(args.I, "--I"), _parse_index_set(args.J, "--J")
+    report = koszul_reduce(i_set, j_set, cfg.n_max)
     return report.to_dict(), report.matches_prediction and report.checks_passed
 
 
@@ -281,8 +282,15 @@ def _cmd_expand(args, cfg):
     return result.to_dict(), result.bound_ok and result.reconstruction_ok
 
 
-def _parse_index_set(text):
-    return tuple(int(x) for x in text.replace(",", " ").split())
+def _parse_index_set(text, flag):
+    """The variable indices of ``flag``, separated by commas or spaces."""
+    indices = []
+    for token in text.replace(",", " ").split():
+        try:
+            indices.append(int(token))
+        except ValueError:
+            raise ValueError(f"{flag} takes integer variable indices, got {token!r}") from None
+    return tuple(indices)
 
 
 # -- entry point -----------------------------------------------------------------

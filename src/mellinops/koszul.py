@@ -177,13 +177,14 @@ class KoszulReport:
 def _sample_series(coeff_arity, axes, salt):
     """Deterministic full-support sample: at index idx, the monomial
     (1 + salt + sum(idx)) * prod_v s_v^((n_v + salt) mod 3)."""
-    zero = ShiftPolynomial.zero(coeff_arity)
+    like = ShiftPolynomial.zero(coeff_arity)._like
+    places = [axis.var - 1 for axis in axes]
+    expo = [0] * coeff_arity  # each index rewrites every axis's place
     terms = {}
     for idx in itertools.product(*(axis.window for axis in axes)):
-        expo = [0] * coeff_arity
-        for axis, n in zip(axes, idx):
-            expo[axis.var - 1] = (n + salt) % 3
-        terms[idx] = zero._like({tuple(expo): 1 + salt + sum(idx)})
+        for jj, n in zip(places, idx):
+            expo[jj] = (n + salt) % 3
+        terms[idx] = like({tuple(expo): 1 + salt + sum(idx)})
     return TailSeries(coeff_arity, axes)._like(terms)
 
 
@@ -206,12 +207,13 @@ def koszul_reduce(i_set, j_set, n_max):
     """
     i_set = tuple(sorted(set(i_set)))
     j_set = tuple(sorted(set(j_set)))
+    for var in i_set + j_set:  # a coefficient exponent holds max(var) entries
+        if not 1 <= var < sys.maxsize:
+            raise ValueError(f"variable index {var} not in 1..{sys.maxsize - 1}")
     if set(i_set) & set(j_set):
         raise ValueError("I and J must be disjoint")
     predicted = "acyclic" if j_set else "h0"
     arity = max(i_set + j_set, default=1)
-    if arity >= sys.maxsize:  # a coefficient exponent holds arity entries
-        raise ValueError(f"variable index {arity} not in 1..{sys.maxsize - 1}")
 
     axes = tuple(
         Axis(v, INF_TYPE if v in j_set else ZERO_TYPE, n_max)

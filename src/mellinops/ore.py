@@ -145,14 +145,13 @@ class OreOperator(SparseSum):
     transport (see the module docstring).
     """
 
-    __slots__ = ("algebra", "arity")
+    __slots__ = ()
 
     def __init__(self, algebra, arity, terms):
         algebra = Algebra(algebra)
         if arity < 1:
             raise ValueError("arity must be >= 1")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "shape", (algebra, arity))
         clean = {}
         for key, coeff in terms.items():
             coeff = rational(coeff)
@@ -203,8 +202,13 @@ class OreOperator(SparseSum):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _shape(self):
-        return (self.algebra, self.arity)
+    @property
+    def algebra(self):
+        return self.shape[0]
+
+    @property
+    def arity(self):
+        return self.shape[1]
 
     def _lift(self, value):
         return OreOperator.scalar(value, self.algebra, self.arity)

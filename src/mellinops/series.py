@@ -68,7 +68,7 @@ class TailSeries(SparseSum):
     their operands are already clean.
     """
 
-    __slots__ = ("coeff_arity", "axes")
+    __slots__ = ()
 
     def __init__(self, coeff_arity, axes, terms=None):
         coeff_arity = index(coeff_arity)
@@ -84,8 +84,7 @@ class TailSeries(SparseSum):
             if axis.var in seen:
                 raise ValueError(f"duplicate axis for variable {axis.var}")
             seen.add(axis.var)
-        object.__setattr__(self, "coeff_arity", coeff_arity)
-        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "shape", (coeff_arity, axes))
         windows = [axis.window for axis in axes]
         clean = {}
         for idx, poly in (terms or {}).items():
@@ -115,8 +114,13 @@ class TailSeries(SparseSum):
         idx = tuple(idx) if isinstance(idx, (tuple, list)) else (idx,)
         return self.terms.get(idx, ShiftPolynomial.zero(self.coeff_arity))
 
-    def _shape(self):
-        return (self.coeff_arity, self.axes)
+    @property
+    def coeff_arity(self):
+        return self.shape[0]
+
+    @property
+    def axes(self):
+        return self.shape[1]
 
     def _lift(self, value):
         return NotImplemented  # series combine only with series of the same shape

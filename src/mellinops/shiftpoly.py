@@ -5,6 +5,12 @@ ring morphism; translating by +1 and then -1 is the identity, exactly.  These
 polynomials are the computable stand-in for analytic coefficient functions on
 the shift space: every coefficient identity handled by the tail-series module
 is polynomial in s under translation.
+
+A translation is a Taylor shift (von zur Gathen and Gerhard, ISSAC 1997) done
+term by term: each term expands by its row, built once per (exponents,
+variable, steps) and cached.  The polynomials of the Koszul reductions have a
+handful of terms, so a shift costs per-call work more than arithmetic; the
+rows take the slicing of exponent tuples and the building of keys out of it.
 """
 
 from __future__ import annotations
@@ -13,6 +19,21 @@ from functools import lru_cache
 from operator import index
 
 from .sparse import RATIONALS, SparseSum, binomial_shift, rational
+
+
+@lru_cache(maxsize=None)
+def _shift_row(expo, jj, steps):
+    """One term's Taylor-shift row: the monomial with exponents ``expo`` under
+    s_(jj+1) -> s_(jj+1) + steps, as ((exponents, weight), ...) with int weights.
+
+    The row is built once from ``binomial_shift`` and cached by its arguments,
+    which are ints (exponents and steps pass through ``index``), so the cache
+    holds exact rows alone.  A term free of s_(jj+1) is its own one-entry row."""
+    e = expo[jj]
+    if not e:
+        return ((expo, 1),)
+    head, tail = expo[:jj], expo[jj + 1 :]
+    return tuple((head + (i,) + tail, w) for i, w in binomial_shift(e, steps))
 
 
 class ShiftPolynomial(SparseSum):
@@ -26,13 +47,13 @@ class ShiftPolynomial(SparseSum):
     are already clean.
     """
 
-    __slots__ = ("arity",)
+    __slots__ = ()
 
     def __init__(self, arity, terms=None):
         arity = index(arity)
         if arity < 1:
             raise ValueError("arity must be >= 1")
-        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "shape", (arity,))
         clean = {}
         for expo, coeff in (terms or {}).items():
             expo = tuple(index(e) for e in expo)
@@ -65,8 +86,9 @@ class ShiftPolynomial(SparseSum):
 
     # -- ring operations ---------------------------------------------------
 
-    def _shape(self):
-        return (self.arity,)
+    @property
+    def arity(self):
+        return self.shape[0]
 
     def _lift(self, value):
         return ShiftPolynomial.constant(value, self.arity)
@@ -97,32 +119,20 @@ class ShiftPolynomial(SparseSum):
             raise ValueError(f"variable index {j} not in 1..{self.arity}")
         if steps == 0:
             return self
-        return self._like(self._shifted(j - 1, steps))
+        return self._shift_sub(j - 1, self.zero(self.arity), steps)
 
-    def _shifted(self, jj, steps):
-        """The Taylor-shift kernel: the terms of self under s_(jj+1) -> s_(jj+1)
-        + steps (jj 0-based, unchecked), as a plain dict that may hold zeros.
+    def _shift_sub(self, jj, other, steps=1):
+        """The Taylor-shift kernel: tau_(jj+1)^steps self - other as one value
+        (jj 0-based and unchecked, other of the same arity; a unit step is the
+        step of the shift-cycle recursions).
 
-        A term free of s_(jj+1) passes through unchanged; the others expand by
-        their ``binomial_shift`` row."""
+        One loop adds each term's cached ``_shift_row`` and then takes other's
+        terms off, so no exponent tuple is sliced and no key is built here."""
         terms = {}
         get = terms.get
         for expo, coeff in self.terms.items():
-            e = expo[jj]
-            if not e:
-                terms[expo] = get(expo, 0) + coeff
-                continue
-            head, tail = expo[:jj], expo[jj + 1 :]
-            for i, w in binomial_shift(e, steps):
-                key = head + (i,) + tail
+            for key, w in _shift_row(expo, jj, steps):
                 terms[key] = get(key, 0) + coeff * w
-        return terms
-
-    def _shift_sub(self, jj, other):
-        """tau_(jj+1) self - other as one value: the kernel's terms for self,
-        less other's terms in place (the step of the shift-cycle recursions)."""
-        terms = self._shifted(jj, 1)
-        get = terms.get
         for expo, coeff in other.terms.items():
             terms[expo] = get(expo, 0) - coeff
         return self._like(terms)

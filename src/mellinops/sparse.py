@@ -4,11 +4,12 @@ the Taylor-shift row of one power that their products and shifts expand by.
 A :class:`SparseSum` is an immutable map ``terms`` from keys to nonzero
 coefficients in a space fixed by a shape.  A coefficient is the one exact
 scalar of :func:`rational` (an ``int`` when integral, else a ``Fraction``), or
-a nonzero SparseSum (the polynomial coefficients of a series).  Subclasses
-supply three hooks: ``_shape()`` (compared by ``==``), ``_lift(value)`` (a
-rational scalar in the same space, or ``NotImplemented``) and
-``_compatible(other)`` (raises the class's own error when ``other``, of the
-same class, cannot be combined with this one).
+a nonzero SparseSum (the polynomial coefficients of a series).  The shape is
+one tuple in the ``shape`` slot, compared by ``==``: a subclass's constructor
+sets it and the subclass names its parts by properties.  Subclasses supply two
+hooks: ``_lift(value)`` (a rational scalar in the same space, or
+``NotImplemented``) and ``_compatible(other)`` (raises the class's own error
+when ``other``, of the same class, cannot be combined with this one).
 
 Only the public constructors validate.  :meth:`SparseSum._like` is the one
 unchecked constructor, and it trusts its operands: the operations hand it
@@ -64,7 +65,7 @@ def divided(sums, den):
 
 
 class SparseSum:
-    __slots__ = ("terms",)
+    __slots__ = ("shape", "terms")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -76,12 +77,11 @@ class SparseSum:
         return bool(self.terms)
 
     def _like(self, terms):
-        """A value of this shape from clean terms: the shape slots are copied,
-        zero coefficients drop and integral Fractions become ints."""
-        cls, setslot = type(self), object.__setattr__
-        value = object.__new__(cls)
-        for name in cls.__slots__:
-            setslot(value, name, getattr(self, name))
+        """A value of this shape from clean terms: the shape is shared, zero
+        coefficients drop and integral Fractions become ints."""
+        setslot = object.__setattr__
+        value = object.__new__(type(self))
+        setslot(value, "shape", self.shape)
         setslot(value, "terms", {
             k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
             for k, c in terms.items() if c
@@ -139,15 +139,16 @@ class SparseSum:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, RATIONALS):
-            other = self._lift(other)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._shape() == other._shape() and self.terms == other.terms
+        if type(other) is not type(self):  # two values of one type compare at once
+            if isinstance(other, RATIONALS):
+                other = self._lift(other)
+            if not isinstance(other, type(self)):
+                return NotImplemented
+        return self.shape == other.shape and self.terms == other.terms
 
     def __hash__(self):
         if len(self.terms) <= 1:
             c = next(iter(self.terms.values()), 0)
             if self == c:  # equal to its scalar, so it must hash like it
                 return hash(c)
-        return hash((self._shape(), frozenset(self.terms.items())))
+        return hash((self.shape, frozenset(self.terms.items())))

@@ -779,6 +779,27 @@ def test_overflowing_windows_and_orders_exit_with_a_named_cause(capsys, argv, co
     assert message in capsys.readouterr().err
 
 
+TOP_INDEX = sys.maxsize - 1  # a coefficient exponent holds max-index entries
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--I 0", f"variable index 0 not in 1..{TOP_INDEX}"),
+        ("--I -1", f"variable index -1 not in 1..{TOP_INDEX}"),
+        ("--I 2 --J 0", f"variable index 0 not in 1..{TOP_INDEX}"),
+        (f"--I 1 --J {sys.maxsize}", f"variable index {sys.maxsize} not in 1..{TOP_INDEX}"),
+        ("--I 1.5", "--I takes integer variable indices, got '1.5'"),
+        ("--I 1,x", "--I takes integer variable indices, got 'x'"),
+        ("--I 1 --J 2,a", "--J takes integer variable indices, got 'a'"),
+    ],
+)
+def test_koszul_variable_index_errors_name_the_index(capsys, flags, message):
+    # each index is judged once, against the one range of the top index
+    assert run(["koszul", *shlex.split(flags), "--N", "4"]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_expand_high_order_within_float_range_passes():
     code, out = run(["expand", "--alpha-max", "255"])
     assert code == 0 and "NaN" not in out and "Infinity" not in out

@@ -10,11 +10,13 @@ from mellinops import ShiftPolynomial
 from mellinops.shiftpoly import binomial_shift
 
 
-def polys(arity, degree=4):
-    """One to six terms with exponents in 0..degree and small rational coefficients."""
+def polys(arity, degree=4, coeffs=None):
+    """One to six terms with exponents in 0..degree and small rational
+    coefficients (or ones drawn from ``coeffs``)."""
     expo = st.sampled_from(list(product(range(degree + 1), repeat=arity)))
-    coeff = st.sampled_from([Fraction(n, d) for n in range(-9, 10) for d in range(1, 8)])
-    return st.dictionaries(expo, coeff, min_size=1, max_size=6).map(
+    if coeffs is None:
+        coeffs = st.sampled_from([Fraction(n, d) for n in range(-9, 10) for d in range(1, 8)])
+    return st.dictionaries(expo, coeffs, min_size=1, max_size=6).map(
         lambda terms: ShiftPolynomial(arity, terms)
     )
 
@@ -68,6 +70,38 @@ def test_shift_is_substitution(case, k):
     for point in product(range(-2, 3), repeat=f.arity):
         moved = tuple(x + k if i == j - 1 else x for i, x in enumerate(point))
         assert value_at(shifted, point) == value_at(f, moved)
+
+
+# (p, q, jj): two polynomials of one arity in 1..3 with exponents in 0..4 and
+# coefficients in halves and thirds, so that sums and weighted terms can come
+# out integral, and a 0-based variable
+HALVES_AND_THIRDS = st.sampled_from([Fraction(n, d) for n in range(-6, 7) if n for d in (1, 2, 3)])
+kernel_cases = st.one_of([
+    st.tuples(polys(arity, coeffs=HALVES_AND_THIRDS), polys(arity, coeffs=HALVES_AND_THIRDS),
+              st.integers(0, arity - 1))
+    for arity in (1, 2, 3)
+])
+
+
+def moved(point, jj, k):
+    """point with k added to its coordinate jj (0-based)."""
+    return tuple(x + k if i == jj else x for i, x in enumerate(point))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(kernel_cases, st.integers(-5, 5))
+def test_shift_kernel_is_substitution_less_the_other(case, steps):
+    # _shift_sub against the ring operations, and both it and shift against
+    # pointwise values, which use no binomial row: on the box -2..2 a
+    # polynomial of degree <= 4 in each variable is fixed by its values
+    p, q, jj = case
+    r, shifted = p._shift_sub(jj, q), p.shift(jj + 1, steps)
+    assert r == p.shift(jj + 1, 1) - q
+    for point in product(range(-2, 3), repeat=p.arity):
+        assert value_at(r, point) == value_at(p, moved(point, jj, 1)) - value_at(q, point)
+        assert value_at(shifted, point) == value_at(p, moved(point, jj, steps))
+    assert_validated(r)  # no zero kept, and an int wherever a coefficient is integral
+    assert_validated(shifted)
 
 
 def test_zero_and_pruning():
