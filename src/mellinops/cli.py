@@ -14,8 +14,8 @@ Exit codes are part of the contract:
     0  success (all requested checks passed)
     1  a check ran but did not pass
     2  operator text did not parse, or has a zero denominator
-    3  algebra mismatch (mixed or wrong-side generators, an index above the arity
-       or too large to index)
+    3  algebra mismatch (mixed or wrong-side generators, an index above the arity,
+       or an index or arity above ``ore.MAX_INDEX``, 65536)
     4  truncation window overflow (n_max below 4, or too large to index)
     5  annihilation guard failed
     6  quadrature failure (unsettled estimate, no decay certificate, failed grid
@@ -289,6 +289,8 @@ def _parse_index_set(text, flag):
         try:
             indices.append(int(token))
         except ValueError:
+            if token.lstrip("+-").isdecimal():  # more digits than int() converts
+                raise ValueError(f"variable index {token[:20]}... not in 1..{sys.maxsize - 1}") from None
             raise ValueError(f"{flag} takes integer variable indices, got {token!r}") from None
     return tuple(indices)
 

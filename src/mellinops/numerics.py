@@ -511,7 +511,7 @@ def verify_commutation(P, f, s_grid, tol=1e-8, quad_tol=ABS_TOL):
     annihilation_guard(P, f)
     Q = mellin_op(P)
     closed_form = _CLOSED_FORMS.get(f.terms) if all(s.imag == 0 for s in grid) else None
-    shifts = [c[0] for _, _, c, _ in Q.terms]
+    shifts = [tau for tau, _ in Q.terms]  # p = 1: each key is (tau, s)
     points = tuple(dict.fromkeys(s + c for s in grid for c in shifts))  # in first-use order
     transforms = dict(zip(points, _ray_transforms(f, points, quad_tol)))
 

@@ -13,9 +13,11 @@ numerics layer):
   variable indices always commute.
 
 Elements are kept in a unique normal form t^a th^b tau^c s^d (sparse term
-map, no zero coefficients), so equality of operators is equality of maps.
-Products are computed by a closed-form transport rule derived from the
-relations:
+map, no zero coefficients), so equality of operators is equality of maps.  A
+monomial's key is one flat tuple of ints over its algebra's own slots, p
+entries each, in the order of :data:`SLOTS`: (t, th) in D, (tau, s) in S and
+(t, th, tau, s) in the combined algebra.  Products are computed by a
+closed-form transport rule derived from the relations:
 
     th_j^b t_j^a  = t_j^a (th_j + a)^b        (a in Z)
     s_j^d tau_j^c = tau_j^c (s_j - c)^d       (c in Z)
@@ -25,20 +27,16 @@ product runs on integers: each operand's coefficients are cleared to integer
 numerators over the lcm of their denominators, the double loop multiplies and
 accumulates ints only, and each result term is divided by the product of the
 two denominators once (a Fraction only where the quotient is not integral).
-Each operand term is split once into its algebra's own half: exponents,
-degrees and transport shifts (D: t, th and +t; S: tau, s and -tau; the
-combined algebra both).  A pair of monomials starts from the exponent and
-degree sums, and only a variable whose left degree meets a nonzero right
-shift expands by its cached row.  The sums are keyed on that half, and each
-result term gets its four-slot key once.
+A pair of monomials starts from the sum of their keys, and only a variable
+whose left degree meets a nonzero right transport shift (+t, or -tau) expands
+by its cached row.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
 from functools import lru_cache
-from operator import add, mul, neg
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import MixedAlgebra
@@ -60,10 +58,6 @@ class GenKind(str, enum.Enum):
     TAUINV = "tauinv"
 
 
-T_SIDE = frozenset({GenKind.T, GenKind.TINV, GenKind.THETA})
-S_SIDE = frozenset({GenKind.S, GenKind.TAU, GenKind.TAUINV})
-
-
 class Generator(NamedTuple):
     """A single generator symbol: kind plus a 1-based variable index."""
 
@@ -71,30 +65,33 @@ class Generator(NamedTuple):
     index: int = 1
 
 
-# A monomial key is (t-exponents, th-degrees, tau-exponents, s-degrees),
-# each a length-p tuple.  Algebra D uses only the first two slots, S only
-# the last two; the combined algebra uses all four.
-def _unit_key(p):
-    z = (0,) * p
-    return (z, z, z, z)
+# Each algebra's key slots, p entries each, in pairs: an exponent slot (a
+# negative exponent is a power of the inverse generator), then the degree slot
+# that it transports, with the sign of the transport (t_j^a moves th_j by +a,
+# tau_j^c moves s_j by -c).  So a D key is also the S key of its transform.
+_TORUS = (GenKind.T, GenKind.TINV, GenKind.THETA, +1)
+_SHIFT = (GenKind.TAU, GenKind.TAUINV, GenKind.S, -1)
+SLOTS = {Algebra.D: (_TORUS,), Algebra.S: (_SHIFT,), Algebra.DTILDE: (_TORUS, _SHIFT)}
+T_SIDE, S_SIDE = frozenset(_TORUS[:3]), frozenset(_SHIFT[:3])
+
+# The largest variable index and arity: every key holds p entries per slot, so
+# an index of 10^8 would ask for gigabytes before the first product.
+MAX_INDEX = 65536
 
 
-def _bump(key, slot, j, amount):
-    parts = list(key)
-    vec = list(parts[slot])
-    vec[j - 1] += amount
-    parts[slot] = tuple(vec)
-    return tuple(parts)
+def _width(algebra, p):
+    """The number of entries of a key of ``algebra`` in p variables."""
+    return 2 * len(SLOTS[algebra]) * p
 
 
-GEN_SLOT = {
-    GenKind.T: (0, +1),
-    GenKind.TINV: (0, -1),
-    GenKind.THETA: (1, +1),
-    GenKind.TAU: (2, +1),
-    GenKind.TAUINV: (2, -1),
-    GenKind.S: (3, +1),
-}
+@lru_cache(maxsize=32)
+def _degree_places(algebra, p):
+    """(places, signs): each degree's place in a key of ``algebra`` in p
+    variables, and the sign by which the exponent p places before it
+    transports it."""
+    slots = SLOTS[algebra]
+    return (tuple((2 * b + 1) * p + j for b in range(len(slots)) for j in range(p)),
+            tuple(sign for *_, sign in slots for _ in range(p)))
 
 
 @lru_cache(maxsize=None)
@@ -110,38 +107,17 @@ def _mono_mul(e1, k, e2):
     return tuple((i + e2, w) for i, w in binomial_shift(e1, k) if w)
 
 
-def _halves(algebra, items):
-    """Each (key, numerator) on its algebra's own half, as (exponents + degrees,
-    degrees, transport shifts, numerator): t_j^a moves th_j by +a, and tau_j^c
-    moves s_j by -c."""
-    if algebra is Algebra.D:
-        return [(a + b, b, a, x) for (a, b, _, _), x in items]
-    if algebra is Algebra.S:
-        return [(c + d, d, tuple(map(neg, c)), x) for (_, _, c, d), x in items]
-    return [(a + c + b + d, b + d, a + tuple(map(neg, c)), x) for (a, b, c, d), x in items]
-
-
-def _joined(algebra, p, sums):
-    """Sums keyed by exponents + degrees, keyed by four-slot keys again."""
-    z = (0,) * p
-    if algebra is Algebra.D:
-        return {(v[:p], v[p:], z, z): n for v, n in sums.items()}
-    if algebra is Algebra.S:
-        return {(z, z, v[:p], v[p:]): n for v, n in sums.items()}
-    return {(v[:p], v[2 * p:3 * p], v[p:2 * p], v[3 * p:]): n for v, n in sums.items()}
-
-
 class OreOperator(SparseSum):
     """An exact operator in normal form.
 
-    ``terms`` maps monomial keys to nonzero exact scalars (see
-    :func:`~mellinops.sparse.rational`).  Instances are immutable; arithmetic
-    goes through +, -, * and **, and :func:`normalize` builds an operator from
-    generator words.  The constructor validates its input; the arithmetic
-    builds its results through the unchecked
+    ``terms`` maps monomial keys (see :data:`SLOTS`) to nonzero exact scalars
+    (see :func:`~mellinops.sparse.rational`).  Instances are immutable;
+    arithmetic goes through +, -, * and **, and :func:`normalize` builds an
+    operator from generator words.  The constructor validates its input; the
+    arithmetic builds its results through the unchecked
     :meth:`~mellinops.sparse.SparseSum._like`, since its operands are already
     clean.  ``*`` works on integer numerators, one common denominator per
-    operand, on each key's own half, and expands only the variables that
+    operand, sums the stored keys, and expands only the variables that
     transport (see the module docstring).
     """
 
@@ -149,30 +125,20 @@ class OreOperator(SparseSum):
 
     def __init__(self, algebra, arity, terms):
         algebra = Algebra(algebra)
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
+        if not 1 <= arity <= MAX_INDEX:
+            raise ValueError(f"arity {arity} not in 1..{MAX_INDEX}")
         object.__setattr__(self, "shape", (algebra, arity))
+        width, (places, _) = _width(algebra, arity), _degree_places(algebra, arity)
         clean = {}
         for key, coeff in terms.items():
+            if not (type(key) is tuple and len(key) == width and all(type(e) is int for e in key)):
+                raise ValueError(f"monomial key {key} is not a tuple of {width} ints")
+            if any(key[i] < 0 for i in places):
+                raise ValueError("th/s degrees must be non-negative")
             coeff = rational(coeff)
-            if not coeff:
-                continue
-            self._check_key(key, algebra, arity)
-            clean[key] = coeff
+            if coeff:
+                clean[key] = coeff
         object.__setattr__(self, "terms", clean)
-
-    @staticmethod
-    def _check_key(key, algebra, arity):
-        a, b, c, d = key
-        for vec in (a, b, c, d):
-            if len(vec) != arity:
-                raise ValueError(f"monomial key {key} does not match arity {arity}")
-        if any(x < 0 for x in b) or any(x < 0 for x in d):
-            raise ValueError("th/s degrees must be non-negative")
-        if algebra is Algebra.D and (any(c) or any(d)):
-            raise MixedAlgebra("shift-side generators in a D operator")
-        if algebra is Algebra.S and (any(a) or any(b)):
-            raise MixedAlgebra("torus-side generators in an S operator")
 
     # -- constructors ------------------------------------------------------
 
@@ -181,24 +147,20 @@ class OreOperator(SparseSum):
         return cls(algebra, arity, {})
 
     @classmethod
-    def one(cls, algebra, arity=1):
-        return cls(algebra, arity, {_unit_key(arity): 1})
-
-    @classmethod
     def scalar(cls, value, algebra, arity=1):
-        return cls(algebra, arity, {_unit_key(arity): value})
+        return cls(algebra, arity, {(0,) * _width(Algebra(algebra), arity): value})
 
     @classmethod
     def generator(cls, kind, index=1, algebra=None, arity=None):
         kind = GenKind(kind)
         algebra, arity = resolve_algebra({kind}, index, algebra, arity)
-        if algebra is Algebra.D and kind not in T_SIDE:
-            raise MixedAlgebra(f"{kind.value} is not a D generator")
-        if algebra is Algebra.S and kind not in S_SIDE:
-            raise MixedAlgebra(f"{kind.value} is not an S generator")
-        slot, amount = GEN_SLOT[kind]
-        key = _bump(_unit_key(arity), slot, index, amount)
-        return cls(algebra, arity, {key: 1})
+        key = [0] * _width(algebra, arity)
+        for b, (up, down, degree, _) in enumerate(SLOTS[algebra]):
+            if kind in (up, down, degree):
+                key[(2 * b + (kind is degree)) * arity + index - 1] = -1 if kind is down else 1
+                return cls(algebra, arity, {tuple(key): 1})
+        article = "an" if algebra is Algebra.S else "a"
+        raise MixedAlgebra(f"{kind.value} is not {article} {algebra.value} generator")
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -224,27 +186,30 @@ class OreOperator(SparseSum):
         if isinstance(other, RATIONALS):
             return self.scale(other)
         self._check(other)
-        algebra = self.algebra
+        p = self.arity
+        places, signs = _degree_places(self.algebra, p)
         den_left, left = cleared(self.terms)
         den_right, right = cleared(other.terms)
-        right = _halves(algebra, right)
-        sums = {}  # keyed by exponents + degrees on the algebra's own half
-        for v1, g1, _, x in _halves(algebra, left):
-            q = len(g1)
-            for v2, g2, k2, y in right:
+        # each right key with its transport shifts, one per degree place
+        right = [(v, tuple([sign * v[i - p] for i, sign in zip(places, signs)]), y)
+                 for v, y in right]
+        sums = {}
+        for v1, x in left:
+            g1 = [v1[i] for i in places]
+            for v2, k2, y in right:
                 key = tuple(map(add, v1, v2))
                 if not any(map(mul, g1, k2)):  # no variable transports
                     sums[key] = sums.get(key, 0) + x * y
                     continue
                 expansion = [(key, x * y)]
-                for j, g in enumerate(g1):
-                    if g and k2[j]:  # degree q + j of the key expands by its row
-                        i, row = q + j, _mono_mul(g, k2[j], g2[j])
+                for i, g, k in zip(places, g1, k2):
+                    if g and k:  # the degree at place i expands by its row
+                        row = _mono_mul(g, k, v2[i])
                         expansion = [(v[:i] + (deg,) + v[i + 1:], n * w)
                                      for v, n in expansion for deg, w in row]
                 for key, n in expansion:
                     sums[key] = sums.get(key, 0) + n
-        return self._like(divided(_joined(algebra, self.arity, sums), den_left * den_right))
+        return self._like(divided(sums, den_left * den_right))
 
     __rmul__ = __mul__  # reached by scalars, which commute with every operator
 
@@ -264,9 +229,8 @@ def resolve_algebra(kinds, max_index, algebra, arity):
     kinds from both sides raise MixedAlgebra; with a hint only the combined
     algebra admits both sides.  A single wrong-side generator under a
     one-sided hint is left to :meth:`OreOperator.generator`.  The arity
-    defaults to ``max_index``; an index outside 1..arity, or an arity of
-    ``sys.maxsize`` or more (a monomial key holds tuples of arity entries),
-    raises MixedAlgebra.
+    defaults to ``max_index``; an index outside 1..arity, or an arity above
+    ``MAX_INDEX``, raises MixedAlgebra before any key is built.
     """
     mixed = bool(kinds & T_SIDE) and bool(kinds & S_SIDE)
     if algebra is None:
@@ -284,8 +248,8 @@ def resolve_algebra(kinds, max_index, algebra, arity):
         arity = max_index
     if not 1 <= max_index <= arity:
         raise MixedAlgebra(f"index {max_index} not in 1..{arity}")
-    if arity >= sys.maxsize:
-        raise MixedAlgebra(f"index {arity} not in 1..{sys.maxsize - 1}")
+    if arity > MAX_INDEX:
+        raise MixedAlgebra(f"index {arity} not in 1..{MAX_INDEX}")
     return algebra, arity
 
 

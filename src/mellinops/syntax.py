@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .ore import GEN_SLOT, GenKind, OreOperator, resolve_algebra
+from .ore import SLOTS, GenKind, OreOperator, resolve_algebra
 
 _TOKEN_RE = re.compile(
     r"""
@@ -201,19 +201,21 @@ def parse(text, algebra=None, arity=None):
 
 # -- canonical printing ------------------------------------------------------
 
-_SLOT_NAMES = {slot: kind.value for kind, slot in GEN_SLOT.items()}  # (slot, sign): name
+def _place_names(algebra, arity):
+    """Each key place's generator name, for a positive and for a negative
+    entry; a degree, never negative, has its one name twice."""
+    suffixes = [f"_{j}" if arity > 1 else "" for j in range(1, arity + 1)]
+    return [(up.value + x, down.value + x)
+            for exponent, inverse, degree, _ in SLOTS[algebra]
+            for up, down in ((exponent, inverse), (degree, degree)) for x in suffixes]
 
 
-def _format_monomial(key, arity):
+def _format_monomial(key, names):
     parts = []
-    for slot, exponents in enumerate(key):
-        for j, e in enumerate(exponents, start=1):
-            if e == 0:
-                continue
-            piece = _SLOT_NAMES[slot, 1 if e > 0 else -1] + (f"_{j}" if arity > 1 else "")
-            if abs(e) > 1:
-                piece += f"^{abs(e)}"
-            parts.append(piece)
+    for (up, down), e in zip(names, key):
+        if e:
+            name = up if e > 0 else down
+            parts.append(name if -1 <= e <= 1 else f"{name}^{abs(e)}")
     return "*".join(parts)
 
 
@@ -222,10 +224,11 @@ def format_operator(P):
     no exponent of P exceeds ``MAX_EXPONENT``."""
     if P.is_zero():
         return "0"
+    names = _place_names(P.algebra, P.arity)
     pieces = []
     for key in sorted(P.terms, reverse=True):
         coeff = P.terms[key]
-        mono = _format_monomial(key, P.arity)
+        mono = _format_monomial(key, names)
         if not mono:
             body = str(abs(coeff))
         elif abs(coeff) == 1:

@@ -260,11 +260,11 @@ def apply_operator_terms(P, f):
     if P.arity != 1:
         raise MixedAlgebra("test functions live over one torus variable")
     out = []
-    for (a, b, _c, _d), coeff in P.terms.items():
+    for (a, b), coeff in P.terms.items():  # p = 1: each key is (t, th)
         part = f
-        for _ in range(b[0]):
+        for _ in range(b):
             part = part.euler()
-        out.append(part.times_t(a[0]).scale(complex(coeff)))
+        out.append(part.times_t(a).scale(complex(coeff)))
     return out
 
 

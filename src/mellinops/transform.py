@@ -17,31 +17,28 @@ from .errors import MixedAlgebra, QuadratureFailure
 from .ore import Algebra, OreOperator
 
 
-def _parity_sign(vec):
-    return -1 if sum(vec) % 2 else 1
+def _flipped(P, algebra):
+    """P's terms on unchanged keys as an operator of ``algebra``, each
+    coefficient times (-1)^(the sum of its key's degrees).  P is clean, so the
+    result is built trusted."""
+    p = P.arity
+    return OreOperator.zero(algebra, p)._like(
+        {key: -c if sum(key[p:]) % 2 else c for key, c in P.terms.items()})
 
 
 def mellin_op(P):
-    """Image in the difference algebra of a torus-side operator.  Keys and
-    coefficients come from a clean operand, so the result is built trusted."""
+    """Image in the difference algebra of a torus-side operator: a D key
+    (t, th) is the S key (tau, s) of its image."""
     if P.algebra is not Algebra.D:
         raise MixedAlgebra("forward transform expects a D operator")
-    z = (0,) * P.arity
-    terms = {}
-    for (a, b, _c, _d), coeff in P.terms.items():
-        terms[(z, z, a, b)] = coeff * _parity_sign(b)
-    return OreOperator.zero(Algebra.S, P.arity)._like(terms)
+    return _flipped(P, Algebra.S)
 
 
 def inverse_mellin_op(Q):
     """Two-sided inverse of :func:`mellin_op`."""
     if Q.algebra is not Algebra.S:
         raise MixedAlgebra("inverse transform expects an S operator")
-    z = (0,) * Q.arity
-    terms = {}
-    for (_a, _b, c, d), coeff in Q.terms.items():
-        terms[(c, d, z, z)] = coeff * _parity_sign(d)
-    return OreOperator.zero(Algebra.D, Q.arity)._like(terms)
+    return _flipped(Q, Algebra.D)
 
 
 def apply_difference(Q, F, s):
@@ -67,7 +64,8 @@ def apply_difference_terms(Q, F, s):
         raise ValueError(f"expected {p} coordinates, got {len(point)}")
 
     out = []
-    for (_a, _b, c, d), coeff in Q.terms.items():
+    for key, coeff in Q.terms.items():
+        c, d = key[:p], key[p:]
         shifted = tuple(z + cj for z, cj in zip(point, c))
         weight = complex(coeff)
         for z, cj, dj in zip(point, c, d):

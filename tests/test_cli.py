@@ -27,6 +27,7 @@ from mellinops.cli import (
     load_config,
     main,
 )
+from mellinops.ore import MAX_INDEX
 from mellinops.syntax import MAX_EXPONENT
 
 
@@ -166,6 +167,33 @@ def test_canonical_text_bytes_are_pinned():
         assert code == 0, argv
         digest.update(out.encode())
     assert digest.hexdigest() == "f0101220fade973797e94d46febb5f7c303a67739b2aa8deb08e55204541407b"
+
+
+# combined-algebra products in one to three variables: both sides in one word,
+# inverse generators, and halves and thirds among the coefficients
+CANONICAL_DTILDE = [
+    "(1/2*th + tau)^3*(tinv - 2/3*s)^2",
+    "(s*t - 1/3*th*tau)^3*(tauinv + th)",
+    "(th + s)^2*(tauinv + 3/2*t)^2*(tinv - tau)",
+    "(-3/2*t*s + 1/2*tau*th)^2*(tauinv*tinv + 1)^2",
+    "(1/2*th_1 + tau_2)^3*(tinv_1 - 2/3*s_2)^2",
+    "(s_1 + th_2 - 1/3*t_1*tau_2)^3*(tauinv_1 - 1/2*tinv_2)",
+    "(3/2*tau_1*th_2 + 1/2*t_2*s_1)^3*(tinv_1 + tauinv_2)",
+    "(1/2*th_1 + tau_2 - 1/3*s_3)^2*(tinv_3 + 3/2*th_2 - tauinv_1)^2",
+    "(t_1*s_3 - 2/3*tau_3*th_1)^3*(1/2*tauinv_2 + th_2)",
+    "(th_1 + 1/2*s_2 + 1/3*th_3 + t_1*tau_2*tinv_3)^3",
+]
+
+
+def test_combined_algebra_text_bytes_are_pinned():
+    # sha256 of the stdout of `parse --algebra Dtilde` on each text in order:
+    # the slot order t, th, tau, s of a combined monomial, byte for byte
+    digest = hashlib.sha256()
+    for text in CANONICAL_DTILDE:
+        code, out = run(["parse", "--algebra", "Dtilde", text])
+        assert code == 0, text
+        digest.update(out.encode())
+    assert digest.hexdigest() == "e78a7b2daeed9dfc45a6f45ade674b0741d2716e13169347562130d51910a447"
 
 
 def test_koszul_truncation_exit_code():
@@ -766,8 +794,8 @@ def test_moments_commutation_extends_the_runs_table(monkeypatch):
         (["expand", "--R", "4", "--alpha-max", "600"], EXIT_USAGE, "alpha_max=600 overflow at radius=4.0"),
         (["koszul", "--I", "1", "--N", str(10 ** 20)], EXIT_TRUNCATION, "n_max=100000000000000000000"),
         # an index with no tuple of its length
-        (["parse", f"t_{10 ** 23}"], EXIT_ALGEBRA, f"index {10 ** 23} not in 1..{sys.maxsize - 1}"),
-        (["transform", f"th*t_{sys.maxsize}"], EXIT_ALGEBRA, f"index {sys.maxsize} not in 1.."),
+        (["parse", f"t_{10 ** 23}"], EXIT_ALGEBRA, f"index {10 ** 23} not in 1..{MAX_INDEX}"),
+        (["transform", f"th*t_{sys.maxsize}"], EXIT_ALGEBRA, f"index {sys.maxsize} not in 1..{MAX_INDEX}"),
         (["koszul", "--I", str(10 ** 20), "--N", "4"], EXIT_USAGE,
          f"variable index {10 ** 20} not in 1..{sys.maxsize - 1}"),
         (["koszul", "--I", "1", "--J", str(sys.maxsize), "--N", "4"], EXIT_USAGE,
@@ -792,6 +820,9 @@ TOP_INDEX = sys.maxsize - 1  # a coefficient exponent holds max-index entries
         ("--I 1.5", "--I takes integer variable indices, got '1.5'"),
         ("--I 1,x", "--I takes integer variable indices, got 'x'"),
         ("--I 1 --J 2,a", "--J takes integer variable indices, got 'a'"),
+        # more digits than int() converts: out of range, its token abbreviated
+        pytest.param("--I 1" + "0" * 4400, f"variable index 1{'0' * 19}... not in 1..{TOP_INDEX}",
+                     id="index-too-long-to-convert"),
     ],
 )
 def test_koszul_variable_index_errors_name_the_index(capsys, flags, message):

@@ -16,7 +16,7 @@ from mellinops import (
     normalize,
     parse,
 )
-from mellinops.ore import _mono_mul
+from mellinops.ore import MAX_INDEX, _mono_mul
 
 T, TINV, TH = GenKind.T, GenKind.TINV, GenKind.THETA
 S, TAU, TAUINV = GenKind.S, GenKind.TAU, GenKind.TAUINV
@@ -150,7 +150,7 @@ def test_commutators_multi_variable():
 
 def test_inverses_cancel():
     assert parse("t") * parse("tinv") == parse("1")
-    assert parse("tauinv") * parse("tau") == OreOperator.one("S")
+    assert parse("tauinv") * parse("tau") == OreOperator.scalar(1, "S")
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -174,12 +174,11 @@ def int_tuples(p, lo, hi):
 
 
 def normal_operators(algebra, p):
-    """One to three normal-form terms, built from keys: t^a th^b in D,
-    tau^c s^d in S, and all four slots in the combined algebra."""
-    z, half = st.just((0,) * p), (int_tuples(p, -2, 2), int_tuples(p, 0, 2))
-    torus = (z, z) if algebra == "S" else half
-    shift = (z, z) if algebra == "D" else half
-    terms = st.dictionaries(st.tuples(*torus, *shift), COEFFS, min_size=1, max_size=3)
+    """One to three normal-form terms, built from flat keys: t^a th^b in D,
+    tau^c s^d in S, and t^a th^b tau^c s^d in the combined algebra."""
+    half = [st.integers(-2, 2)] * p + [st.integers(0, 2)] * p
+    key = st.tuples(*half * (2 if algebra == "Dtilde" else 1))
+    terms = st.dictionaries(key, COEFFS, min_size=1, max_size=3)
     return terms.map(lambda t: OreOperator(algebra, p, t))
 
 
@@ -190,9 +189,18 @@ def vectors(p):
     return st.dictionaries(int_tuples(p, -3, 3), polys, min_size=1, max_size=2)
 
 
+def split_key(op, key):
+    """(a, b, c, d) of a flat key: its t, th, tau and s entries, with zeros for
+    the side that its algebra does not have."""
+    p, z = op.arity, (0,) * (2 * op.arity)
+    key = {"D": key + z, "S": z + key, "Dtilde": key}[op.algebra.value]
+    return key[:p], key[p:2 * p], key[2 * p:3 * p], key[3 * p:]
+
+
 def act(op, vec):
     weights = {}  # (n, a, c, d): the sum of x n^b over the terms x t^a th^b tau^c s^d
-    for (a, b, c, d), x in op.terms.items():
+    for key, x in op.terms.items():
+        a, b, c, d = split_key(op, key)
         for n in vec:
             w = x * math.prod(u ** v for u, v in zip(n, b))
             weights[n, a, c, d] = weights.get((n, a, c, d), 0) + w
@@ -282,6 +290,38 @@ def test_a_product_costs_linear_time_in_the_arity():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("algebra, p, key", [
+    ("D", 1, (0,)),                              # too short
+    ("S", 1, (0, 0, 0)),                         # too long
+    ("Dtilde", 2, (0,) * 4),                     # the length of p = 1
+    ("D", 1, ((0,), (0,), (0,), (0,))),          # one nested tuple per slot
+    ("Dtilde", 1, ((0,), (0,), (0,), (0,))),     # nested, of the right length
+    ("Dtilde", 2, ((0, 0),) * 4),
+    ("D", 1, (1.0, 0)),                          # entries that are not ints
+    ("S", 1, (0, Fraction(1))),
+    ("Dtilde", 1, (0, 0, True, 0)),
+    ("D", 1, (0, -1)),                           # a negative th degree
+    ("S", 2, (0, 0, 0, -1)),                     # a negative s degree
+    ("Dtilde", 1, (0, -1, 0, 0)),
+    ("Dtilde", 1, (0, 0, 0, -1)),
+])
+def test_the_constructor_takes_flat_keys_of_its_algebra_only(algebra, p, key):
+    with pytest.raises((ValueError, TypeError)):
+        OreOperator(algebra, p, {key: 1})
+
+
+def test_keys_round_trip_through_the_constructor():
+    # D keys are (t, th), S keys (tau, s), combined keys (t, th, tau, s)
+    assert parse("3*tinv_2*th_1^2").terms == {(0, -1, 2, 0): 3}
+    assert parse("tau*s^2").terms == {(1, 2): 1}
+    assert parse("s_1*t_2*th_1", algebra="Dtilde").terms == {(0, 1, 1, 0, 0, 0, 1, 0): 1}
+    for P in (parse("(th_1 + t_2 - 1/2*tinv_1)^3"), parse("(s - 1/3*tauinv)^2*tau"),
+              parse("(t*s + th*tau)^2 - tinv", algebra="Dtilde")):
+        assert OreOperator(P.algebra, P.arity, P.terms) == P
+    with pytest.raises(ValueError):
+        OreOperator("D", MAX_INDEX + 1, {})
+
+
 def test_generator_infers_its_algebra():
     assert OreOperator.generator(TH, 2).algebra is Algebra.D
     assert OreOperator.generator(TH, 2).arity == 2
@@ -297,4 +337,4 @@ def test_scalar_arithmetic_and_power():
     t = parse("t")
     assert 2 * t - t == t
     assert (t + 1) ** 2 == parse("t^2 + 2*t + 1")
-    assert t ** 0 == OreOperator.one("D")
+    assert t ** 0 == 1

@@ -78,8 +78,8 @@ def test_ring_morphism_200_pairs(pair):
 @given(st.one_of([operators("D", p) for p in (1, 2, 3)]))
 def test_degree_transport(P):
     Q = mellin_op(P)
-    # t exponents -> tau exponents, th degrees -> s degrees
-    assert {(a, b) for a, b, _, _ in P.terms} == {(c, d) for _, _, c, d in Q.terms}
+    # t exponents -> tau exponents, th degrees -> s degrees: one key set
+    assert set(P.terms) == set(Q.terms)
 
 
 def test_wrong_side_rejected():
