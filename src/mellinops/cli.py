@@ -16,13 +16,17 @@ Exit codes are part of the contract:
     2  operator text did not parse, or has a zero denominator
     3  algebra mismatch (mixed or wrong-side generators, an index above the arity,
        or an index or arity above ``ore.MAX_INDEX``, 65536)
-    4  truncation window overflow (n_max below 4, or too large to index)
+    4  truncation window overflow (n_max below 4, or too large to index, or a
+       koszul window of more than ``koszul.MAX_WINDOW``, 10,000 indices: the
+       product over the axes of N on a zero axis and N + 1 on an inf axis)
     5  annihilation guard failed
     6  quadrature failure (unsettled estimate, no decay certificate, failed grid
        function, a non-finite ``expand`` sample)
     7  usage or configuration error (malformed argument, a koszul variable
        index that is not an integer in 1..sys.maxsize - 1, bad config key or
        value, unreadable config file, unwritable output path, negative order,
+       a ``grid_count`` outside 1..1000, a ``moments --kmax`` above 1000 or
+       ``--order`` above 100 (``MAX_GRID_COUNT``, ``MAX_KMAX``, ``MAX_ORDER``),
        a non-finite ``moments --s``, a function the subcommand does not name;
        for ``expand``, a bad radius, a non-finite ``--T0``, an ``alpha_max``
        whose coefficients overflow at that radius, or one of 256 or more; in
@@ -73,6 +77,15 @@ EXIT_GUARD = 5
 EXIT_QUADRATURE = 6
 EXIT_USAGE = 7
 
+# The largest sizes a request may set, each refused (exit 7) before any grid is
+# built.  The workloads, tests and README use at most 24 grid points, kmax 40
+# and order 12.  At the caps verify takes about 0.2 s and moments 0.3 s; a
+# remainder order above 100 reads tails of 80^-(order + 1), which leaves the
+# normal doubles from order 161 on.
+MAX_GRID_COUNT = 1000
+MAX_KMAX = 1000
+MAX_ORDER = 100
+
 # verify and moments read one of these; build_builtin also takes any mode<k>
 BUILTIN_NAMES = (
     "gamma",
@@ -121,8 +134,8 @@ class RunConfig:
         for key in ("grid_start", "grid_stop", "grid_imag"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.grid_count < 1:
-            raise ValueError("grid count must be at least 1")
+        if not 1 <= self.grid_count <= MAX_GRID_COUNT:
+            raise ValueError(f"grid_count must be in 1..{MAX_GRID_COUNT}, got {self.grid_count}")
         return self
 
     def s_grid(self):
@@ -244,6 +257,9 @@ _REMAINDER_RADII = (20.0, 40.0, 80.0)
 
 
 def _cmd_moments(args, cfg):
+    for flag, value, top in (("--kmax", args.kmax, MAX_KMAX), ("--order", args.order, MAX_ORDER)):
+        if value > top:
+            raise ValueError(f"{flag} {value} is above {top}")
     from .numerics import (asymptotic_remainder_check, epsilon_commutation_check, moment_table,
                            stokes_checks)
 

@@ -20,9 +20,11 @@ are witnessed as explicit images of the differential).
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 
+from .errors import TruncationOverflow
 from .ore import GenKind, Generator
 from .series import (
     Axis,
@@ -31,7 +33,7 @@ from .series import (
     ZERO_TYPE,
     shift_cycle,
 )
-from .shiftpoly import ShiftPolynomial, as_poly
+from .shiftpoly import ShiftPolynomial, as_poly, shift_rows, shift_sub
 
 
 def _solve_cycle(g, var, kind):
@@ -46,13 +48,14 @@ def _solve_cycle(g, var, kind):
     indices = axis.window if kind == INF_TYPE else axis.window[::-1]
     columns = {idx[:pos] + idx[pos + 1 :] for idx in g.terms}
     zero = ShiftPolynomial.zero(g.coeff_arity)
-    get, jj = g.terms.get, var - 1
+    poly, get, rows = zero._made, g.terms.get, shift_rows(var - 1, 1)
     terms = {}
     for col in columns:
-        prev = zero
+        prev = {}  # the terms of x_prev, clean, each wrapped once
         for n in indices:
             idx = col[:pos] + (n,) + col[pos:]
-            terms[idx] = prev = prev._shift_sub(jj, get(idx, zero))
+            prev = shift_sub(prev, rows, get(idx, zero).terms)
+            terms[idx] = poly(prev)
     return g._like(terms)
 
 
@@ -177,15 +180,15 @@ class KoszulReport:
 def _sample_series(coeff_arity, axes, salt):
     """Deterministic full-support sample: at index idx, the monomial
     (1 + salt + sum(idx)) * prod_v s_v^((n_v + salt) mod 3)."""
-    like = ShiftPolynomial.zero(coeff_arity)._like
+    poly = ShiftPolynomial.zero(coeff_arity)._made  # each coefficient is one nonzero int term
     places = [axis.var - 1 for axis in axes]
     expo = [0] * coeff_arity  # each index rewrites every axis's place
     terms = {}
     for idx in itertools.product(*(axis.window for axis in axes)):
         for jj, n in zip(places, idx):
             expo[jj] = (n + salt) % 3
-        terms[idx] = like({tuple(expo): 1 + salt + sum(idx)})
-    return TailSeries(coeff_arity, axes)._like(terms)
+        terms[idx] = poly({tuple(expo): 1 + salt + sum(idx)})
+    return TailSeries(coeff_arity, axes)._made(terms)
 
 
 def _sample_phis(coeff_arity, var):
@@ -195,6 +198,12 @@ def _sample_phis(coeff_arity, var):
 
 _SAMPLES = 2  # sample series solved per elimination
 
+# The most indices a reduction's window may hold: the product over its axes of
+# N on a zero axis and N + 1 on an inf axis.  The largest windows in use are
+# 13^3 = 2197 (three variables at N = 12) and 49 (one at N = 48); one at the
+# cap runs in seconds, and a larger request is refused before any series.
+MAX_WINDOW = 10_000
+
 
 def koszul_reduce(i_set, j_set, n_max):
     """Eliminate variables highest-index first and report the outcome.
@@ -203,7 +212,8 @@ def koszul_reduce(i_set, j_set, n_max):
     elimination is witnessed by exact full-window round-trip solves; each
     ``zero`` elimination by interior-exact solves plus a kernel check.  When
     J is empty the report carries the extraction index (1,...,1) and the
-    induced-action congruence results for every remaining direction.
+    induced-action congruence results for every remaining direction.  A
+    window of more than ``MAX_WINDOW`` indices raises TruncationOverflow.
     """
     i_set = tuple(sorted(set(i_set)))
     j_set = tuple(sorted(set(j_set)))
@@ -219,6 +229,10 @@ def koszul_reduce(i_set, j_set, n_max):
         Axis(v, INF_TYPE if v in j_set else ZERO_TYPE, n_max)
         for v in sorted(i_set + j_set)
     )
+    size = math.prod(n_max + (axis.kind == INF_TYPE) for axis in axes)
+    if size > MAX_WINDOW:
+        raise TruncationOverflow(
+            f"truncation window of {size} indices (N={n_max}) is above {MAX_WINDOW}")
     steps = []
     checks = True
     verdict = None

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import MixedAlgebra, TruncationOverflow
 from .ore import GenKind, Generator
-from .shiftpoly import ShiftPolynomial, as_poly
+from .shiftpoly import ShiftPolynomial, as_poly, shift_rows, shift_sub
 from .sparse import SparseSum
 
 ZERO_TYPE = "zero"
@@ -64,8 +64,8 @@ class TailSeries(SparseSum):
     Terms map index tuples of ints, one per axis and inside its window, to
     nonzero :class:`~mellinops.shiftpoly.ShiftPolynomial` coefficients.  The
     constructor validates its input; the operations build their results
-    through the unchecked :meth:`~mellinops.sparse.SparseSum._like`, since
-    their operands are already clean.
+    through the unchecked :meth:`_like`, since their operands are already
+    clean.
     """
 
     __slots__ = ()
@@ -121,6 +121,11 @@ class TailSeries(SparseSum):
     @property
     def axes(self):
         return self.shape[1]
+
+    def _like(self, terms):
+        """A series of this shape from clean polynomial coefficients: those
+        with no terms drop (a polynomial's own terms are clean)."""
+        return self._made({idx: poly for idx, poly in terms.items() if poly.terms})
 
     def _lift(self, value):
         return NotImplemented  # series combine only with series of the same shape
@@ -203,16 +208,16 @@ def shift_cycle(series, var):
     """
     pos, axis = series.axis_for(var)
     step = 1 if axis.kind == INF_TYPE else -1  # t^-1 on the stored index
-    window, jj = axis.window, var - 1
+    window, rows = axis.window, shift_rows(var - 1, 1)
     zero = ShiftPolynomial.zero(series.coeff_arity)
+    poly, get = zero._made, series.terms.get
     terms = {}
-    for idx, poly in series.terms.items():
+    for idx, p in series.terms.items():
         n = idx[pos] + step
         if n in window:  # else a quotient kill or the truncation defect zone
             out = idx[:pos] + (n,) + idx[pos + 1 :]
-            terms[out] = poly._shift_sub(jj, series.terms.get(out, zero))
-    for idx, poly in series.terms.items():
+            terms[out] = poly(shift_sub(p.terms, rows, get(out, zero).terms))
+    for idx, p in series.terms.items():
         if idx not in terms:  # nothing lands here: the identity term alone
-            terms[idx] = -poly
+            terms[idx] = -p
     return series._like(terms)
-

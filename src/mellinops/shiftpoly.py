@@ -7,33 +7,81 @@ the shift space: every coefficient identity handled by the tail-series module
 is polynomial in s under translation.
 
 A translation is a Taylor shift (von zur Gathen and Gerhard, ISSAC 1997) done
-term by term: each term expands by its row, built once per (exponents,
-variable, steps) and cached.  The polynomials of the Koszul reductions have a
-handful of terms, so a shift costs per-call work more than arithmetic; the
-rows take the slicing of exponent tuples and the building of keys out of it.
+term by term, each term expanding by its row.  The polynomials of the Koszul
+reductions have a handful of terms, so a shift costs per-call work more than
+arithmetic.  The rows of one (variable, steps) therefore live in one table
+keyed by exponents (:func:`shift_rows`), which a pass fetches once, and the
+one kernel, :func:`shift_sub`, works on raw term dicts, so that a pass over a
+series wraps each result once.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from operator import index
 
 from .sparse import RATIONALS, SparseSum, binomial_shift, rational
 
 
-@lru_cache(maxsize=None)
-def _shift_row(expo, jj, steps):
-    """One term's Taylor-shift row: the monomial with exponents ``expo`` under
-    s_(jj+1) -> s_(jj+1) + steps, as ((exponents, weight), ...) with int weights.
+class _Rows(dict):
+    """The Taylor-shift rows of s_(jj+1) -> s_(jj+1) + steps: exponents ->
+    ((exponents, weight), ...), int weights, built on first lookup and kept.
 
-    The row is built once from ``binomial_shift`` and cached by its arguments,
-    which are ints (exponents and steps pass through ``index``), so the cache
-    holds exact rows alone.  A term free of s_(jj+1) is its own one-entry row."""
-    e = expo[jj]
-    if not e:
-        return ((expo, 1),)
-    head, tail = expo[:jj], expo[jj + 1 :]
-    return tuple((head + (i,) + tail, w) for i, w in binomial_shift(e, steps))
+    jj and steps are ints (``shift`` passes them through ``index``), so the
+    table holds exact rows alone.  A term free of s_(jj+1) is its own
+    one-entry row."""
+
+    __slots__ = ("jj", "steps")
+
+    def __init__(self, jj, steps):
+        super().__init__()
+        self.jj, self.steps = jj, steps
+
+    def __missing__(self, expo):
+        jj = self.jj
+        if not expo[jj]:
+            row = ((expo, 1),)
+        else:
+            head, tail = expo[:jj], expo[jj + 1 :]
+            row = tuple((head + (i,) + tail, w) for i, w in binomial_shift(expo[jj], self.steps))
+        self[expo] = row
+        return row
+
+
+_ROWS = {}  # (jj, steps) -> its _Rows table
+
+
+def shift_rows(jj, steps):
+    """The row table of s_(jj+1) -> s_(jj+1) + steps (jj 0-based), one per
+    (jj, steps) for the life of the process."""
+    rows = _ROWS.get((jj, steps))
+    if rows is None:
+        rows = _ROWS[jj, steps] = _Rows(jj, steps)
+    return rows
+
+
+def shift_sub(terms, rows, other):
+    """The Taylor-shift kernel on raw term dicts: the terms of tau^steps p - q
+    for p's ``terms``, q's ``other`` and the ``rows`` of that shift.
+
+    One loop adds each term's row and then takes other's terms off, so no
+    exponent tuple is sliced and no key is built here.  The result is clean:
+    zeros drop and integral Fractions become ints, in a second pass that runs
+    only when a scan of the values finds a zero or a Fraction (at C speed on
+    int values: the values are scalars)."""
+    out = {}
+    get = out.get
+    for expo, coeff in terms.items():
+        for key, w in rows[expo]:
+            out[key] = get(key, 0) + coeff * w
+    for expo, coeff in other.items():
+        out[expo] = get(expo, 0) - coeff
+    values = out.values()
+    if 0 in values or Fraction in map(type, values):
+        return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                for k, c in out.items() if c}
+    return out
 
 
 class ShiftPolynomial(SparseSum):
@@ -42,9 +90,9 @@ class ShiftPolynomial(SparseSum):
     Terms map exponent tuples of ints to nonzero exact scalars (see
     :func:`~mellinops.sparse.rational`).  Values are immutable; all
     operations return new instances.  The constructor validates its input;
-    the ring operations and ``shift`` build their results through the
-    unchecked :meth:`~mellinops.sparse.SparseSum._like`, since their operands
-    are already clean.
+    the ring operations build their results through the unchecked
+    :meth:`~mellinops.sparse.SparseSum._like`, since their operands are
+    already clean, and ``shift`` wraps the clean terms of :func:`shift_sub`.
     """
 
     __slots__ = ()
@@ -122,20 +170,10 @@ class ShiftPolynomial(SparseSum):
         return self._shift_sub(j - 1, self.zero(self.arity), steps)
 
     def _shift_sub(self, jj, other, steps=1):
-        """The Taylor-shift kernel: tau_(jj+1)^steps self - other as one value
+        """tau_(jj+1)^steps self - other as one value, by :func:`shift_sub`
         (jj 0-based and unchecked, other of the same arity; a unit step is the
-        step of the shift-cycle recursions).
-
-        One loop adds each term's cached ``_shift_row`` and then takes other's
-        terms off, so no exponent tuple is sliced and no key is built here."""
-        terms = {}
-        get = terms.get
-        for expo, coeff in self.terms.items():
-            for key, w in _shift_row(expo, jj, steps):
-                terms[key] = get(key, 0) + coeff * w
-        for expo, coeff in other.terms.items():
-            terms[expo] = get(expo, 0) - coeff
-        return self._like(terms)
+        step of the shift-cycle recursions)."""
+        return self._made(shift_sub(self.terms, shift_rows(jj, steps), other.terms))
 
     def __repr__(self):
         if not self.terms:

@@ -11,11 +11,15 @@ hooks: ``_lift(value)`` (a rational scalar in the same space, or
 ``NotImplemented``) and ``_compatible(other)`` (raises the class's own error
 when ``other``, of the same class, cannot be combined with this one).
 
-Only the public constructors validate.  :meth:`SparseSum._like` is the one
+Only the public constructors validate.  :meth:`SparseSum._like` is the
 unchecked constructor, and it trusts its operands: the operations hand it
 terms computed from values that are already clean (operands checked by
 ``_check`` and scalars by :func:`rational`), so it re-checks no key or
-coefficient.  A value is falsy when it is zero, as a number is.
+coefficient; it only drops zeros and turns integral Fractions into ints.  A
+subclass may narrow that filter to what its coefficients can be (a series
+keeps the polynomials with terms), and a kernel whose result is clean already
+wraps it by :meth:`SparseSum._made`.  A value is falsy when it is zero, as a
+number is.
 """
 
 from __future__ import annotations
@@ -76,17 +80,22 @@ class SparseSum:
     def __bool__(self):
         return bool(self.terms)
 
-    def _like(self, terms):
-        """A value of this shape from clean terms: the shape is shared, zero
-        coefficients drop and integral Fractions become ints."""
+    def _made(self, terms):
+        """A value of this shape that holds ``terms`` itself: they must be
+        clean already, with no zero and no integral Fraction."""
         setslot = object.__setattr__
         value = object.__new__(type(self))
         setslot(value, "shape", self.shape)
-        setslot(value, "terms", {
+        setslot(value, "terms", terms)
+        return value
+
+    def _like(self, terms):
+        """A value of this shape from clean terms: the shape is shared, zero
+        coefficients drop and integral Fractions become ints."""
+        return self._made({
             k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
             for k, c in terms.items() if c
         })
-        return value
 
     def _check(self, other):
         if not isinstance(other, type(self)):

@@ -807,6 +807,40 @@ def test_overflowing_windows_and_orders_exit_with_a_named_cause(capsys, argv, co
     assert message in capsys.readouterr().err
 
 
+# requests too large to hold: each must exit with its documented code before
+# it allocates.  They run only in a child whose address space is capped at
+# 1 GB, so that a lost bound ends in a MemoryError there and not here.
+OVERSIZE_REQUESTS = [
+    pytest.param(["koszul", "--I", "1,2,3", "--N", "400"], EXIT_TRUNCATION, id="koszul-window"),
+    pytest.param(["moments", "--function", "mode1", "--kmax", "1000000"], EXIT_USAGE, id="kmax"),
+    pytest.param(["verify", "th + t", "--config", "{config}"], EXIT_USAGE, id="grid-count"),
+    pytest.param(["parse", "t_100000000"], EXIT_ALGEBRA, id="operator-index"),
+]
+
+
+@pytest.mark.parametrize("argv, code", OVERSIZE_REQUESTS)
+def test_oversize_requests_exit_at_once_with_their_code(tmp_path, argv, code):
+    config = tmp_path / "grid.cfg"
+    config.write_text("grid_count = 100000000\n")
+    child = """if True:
+        import resource, sys, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from mellinops.cli import main
+        start = time.perf_counter()
+        code = main(sys.argv[1:])
+        print(time.perf_counter() - start)
+        sys.exit(code)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(mellinops.__file__).parents[1]),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    argv = [arg.format(config=config) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) < 1.0
+
+
 TOP_INDEX = sys.maxsize - 1  # a coefficient exponent holds max-index entries
 
 

@@ -362,16 +362,26 @@ def test_kernel_values_are_pinned():
 
 
 def test_shift_rows_stay_few_and_exact(monkeypatch):
-    # one cached row per (exponents, variable, steps), built from ints alone
-    rows, row = [], shiftpoly._shift_row
+    # one table per (variable, steps), one row per exponents in it, built from
+    # ints alone on its first lookup and then reused
+    builds, lookups = [], []
 
-    def recorded(*args):
-        rows.append(row(*args))
-        return rows[-1]
+    class Counted(shiftpoly._Rows):
+        __slots__ = ()
 
-    monkeypatch.setattr(shiftpoly, "_shift_row", recorded)
-    row.cache_clear()
+        def __getitem__(self, expo):
+            lookups.append(expo)
+            return super().__getitem__(expo)
+
+        def __missing__(self, expo):
+            builds.append(expo)
+            return super().__missing__(expo)
+
+    monkeypatch.setattr(shiftpoly, "_ROWS", {})
+    monkeypatch.setattr(shiftpoly, "_Rows", Counted)
     koszul_reduce((1, 2, 3), (), 12)
-    info = row.cache_info()
-    assert info.maxsize is None and 0 < info.currsize < 500 and info.hits > 10 * info.misses
-    assert all(type(x) is int for r in rows for key, w in r for x in (*key, w))
+    tables = shiftpoly._ROWS.values()
+    rows = [row for table in tables for row in table.values()]
+    assert all(type(table) is Counted for table in tables)
+    assert 0 < len(rows) == len(builds) < 500 and len(lookups) > 10 * len(builds)
+    assert all(type(x) is int for row in rows for key, w in row for x in (*key, w))

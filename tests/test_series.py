@@ -13,6 +13,8 @@ from mellinops import (
     ShiftPolynomial,
     TailSeries,
     TruncationOverflow,
+    kernel_element,
+    koszul,
     shift_cycle,
     solve_inf,
     solve_zero,
@@ -169,11 +171,38 @@ def test_results_equal_their_validated_reconstruction(case):
         solve = solve_zero if axis.kind == "zero" else solve_inf
         results += [shift_cycle(x, axis.var), solve(x, axis.var)]
     for r in results:
-        assert r == TailSeries(r.coeff_arity, r.axes, r.terms)
-        for poly in r.terms.values():
-            assert poly == ShiftPolynomial(poly.arity, poly.terms)
-            assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
-                       for c in poly.terms.values())
+        assert_validated(r)
+
+
+def assert_validated(r):
+    """r equals what the validating constructors make of its terms, coefficient
+    types too: no zero polynomial, no zero scalar and no integral Fraction."""
+    assert r == TailSeries(r.coeff_arity, r.axes, r.terms)
+    for poly in r.terms.values():
+        assert poly == ShiftPolynomial(poly.arity, poly.terms)
+        assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+                   for c in poly.terms.values())
+
+
+def test_kernel_elements_and_samples_equal_their_validated_reconstruction():
+    # kernel_element wraps shifted polynomials, and the reductions' sample
+    # series build their coefficients directly: each series, and the cycle of
+    # each kernel element (zero inside the window), must be validated too.
+    # Halves shift to integral Fractions (s/2 at even steps), and the zero phi
+    # gives zero polynomials, which the series must drop
+    for arity in (1, 2, 3):
+        for kinds in itertools.product(("zero", "inf"), repeat=arity):
+            for n_max in (1, 6):
+                axes = tuple(Axis(v, kind, n_max) for v, kind in enumerate(kinds, start=1))
+                for salt in range(3):
+                    assert_validated(koszul._sample_series(arity, axes, salt))
+        for var in range(1, arity + 1):
+            s = ShiftPolynomial.variable(var, arity)
+            halves = [s.scale(Fraction(1, 2)), (s * s + s).scale(Fraction(1, 2)) - Fraction(3, 2)]
+            for phi in koszul._sample_phis(arity, var) + halves + [s - s]:
+                k = kernel_element(phi, var, 6, arity)
+                assert_validated(k)
+                assert_validated(shift_cycle(k, var))
 
 
 def cycle_cases(arity, kinds, first_var=1):
