@@ -18,7 +18,9 @@ Exit codes are part of the contract:
        or an index or arity above ``ore.MAX_INDEX``, 65536)
     4  truncation window overflow (n_max below 4, or too large to index, or a
        koszul window of more than ``koszul.MAX_WINDOW``, 10,000 indices: the
-       product over the axes of N on a zero axis and N + 1 on an inf axis)
+       product over the axes of N on a zero axis and N + 1 on an inf axis, or
+       of more than ``koszul.MAX_ENTRIES``, 10^6 exponent entries: its indices
+       times the largest variable index)
     5  annihilation guard failed
     6  quadrature failure (unsettled estimate, no decay certificate, failed grid
        function, a non-finite ``expand`` sample)

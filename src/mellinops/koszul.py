@@ -203,6 +203,11 @@ _SAMPLES = 2  # sample series solved per elimination
 # 13^3 = 2197 (three variables at N = 12) and 49 (one at N = 48); one at the
 # cap runs in seconds, and a larger request is refused before any series.
 MAX_WINDOW = 10_000
+# The most exponent entries a reduction's series may hold: each index of the
+# window carries exponents with one entry per variable up to the largest
+# index.  The largest in use is 13^3 * 3 = 6591; a larger request is refused
+# before any series, since an index of 10^8 would ask for gigabytes.
+MAX_ENTRIES = 10 ** 6
 
 
 def koszul_reduce(i_set, j_set, n_max):
@@ -213,7 +218,9 @@ def koszul_reduce(i_set, j_set, n_max):
     ``zero`` elimination by interior-exact solves plus a kernel check.  When
     J is empty the report carries the extraction index (1,...,1) and the
     induced-action congruence results for every remaining direction.  A
-    window of more than ``MAX_WINDOW`` indices raises TruncationOverflow.
+    window of more than ``MAX_WINDOW`` indices, or of more than
+    ``MAX_ENTRIES`` exponent entries (its indices times the largest variable
+    index), raises TruncationOverflow.
     """
     i_set = tuple(sorted(set(i_set)))
     j_set = tuple(sorted(set(j_set)))
@@ -233,6 +240,10 @@ def koszul_reduce(i_set, j_set, n_max):
     if size > MAX_WINDOW:
         raise TruncationOverflow(
             f"truncation window of {size} indices (N={n_max}) is above {MAX_WINDOW}")
+    if size * arity > MAX_ENTRIES:
+        raise TruncationOverflow(
+            f"truncation window of {size} indices of {arity} exponents (N={n_max}) "
+            f"is above {MAX_ENTRIES} entries")
     steps = []
     checks = True
     verdict = None

@@ -27,16 +27,21 @@ product runs on integers: each operand's coefficients are cleared to integer
 numerators over the lcm of their denominators, the double loop multiplies and
 accumulates ints only, and each result term is divided by the product of the
 two denominators once (a Fraction only where the quotient is not integral).
-A pair of monomials starts from the sum of their keys, and only a variable
-whose left degree meets a nonzero right transport shift (+t, or -tau) expands
-by its cached row.
+Each right term lists, once per product, the degree places that its nonzero
+exponents transport, with their shifts (+t, or -tau).  A pair of monomials
+starts from the sum of their keys; a right term with an empty list is tested
+for nothing, and for the others only a listed place whose left degree is
+nonzero expands by its cached row.  The loops run left term outside, right
+term inside, so a result's terms are inserted in one fixed order, which the
+residual sums downstream add in.  The result is filtered only when one scan
+of the integer sums finds a term that cancelled.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from operator import add, mul
+from operator import add
 from typing import NamedTuple
 
 from .errors import MixedAlgebra
@@ -116,9 +121,7 @@ class OreOperator(SparseSum):
     operator from generator words.  The constructor validates its input; the
     arithmetic builds its results through the unchecked
     :meth:`~mellinops.sparse.SparseSum._like`, since its operands are already
-    clean.  ``*`` works on integer numerators, one common denominator per
-    operand, sums the stored keys, and expands only the variables that
-    transport (see the module docstring).
+    clean; a product's result is clean already and wraps it by ``_made``.
     """
 
     __slots__ = ()
@@ -183,6 +186,10 @@ class OreOperator(SparseSum):
             )
 
     def __mul__(self, other):
+        """The product in normal form (see the module docstring).  Each right
+        term carries its transport list, (degree place, shift, own degree) per
+        nonzero exponent, built once per product; one scan of the integer sums
+        for a 0 decides whether cancelled terms are dropped."""
         if isinstance(other, RATIONALS):
             return self.scale(other)
         self._check(other)
@@ -190,26 +197,28 @@ class OreOperator(SparseSum):
         places, signs = _degree_places(self.algebra, p)
         den_left, left = cleared(self.terms)
         den_right, right = cleared(other.terms)
-        # each right key with its transport shifts, one per degree place
-        right = [(v, tuple([sign * v[i - p] for i, sign in zip(places, signs)]), y)
+        right = [(v, [(i, sign * v[i - p], v[i]) for i, sign in zip(places, signs) if v[i - p]], y)
                  for v, y in right]
         sums = {}
+        get = sums.get
         for v1, x in left:
-            g1 = [v1[i] for i in places]
-            for v2, k2, y in right:
+            for v2, moves, y in right:
                 key = tuple(map(add, v1, v2))
-                if not any(map(mul, g1, k2)):  # no variable transports
-                    sums[key] = sums.get(key, 0) + x * y
+                if not moves:  # nothing to transport
+                    sums[key] = get(key, 0) + x * y
                     continue
                 expansion = [(key, x * y)]
-                for i, g, k in zip(places, g1, k2):
-                    if g and k:  # the degree at place i expands by its row
-                        row = _mono_mul(g, k, v2[i])
+                for i, k, e2 in moves:
+                    g = v1[i]
+                    if g:  # the left degree at place i expands by its row
+                        row = _mono_mul(g, k, e2)
                         expansion = [(v[:i] + (deg,) + v[i + 1:], n * w)
                                      for v, n in expansion for deg, w in row]
                 for key, n in expansion:
-                    sums[key] = sums.get(key, 0) + n
-        return self._like(divided(sums, den_left * den_right))
+                    sums[key] = get(key, 0) + n
+        if 0 in sums.values():  # terms that cancelled
+            sums = {key: n for key, n in sums.items() if n}
+        return self._made(divided(sums, den_left * den_right))
 
     __rmul__ = __mul__  # reached by scalars, which commute with every operator
 

@@ -62,8 +62,8 @@ def cleared(terms):
 
 
 def divided(sums, den):
-    """Integer sums over den, as terms for ``SparseSum._like`` (which drops
-    zeros): an int where den divides the sum, else a Fraction."""
+    """Integer sums over den: an int where den divides the sum, else a
+    Fraction, so the terms are clean where no sum is 0."""
     return sums if den == 1 else {
         k: n // den if not n % den else Fraction(n, den) for k, n in sums.items()}
 

@@ -227,15 +227,16 @@ def format_operator(P):
     names = _place_names(P.algebra, P.arity)
     pieces = []
     for key in sorted(P.terms, reverse=True):
-        coeff = P.terms[key]
+        text = str(P.terms[key])  # a minus sign, if any, then the magnitude
+        sign, mag = ("-", text[1:]) if text[0] == "-" else ("+", text)
         mono = _format_monomial(key, names)
         if not mono:
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
-            body = f"{abs(coeff)}*{mono}"
-        pieces.append(("-" if coeff < 0 else "+", body))
+            body = f"{mag}*{mono}"
+        pieces.append((sign, body))
     sign, body = pieces[0]
     out = body if sign == "+" else f"-{body}"
     for sign, body in pieces[1:]:

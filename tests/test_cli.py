@@ -800,6 +800,10 @@ def test_moments_commutation_extends_the_runs_table(monkeypatch):
          f"variable index {10 ** 20} not in 1..{sys.maxsize - 1}"),
         (["koszul", "--I", "1", "--J", str(sys.maxsize), "--N", "4"], EXIT_USAGE,
          f"variable index {sys.maxsize} not in 1.."),
+        # the largest index is the length of every exponent: 4 indices of 250001
+        # entries are one window over koszul.MAX_ENTRIES
+        (["koszul", "--I", "250001", "--N", "4"], EXIT_TRUNCATION,
+         "truncation window of 4 indices of 250001 exponents (N=4) is above 1000000 entries"),
     ],
 )
 def test_overflowing_windows_and_orders_exit_with_a_named_cause(capsys, argv, code, message):
@@ -815,6 +819,10 @@ OVERSIZE_REQUESTS = [
     pytest.param(["moments", "--function", "mode1", "--kmax", "1000000"], EXIT_USAGE, id="kmax"),
     pytest.param(["verify", "th + t", "--config", "{config}"], EXIT_USAGE, id="grid-count"),
     pytest.param(["parse", "t_100000000"], EXIT_ALGEBRA, id="operator-index"),
+    # a koszul index sets the length of every exponent, so the index alone and
+    # a window of a few indices times a large one both overflow
+    pytest.param(["koszul", "--I", "100000000", "--N", "4"], EXIT_TRUNCATION, id="koszul-index"),
+    pytest.param(["koszul", "--I", "65536", "--N", "1000"], EXIT_TRUNCATION, id="koszul-entries"),
 ]
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -338,3 +340,52 @@ def test_scalar_arithmetic_and_power():
     assert 2 * t - t == t
     assert (t + 1) ** 2 == parse("t^2 + 2*t + 1")
     assert t ** 0 == 1
+
+
+# -- term order ----------------------------------------------------------------
+#
+# The residual sums of verify and the annihilation guard add an operator's
+# terms in their insertion order, so a product must insert its terms in one
+# fixed order: left term outside, right term inside, each expansion in row
+# order.  The other pins sort the terms; this one hashes them as stored.
+
+PIN_KINDS = {"D": (T, TINV, TH), "S": (TAU, TAUINV, S), "Dtilde": (T, TINV, TH, TAU, TAUINV, S)}
+PIN_COEFFS = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3),
+              Fraction(3, 2))
+
+
+def pinned_products():
+    """About 300 products and powers from a seeded table of sums of one- and
+    two-generator words, in D, S and Dtilde at p = 1..3."""
+    rng = random.Random(38)
+    for algebra, kinds in PIN_KINDS.items():
+        for p in (1, 2, 3):
+            gens = [OreOperator.generator(kind, j, algebra, p) for kind in kinds for j in range(1, p + 1)]
+
+            def draw():
+                total = OreOperator.zero(algebra, p)
+                for _ in range(rng.randint(2, 4)):
+                    word = math.prod(rng.sample(gens, rng.randint(1, 2)), start=OreOperator.scalar(1, algebra, p))
+                    total = total + word * rng.choice(PIN_COEFFS)
+                return total
+
+            for _ in range(4):
+                x, y, z = draw(), draw(), draw()
+                yield x * y
+                yield y * x
+                yield x ** rng.randint(2, 4)
+                yield (x * y) * z - x * (y * z)  # cancels to zero
+                yield (x + y) * (x - y)  # cancels the squares' cross terms in part
+                yield x * OreOperator.zero(algebra, p)
+                yield (x * y) ** 2 * z
+                yield z ** 3 * (y - x)
+                yield x * y * z
+
+
+def test_products_insert_their_terms_in_a_pinned_order():
+    digest, count = hashlib.sha256(), 0
+    for P in pinned_products():
+        digest.update(repr(list(P.terms.items())).encode())
+        count += 1
+    assert count == 324
+    assert digest.hexdigest() == "d6564f14c8e0b5463a2cf0bacae8da630ca802adcd93d49873db540f1289c1f8"
