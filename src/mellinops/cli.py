@@ -25,7 +25,7 @@ Exit codes are part of the contract:
     6  quadrature failure (unsettled estimate, no decay certificate, failed grid
        function, a non-finite ``expand`` sample)
     7  usage or configuration error (malformed argument, a koszul variable
-       index that is not an integer in 1..sys.maxsize - 1, bad config key or
+       index that is not an integer in 1..``ore.MAX_INDEX``, bad config key or
        value, unreadable config file, unwritable output path, negative order,
        a ``grid_count`` outside 1..1000, a ``moments --kmax`` above 1000 or
        ``--order`` above 100 (``MAX_GRID_COUNT``, ``MAX_KMAX``, ``MAX_ORDER``),
@@ -68,6 +68,7 @@ from .errors import (
     QuadratureFailure,
     TruncationOverflow,
 )
+from .ore import MAX_INDEX
 from .syntax import format_operator, parse
 from .transform import inverse_mellin_op, mellin_op
 
@@ -308,7 +309,7 @@ def _parse_index_set(text, flag):
             indices.append(int(token))
         except ValueError:
             if token.lstrip("+-").isdecimal():  # more digits than int() converts
-                raise ValueError(f"variable index {token[:20]}... not in 1..{sys.maxsize - 1}") from None
+                raise ValueError(f"variable index {token[:20]}... not in 1..{MAX_INDEX}") from None
             raise ValueError(f"{flag} takes integer variable indices, got {token!r}") from None
     return tuple(indices)
 

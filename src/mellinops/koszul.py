@@ -15,48 +15,64 @@ All claims are checked inside the finite window: one-step recursions are
 exact on the window interior, and boundary defects are confined to the top
 exponent (for the induced-action congruences, to the first slice, where they
 are witnessed as explicit images of the differential).
+
+The eliminations solve and cycle their sample series on raw terms (index ->
+the coefficient's own term dict): the solve pass :func:`_solve_terms` and the
+cycle pass :func:`~mellinops.series.cycle_terms` read and return such dicts,
+and the checks compare them by plain dict ``==``, since a report reads only
+the verdicts.  :func:`solve_inf` and :func:`solve_zero` wrap the same solve
+pass.  Kernel elements and the induced-action congruences, whose supports are
+reported, stay on :class:`~mellinops.series.TailSeries`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import TruncationOverflow
-from .ore import GenKind, Generator
+from .ore import MAX_INDEX, GenKind, Generator
 from .series import (
     Axis,
     INF_TYPE,
     TailSeries,
     ZERO_TYPE,
+    cycle_terms,
     shift_cycle,
+    window_interior,
 )
 from .shiftpoly import ShiftPolynomial, as_poly, shift_rows, shift_sub
 
 
-def _solve_cycle(g, var, kind):
-    """Solve (tau t^-1 - 1) x = g along one axis, column by column.
+def _solve_terms(terms, pos, axis):
+    """Solve (tau t^-1 - 1) x = g along one axis, column by column, on the raw
+    terms of g (``axis`` at place ``pos`` of each index); x is raw too.
 
     The recursion x_n = tau x_prev - g_n starts from x_prev = 0 and walks an
-    ``inf`` axis upward from 0 and a ``zero`` axis downward from N.
+    ``inf`` axis upward from 0 and a ``zero`` axis downward from N; empty
+    coefficients drop.
     """
+    indices = axis.window if axis.kind == INF_TYPE else axis.window[::-1]
+    columns = {idx[:pos] + idx[pos + 1 :] for idx in terms}
+    get, rows, empty = terms.get, shift_rows(axis.var - 1, 1), {}
+    out = {}
+    for col in columns:
+        prev = empty  # the terms of x_prev, clean
+        for n in indices:
+            idx = col[:pos] + (n,) + col[pos:]
+            prev = shift_sub(prev, rows, get(idx, empty))
+            if prev:
+                out[idx] = prev
+    return out
+
+
+def _solve_cycle(g, var, kind):
+    """Solve (tau t^-1 - 1) x = g along the ``kind`` axis of ``var``."""
     pos, axis = g.axis_for(var)
     if axis.kind != kind:
         raise ValueError(f"variable {var} is not an axis of type {kind}")
-    indices = axis.window if kind == INF_TYPE else axis.window[::-1]
-    columns = {idx[:pos] + idx[pos + 1 :] for idx in g.terms}
-    zero = ShiftPolynomial.zero(g.coeff_arity)
-    poly, get, rows = zero._made, g.terms.get, shift_rows(var - 1, 1)
-    terms = {}
-    for col in columns:
-        prev = {}  # the terms of x_prev, clean, each wrapped once
-        for n in indices:
-            idx = col[:pos] + (n,) + col[pos:]
-            prev = shift_sub(prev, rows, get(idx, zero).terms)
-            terms[idx] = poly(prev)
-    return g._like(terms)
+    return g._wrapped(_solve_terms(g._raw(), pos, axis))
 
 
 def solve_inf(g, var):
@@ -177,18 +193,17 @@ class KoszulReport:
         }
 
 
-def _sample_series(coeff_arity, axes, salt):
-    """Deterministic full-support sample: at index idx, the monomial
-    (1 + salt + sum(idx)) * prod_v s_v^((n_v + salt) mod 3)."""
-    poly = ShiftPolynomial.zero(coeff_arity)._made  # each coefficient is one nonzero int term
+def _sample_terms(coeff_arity, axes, salt):
+    """Deterministic full-support sample, as raw terms: at index idx, the
+    monomial (1 + salt + sum(idx)) * prod_v s_v^((n_v + salt) mod 3)."""
     places = [axis.var - 1 for axis in axes]
     expo = [0] * coeff_arity  # each index rewrites every axis's place
     terms = {}
     for idx in itertools.product(*(axis.window for axis in axes)):
         for jj, n in zip(places, idx):
             expo[jj] = (n + salt) % 3
-        terms[idx] = poly({tuple(expo): 1 + salt + sum(idx)})
-    return TailSeries(coeff_arity, axes)._made(terms)
+        terms[idx] = {tuple(expo): 1 + salt + sum(idx)}
+    return terms
 
 
 def _sample_phis(coeff_arity, var):
@@ -206,7 +221,8 @@ MAX_WINDOW = 10_000
 # The most exponent entries a reduction's series may hold: each index of the
 # window carries exponents with one entry per variable up to the largest
 # index.  The largest in use is 13^3 * 3 = 6591; a larger request is refused
-# before any series, since an index of 10^8 would ask for gigabytes.
+# before any series, since an index of MAX_INDEX at N = 1000 would ask for
+# gigabytes.
 MAX_ENTRIES = 10 ** 6
 
 
@@ -218,15 +234,16 @@ def koszul_reduce(i_set, j_set, n_max):
     ``zero`` elimination by interior-exact solves plus a kernel check.  When
     J is empty the report carries the extraction index (1,...,1) and the
     induced-action congruence results for every remaining direction.  A
-    window of more than ``MAX_WINDOW`` indices, or of more than
-    ``MAX_ENTRIES`` exponent entries (its indices times the largest variable
-    index), raises TruncationOverflow.
+    variable index outside 1..``ore.MAX_INDEX`` raises ValueError; a window of
+    more than ``MAX_WINDOW`` indices, or of more than ``MAX_ENTRIES`` exponent
+    entries (its indices times the largest variable index), raises
+    TruncationOverflow.
     """
     i_set = tuple(sorted(set(i_set)))
     j_set = tuple(sorted(set(j_set)))
     for var in i_set + j_set:  # a coefficient exponent holds max(var) entries
-        if not 1 <= var < sys.maxsize:
-            raise ValueError(f"variable index {var} not in 1..{sys.maxsize - 1}")
+        if not 1 <= var <= MAX_INDEX:
+            raise ValueError(f"variable index {var} not in 1..{MAX_INDEX}")
     if set(i_set) & set(j_set):
         raise ValueError("I and J must be disjoint")
     predicted = "acyclic" if j_set else "h0"
@@ -250,14 +267,14 @@ def koszul_reduce(i_set, j_set, n_max):
 
     current = axes
     for axis in reversed(axes):
-        var = axis.var
+        var, pos = axis.var, current.index(axis)
         if axis.kind == INF_TYPE:
             solve_ok = round_trip_ok = True
             for salt in range(_SAMPLES):
-                g = _sample_series(arity, current, salt)
-                a = solve_inf(g, var)
-                solve_ok &= shift_cycle(a, var) == g
-                round_trip_ok &= solve_inf(shift_cycle(g, var), var) == g
+                g = _sample_terms(arity, current, salt)
+                a = _solve_terms(g, pos, axis)
+                solve_ok &= cycle_terms(a, pos, axis) == g
+                round_trip_ok &= _solve_terms(cycle_terms(g, pos, axis), pos, axis) == g
             steps.append({
                 "variable": var,
                 "kind": "inf",
@@ -271,9 +288,9 @@ def koszul_reduce(i_set, j_set, n_max):
         # zero-type elimination: surjectivity plus kernel transport
         solve_ok = kernel_ok = True
         for salt in range(_SAMPLES):
-            g = _sample_series(arity, current, salt)
-            b = solve_zero(g, var)
-            solve_ok &= shift_cycle(b, var).agrees_on_interior(g, var)
+            g = _sample_terms(arity, current, salt)
+            image = cycle_terms(_solve_terms(g, pos, axis), pos, axis)
+            solve_ok &= window_interior(image, pos, axis) == window_interior(g, pos, axis)
         for phi in _sample_phis(arity, var):
             k = kernel_element(phi, var, n_max, arity)
             kernel_ok &= all(

@@ -24,7 +24,11 @@ Operators act generator by generator, in word order
 (t d/dt - s - 1), and that operator does not commute with the bare
 coefficient shift even though th and tau commute in the combined algebra.
 The Koszul differential :func:`shift_cycle` is the one operator with its own
-single pass; it equals the word tau_j t_j^-1 minus the identity.
+single pass; it equals the word tau_j t_j^-1 minus the identity.  That pass,
+:func:`cycle_terms`, runs on raw terms (index -> the coefficient's own term
+dict), which is how the Koszul eliminations check their samples: they never
+wrap a coefficient and compare results by plain dict ``==``.  ``shift_cycle``
+unwraps a series, runs the pass and wraps the result.
 """
 
 from __future__ import annotations
@@ -127,6 +131,15 @@ class TailSeries(SparseSum):
         with no terms drop (a polynomial's own terms are clean)."""
         return self._made({idx: poly for idx, poly in terms.items() if poly.terms})
 
+    def _raw(self):
+        """The terms as raw dicts: index -> its coefficient's own terms."""
+        return {idx: poly.terms for idx, poly in self.terms.items()}
+
+    def _wrapped(self, raw):
+        """A series of this shape from raw terms, each clean and non-empty."""
+        poly = ShiftPolynomial.zero(self.coeff_arity)._made
+        return self._made({idx: poly(p) for idx, p in raw.items()})
+
     def _lift(self, value):
         return NotImplemented  # series combine only with series of the same shape
 
@@ -188,13 +201,17 @@ class TailSeries(SparseSum):
 
     def interior_terms(self, var):
         """Terms with the given variable's index in the window interior."""
-        pos, axis = self.axis_for(var)
-        interior = axis.window[:-1]
-        return {i: p for i, p in self.terms.items() if i[pos] in interior}
+        return window_interior(self.terms, *self.axis_for(var))
 
     def agrees_on_interior(self, other, var):
         self._check(other)
         return self.interior_terms(var) == other.interior_terms(var)
+
+
+def window_interior(terms, pos, axis):
+    """The terms whose index at ``pos``, on ``axis``, is below the window top."""
+    interior = axis.window[:-1]
+    return {i: p for i, p in terms.items() if i[pos] in interior}
 
 
 def shift_cycle(series, var):
@@ -203,21 +220,31 @@ def shift_cycle(series, var):
     This is the Koszul differential in direction ``var``: a coefficient
     translation combined with one step down in the actual exponent, minus
     the identity.  It equals ``series.apply_word((TAU_j, TINV_j)) - series``,
-    computed in one pass: the output at stored index n is tau_j of the input
-    at the neighbour t_j^-1 moves onto n, less the input at n, built once.
+    computed in one pass (:func:`cycle_terms`) on the series' raw terms.
     """
     pos, axis = series.axis_for(var)
+    return series._wrapped(cycle_terms(series._raw(), pos, axis))
+
+
+def cycle_terms(terms, pos, axis):
+    """The shift cycle on raw terms, ``axis`` at place ``pos`` of each index.
+
+    ``terms`` maps indices to clean, non-empty coefficient term dicts, and so
+    does the result.  The output at stored index n is tau_j of the input at
+    the neighbour t_j^-1 moves onto n, less the input at n, built once by
+    :func:`~mellinops.shiftpoly.shift_sub`; an index that nothing lands on
+    keeps the negated input, and empty results drop.
+    """
     step = 1 if axis.kind == INF_TYPE else -1  # t^-1 on the stored index
-    window, rows = axis.window, shift_rows(var - 1, 1)
-    zero = ShiftPolynomial.zero(series.coeff_arity)
-    poly, get = zero._made, series.terms.get
-    terms = {}
-    for idx, p in series.terms.items():
+    window, rows = axis.window, shift_rows(axis.var - 1, 1)
+    get, empty = terms.get, {}
+    out = {}
+    for idx, p in terms.items():
         n = idx[pos] + step
         if n in window:  # else a quotient kill or the truncation defect zone
-            out = idx[:pos] + (n,) + idx[pos + 1 :]
-            terms[out] = poly(shift_sub(p.terms, rows, get(out, zero).terms))
-    for idx, p in series.terms.items():
-        if idx not in terms:  # nothing lands here: the identity term alone
-            terms[idx] = -p
-    return series._like(terms)
+            key = idx[:pos] + (n,) + idx[pos + 1 :]
+            out[key] = shift_sub(p, rows, get(key, empty))
+    for idx, p in terms.items():
+        if idx not in out:  # nothing lands here: the identity term alone
+            out[idx] = {e: -c for e, c in p.items()}
+    return {idx: p for idx, p in out.items() if p}

@@ -11,8 +11,9 @@ term by term, each term expanding by its row.  The polynomials of the Koszul
 reductions have a handful of terms, so a shift costs per-call work more than
 arithmetic.  The rows of one (variable, steps) therefore live in one table
 keyed by exponents (:func:`shift_rows`), which a pass fetches once, and the
-one kernel, :func:`shift_sub`, works on raw term dicts, so that a pass over a
-series wraps each result once.
+one kernel, :func:`shift_sub`, works on raw term dicts.  The passes over a
+series run on raw dicts too: the Koszul eliminations check their samples
+without wrapping a coefficient, and a series operation wraps each result once.
 """
 
 from __future__ import annotations

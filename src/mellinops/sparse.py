@@ -138,12 +138,14 @@ class SparseSum:
         return self._like({k: c * value for k, c in self.terms.items()})
 
     def __pow__(self, n):
-        out = self._lift(1)
-        if out is NotImplemented:
+        """self^n for n >= 0: the lifted 1 at n = 0, else n - 1 products from self."""
+        one = self._lift(1)
+        if one is NotImplemented:
             return NotImplemented
         if n < 0:
             raise ValueError("negative power")
-        for _ in range(n):
+        out = self if n else one
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -112,11 +112,10 @@ class _Parser:
         return tok
 
     def parse_expr(self):
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            if self.take().kind == "-":
-                sign = -1
-        total = self.parse_term() * sign
+        negate = self.peek().kind in ("+", "-") and self.take().kind == "-"
+        total = self.parse_term()
+        if negate:
+            total = -total
         while self.peek().kind in ("+", "-"):
             if self.take().kind == "+":
                 total = total + self.parse_term()

@@ -797,13 +797,13 @@ def test_moments_commutation_extends_the_runs_table(monkeypatch):
         (["parse", f"t_{10 ** 23}"], EXIT_ALGEBRA, f"index {10 ** 23} not in 1..{MAX_INDEX}"),
         (["transform", f"th*t_{sys.maxsize}"], EXIT_ALGEBRA, f"index {sys.maxsize} not in 1..{MAX_INDEX}"),
         (["koszul", "--I", str(10 ** 20), "--N", "4"], EXIT_USAGE,
-         f"variable index {10 ** 20} not in 1..{sys.maxsize - 1}"),
+         f"variable index {10 ** 20} not in 1..{MAX_INDEX}"),
         (["koszul", "--I", "1", "--J", str(sys.maxsize), "--N", "4"], EXIT_USAGE,
          f"variable index {sys.maxsize} not in 1.."),
-        # the largest index is the length of every exponent: 4 indices of 250001
-        # entries are one window over koszul.MAX_ENTRIES
-        (["koszul", "--I", "250001", "--N", "4"], EXIT_TRUNCATION,
-         "truncation window of 4 indices of 250001 exponents (N=4) is above 1000000 entries"),
+        # the largest index is the length of every exponent: 16 indices of
+        # MAX_INDEX entries are one window over koszul.MAX_ENTRIES
+        (["koszul", "--I", str(MAX_INDEX), "--N", "16"], EXIT_TRUNCATION,
+         f"truncation window of 16 indices of {MAX_INDEX} exponents (N=16) is above 1000000 entries"),
     ],
 )
 def test_overflowing_windows_and_orders_exit_with_a_named_cause(capsys, argv, code, message):
@@ -819,9 +819,9 @@ OVERSIZE_REQUESTS = [
     pytest.param(["moments", "--function", "mode1", "--kmax", "1000000"], EXIT_USAGE, id="kmax"),
     pytest.param(["verify", "th + t", "--config", "{config}"], EXIT_USAGE, id="grid-count"),
     pytest.param(["parse", "t_100000000"], EXIT_ALGEBRA, id="operator-index"),
-    # a koszul index sets the length of every exponent, so the index alone and
-    # a window of a few indices times a large one both overflow
-    pytest.param(["koszul", "--I", "100000000", "--N", "4"], EXIT_TRUNCATION, id="koszul-index"),
+    # a koszul index sets the length of every exponent: one above MAX_INDEX is
+    # refused as it is read, and a window of many indices times a large one overflows
+    pytest.param(["koszul", "--I", "100000000", "--N", "4"], EXIT_USAGE, id="koszul-index"),
     pytest.param(["koszul", "--I", "65536", "--N", "1000"], EXIT_TRUNCATION, id="koszul-entries"),
 ]
 
@@ -849,7 +849,7 @@ def test_oversize_requests_exit_at_once_with_their_code(tmp_path, argv, code):
     assert float(proc.stdout.splitlines()[-1]) < 1.0
 
 
-TOP_INDEX = sys.maxsize - 1  # a coefficient exponent holds max-index entries
+TOP_INDEX = MAX_INDEX  # a coefficient exponent holds max-index entries
 
 
 @pytest.mark.parametrize(
@@ -859,6 +859,7 @@ TOP_INDEX = sys.maxsize - 1  # a coefficient exponent holds max-index entries
         ("--I -1", f"variable index -1 not in 1..{TOP_INDEX}"),
         ("--I 2 --J 0", f"variable index 0 not in 1..{TOP_INDEX}"),
         (f"--I 1 --J {sys.maxsize}", f"variable index {sys.maxsize} not in 1..{TOP_INDEX}"),
+        (f"--I {TOP_INDEX + 1}", f"variable index {TOP_INDEX + 1} not in 1..{TOP_INDEX}"),
         ("--I 1.5", "--I takes integer variable indices, got '1.5'"),
         ("--I 1,x", "--I takes integer variable indices, got 'x'"),
         ("--I 1 --J 2,a", "--J takes integer variable indices, got 'a'"),

@@ -308,18 +308,43 @@ def test_koszul_reduce_all_partitions_up_to_three_variables():
 def test_round_trip_is_checked_off_the_samples(monkeypatch):
     # a solver that is right only on the sample inputs passes solve_exact; the
     # round trip solves on a sample's image, so it must catch that solver
-    right = koszul.solve_inf
+    right = koszul._solve_terms
+    axes = (Axis(1, "zero", 8), Axis(2, "inf", 8))
+    samples = [koszul._sample_terms(2, axes, salt) for salt in range(koszul._SAMPLES)]
 
-    def right_on_samples_only(g, var):
-        samples = [koszul._sample_series(g.coeff_arity, g.axes, salt)
-                   for salt in range(koszul._SAMPLES)]
-        return right(g, var) if g in samples else g
+    def right_on_samples_only(terms, pos, axis):
+        return right(terms, pos, axis) if terms in samples else terms
 
-    monkeypatch.setattr(koszul, "solve_inf", right_on_samples_only)
+    monkeypatch.setattr(koszul, "_solve_terms", right_on_samples_only)
     report = koszul_reduce((1,), (2,), 8)
     (step,) = report.steps
     assert step["solve_exact"] and not step["round_trip_exact"]
     assert not report.checks_passed
+
+
+@pytest.mark.parametrize("name, i_set, j_set, check", [
+    ("_solve_terms", (1,), (2,), "solve_exact"),
+    ("cycle_terms", (1,), (2,), "round_trip_exact"),
+    ("_solve_terms", (1, 2), (), "solve_exact_interior"),
+    ("cycle_terms", (1, 2), (), "solve_exact_interior"),
+])
+def test_each_elimination_check_fails_on_a_pass_that_drops_a_term(
+        monkeypatch, name, i_set, j_set, check):
+    # the checks compare raw term dicts by ==, so a raw pass that loses the
+    # term at its lowest index must turn the check it is judged by false.  On
+    # the inf axis that index is 0, where the cycle's identity term stands alone
+    assert koszul_reduce(i_set, j_set, 8).steps[0][check]
+    right = getattr(koszul, name)
+
+    def dropping_one_term(terms, pos, axis):
+        out = dict(right(terms, pos, axis))
+        if out:  # the congruences' solve_zero runs this pass on zero defects too
+            del out[min(out)]
+        return out
+
+    monkeypatch.setattr(koszul, name, dropping_one_term)
+    report = koszul_reduce(i_set, j_set, 8)
+    assert not report.steps[0][check] and not report.checks_passed
 
 
 def test_koszul_report_serializes():
@@ -334,6 +359,11 @@ def test_koszul_disjointness_required():
         koszul_reduce((1,), (1,), 8)
 
 
+def sample_series(arity, axes, salt):
+    """The reductions' raw sample series, wrapped as a TailSeries."""
+    return TailSeries(arity, axes)._wrapped(koszul._sample_terms(arity, axes, salt))
+
+
 def kernel_values():
     """The solves, cycles and kernel elements of the reductions, on the sample
     series over every mix of one to three zero and inf axes at window 6."""
@@ -341,7 +371,7 @@ def kernel_values():
         for kinds in itertools.product(("zero", "inf"), repeat=arity):
             axes = tuple(Axis(v, kind, 6) for v, kind in enumerate(kinds, start=1))
             for salt in range(koszul._SAMPLES):
-                g = koszul._sample_series(arity, axes, salt)
+                g = sample_series(arity, axes, salt)
                 for axis in axes:
                     solve = solve_inf if axis.kind == "inf" else solve_zero
                     yield solve(g, axis.var)
