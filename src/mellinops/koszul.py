@@ -11,6 +11,11 @@ survives, is read off by extracting the (1,...,1) coefficient, and carries
 the induced actions: multiplication by t_j becomes the coefficient shift
 tau_j, and the twisted Euler operator becomes multiplication by -s_j.
 
+A reduction's coefficients are polynomials in its own variables: the
+variable of rank r among I and J is s_r, whatever its index, and the report
+names it by its index again.  The checks are the same identities under that
+order-preserving renaming, so an index only names a variable.
+
 All claims are checked inside the finite window: one-step recursions are
 exact on the window interior, and boundary defects are confined to the top
 exponent (for the induced-action congruences, to the first slice, where they
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import TruncationOverflow
 from .ore import MAX_INDEX, GenKind, Generator
@@ -98,13 +103,17 @@ def solve_zero(g, var):
 def kernel_element(phi, var, n_max, coeff_arity=None):
     """The kernel representative with first-slice extraction phi.
 
-    Coefficients are b_n = tau^(1-n) phi for n in 1..N, so b_1 = phi and
-    b_n = tau b_(n+1) holds at every interior index.
+    Coefficients are b_n = tau^(1-n) phi for n in 1..N, built one unit step
+    at a time (b_1 = phi, b_(n+1) = tau^-1 b_n), so b_n = tau b_(n+1) holds
+    at every interior index.
     """
     phi = as_poly(phi, coeff_arity)
-    axis = Axis(var, ZERO_TYPE, n_max)
-    terms = {(n,): phi.shift(var, 1 - n) for n in axis.window}
-    return TailSeries(phi.arity, (axis,))._like(terms)
+    series = TailSeries(phi.arity, (Axis(var, ZERO_TYPE, n_max),))
+    (axis,) = series.axes
+    rows, raw = shift_rows(axis.var - 1, -1), {(1,): phi.terms}
+    for n in range(2, axis.n_max + 1):
+        raw[(n,)] = shift_sub(raw[(n - 1,)], rows, {})
+    return series._wrapped(raw) if phi else series
 
 
 # -- induced actions on the surviving cohomology ------------------------------
@@ -195,15 +204,16 @@ class KoszulReport:
 
 def _sample_terms(coeff_arity, axes, salt):
     """Deterministic full-support sample, as raw terms: at index idx, the
-    monomial (1 + salt + sum(idx)) * prod_v s_v^((n_v + salt) mod 3)."""
-    places = [axis.var - 1 for axis in axes]
-    expo = [0] * coeff_arity  # each index rewrites every axis's place
-    terms = {}
-    for idx in itertools.product(*(axis.window for axis in axes)):
-        for jj, n in zip(places, idx):
-            expo[jj] = (n + salt) % 3
-        terms[idx] = {tuple(expo): 1 + salt + sum(idx)}
-    return terms
+    monomial (1 + salt + sum(idx)) * prod_v s_v^((n_v + salt) mod 3).
+
+    The axes must be the variables 1..len(axes) in order, so an index's
+    exponents fill the first places; the places above them, of the variables
+    already eliminated, hold zeros."""
+    pad = (0,) * (coeff_arity - len(axes))
+    return {
+        idx: {tuple((n + salt) % 3 for n in idx) + pad: 1 + salt + sum(idx)}
+        for idx in itertools.product(*(axis.window for axis in axes))
+    }
 
 
 def _sample_phis(coeff_arity, var):
@@ -218,56 +228,48 @@ _SAMPLES = 2  # sample series solved per elimination
 # 13^3 = 2197 (three variables at N = 12) and 49 (one at N = 48); one at the
 # cap runs in seconds, and a larger request is refused before any series.
 MAX_WINDOW = 10_000
-# The most exponent entries a reduction's series may hold: each index of the
-# window carries exponents with one entry per variable up to the largest
-# index.  The largest in use is 13^3 * 3 = 6591; a larger request is refused
-# before any series, since an index of MAX_INDEX at N = 1000 would ask for
-# gigabytes.
-MAX_ENTRIES = 10 ** 6
 
 
 def koszul_reduce(i_set, j_set, n_max):
     """Eliminate variables highest-index first and report the outcome.
 
-    Nonexpansion variables (outside I and J) are inert.  Each ``inf``
-    elimination is witnessed by exact full-window round-trip solves; each
-    ``zero`` elimination by interior-exact solves plus a kernel check.  When
-    J is empty the report carries the extraction index (1,...,1) and the
-    induced-action congruence results for every remaining direction.  A
-    variable index outside 1..``ore.MAX_INDEX`` raises ValueError; a window of
-    more than ``MAX_WINDOW`` indices, or of more than ``MAX_ENTRIES`` exponent
-    entries (its indices times the largest variable index), raises
-    TruncationOverflow.
+    The coefficients are polynomials in the partition's own variables (s_r
+    for the variable of rank r in sorted I and J); the report names each
+    variable by its index.  Each ``inf`` elimination is witnessed by exact
+    full-window round-trip solves; each ``zero`` elimination by
+    interior-exact solves plus a kernel check.  When J is empty the report
+    carries the extraction index (1,...,1) and the induced-action congruence
+    results for every remaining direction.  A variable index outside
+    1..``ore.MAX_INDEX`` raises ValueError; a window of more than
+    ``MAX_WINDOW`` indices raises TruncationOverflow.
     """
     i_set = tuple(sorted(set(i_set)))
     j_set = tuple(sorted(set(j_set)))
-    for var in i_set + j_set:  # a coefficient exponent holds max(var) entries
+    for var in i_set + j_set:
         if not 1 <= var <= MAX_INDEX:
             raise ValueError(f"variable index {var} not in 1..{MAX_INDEX}")
     if set(i_set) & set(j_set):
         raise ValueError("I and J must be disjoint")
     predicted = "acyclic" if j_set else "h0"
-    arity = max(i_set + j_set, default=1)
+    names = sorted(i_set + j_set)  # the variable of rank r is names[r - 1]
+    arity = len(names) or 1
 
     axes = tuple(
-        Axis(v, INF_TYPE if v in j_set else ZERO_TYPE, n_max)
-        for v in sorted(i_set + j_set)
+        Axis(r, INF_TYPE if var in j_set else ZERO_TYPE, n_max)
+        for r, var in enumerate(names, start=1)
     )
-    size = math.prod(n_max + (axis.kind == INF_TYPE) for axis in axes)
+    # the windows' lengths, as stop - start: len() of a range of more than
+    # sys.maxsize indices raises OverflowError, and such a window must overflow
+    size = math.prod(axis.window.stop - axis.window.start for axis in axes)
     if size > MAX_WINDOW:
         raise TruncationOverflow(
             f"truncation window of {size} indices (N={n_max}) is above {MAX_WINDOW}")
-    if size * arity > MAX_ENTRIES:
-        raise TruncationOverflow(
-            f"truncation window of {size} indices of {arity} exponents (N={n_max}) "
-            f"is above {MAX_ENTRIES} entries")
     steps = []
     checks = True
     verdict = None
 
-    current = axes
-    for axis in reversed(axes):
-        var, pos = axis.var, current.index(axis)
+    for pos in reversed(range(len(axes))):  # axis pos is the variable pos + 1
+        axis, current = axes[pos], axes[: pos + 1]
         if axis.kind == INF_TYPE:
             solve_ok = round_trip_ok = True
             for salt in range(_SAMPLES):
@@ -276,7 +278,7 @@ def koszul_reduce(i_set, j_set, n_max):
                 solve_ok &= cycle_terms(a, pos, axis) == g
                 round_trip_ok &= _solve_terms(cycle_terms(g, pos, axis), pos, axis) == g
             steps.append({
-                "variable": var,
+                "variable": names[pos],
                 "kind": "inf",
                 "samples": _SAMPLES,
                 "solve_exact": solve_ok,
@@ -291,32 +293,29 @@ def koszul_reduce(i_set, j_set, n_max):
             g = _sample_terms(arity, current, salt)
             image = cycle_terms(_solve_terms(g, pos, axis), pos, axis)
             solve_ok &= window_interior(image, pos, axis) == window_interior(g, pos, axis)
-        for phi in _sample_phis(arity, var):
-            k = kernel_element(phi, var, n_max, arity)
-            kernel_ok &= all(
-                poly.is_zero() for poly in shift_cycle(k, var).interior_terms(var).values()
-            )
+        for phi in _sample_phis(arity, axis.var):
+            k = kernel_element(phi, axis.var, n_max, arity)
+            kernel_ok &= not shift_cycle(k, axis.var).interior_terms(axis.var)
             kernel_ok &= k.coefficient(1) == phi
         steps.append({
-            "variable": var,
+            "variable": names[pos],
             "kind": "zero",
             "samples": _SAMPLES,
             "solve_exact_interior": solve_ok,
             "kernel_check": kernel_ok,
         })
         checks &= solve_ok and kernel_ok
-        current = current[:-1]
 
     extraction = None
     congruences = []
-    if verdict is None:
+    if verdict is None:  # J is empty, so the variables are I's
         verdict = "h0"
         extraction = (1,) * len(i_set)
-        for var in i_set:
-            for phi in _sample_phis(arity, var):
+        for r, var in enumerate(i_set, start=1):
+            for phi in _sample_phis(arity, r):
                 for action in ("t", "theta"):
-                    res = induced_action_congruence(phi, action, var, n_max, arity)
-                    congruences.append(res)
+                    res = induced_action_congruence(phi, action, r, n_max, arity)
+                    congruences.append(replace(res, variable=var))
                     checks &= res.ok
 
     return KoszulReport(

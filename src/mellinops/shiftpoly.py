@@ -168,13 +168,7 @@ class ShiftPolynomial(SparseSum):
             raise ValueError(f"variable index {j} not in 1..{self.arity}")
         if steps == 0:
             return self
-        return self._shift_sub(j - 1, self.zero(self.arity), steps)
-
-    def _shift_sub(self, jj, other, steps=1):
-        """tau_(jj+1)^steps self - other as one value, by :func:`shift_sub`
-        (jj 0-based and unchecked, other of the same arity; a unit step is the
-        step of the shift-cycle recursions)."""
-        return self._made(shift_sub(self.terms, shift_rows(jj, steps), other.terms))
+        return self._made(shift_sub(self.terms, shift_rows(j - 1, steps), {}))
 
     def __repr__(self):
         if not self.terms:

@@ -10,6 +10,7 @@ from mellinops import (
     Axis,
     ShiftPolynomial,
     TailSeries,
+    TruncationOverflow,
     induced_action_congruence,
     kernel_element,
     koszul,
@@ -19,6 +20,7 @@ from mellinops import (
     solve_zero,
 )
 from mellinops import shiftpoly
+from mellinops.ore import MAX_INDEX
 
 S = ShiftPolynomial.variable(1)
 
@@ -202,13 +204,14 @@ def test_kernel_linear_and_square():
 @given(st.integers(4, 9), polys())
 def test_kernel_characterization(n_max, phi):
     # a window series is cycle-annihilated on the interior exactly when it
-    # is the kernel representative of its own first slice (top slice free)
+    # is the kernel representative of its own first slice (top slice free);
+    # a series holds no zero coefficient, so that is an empty interior, as
+    # koszul_reduce's kernel check reads it
     x = kernel_element(phi, 1, n_max)
-    assert all(p.is_zero() for p in shift_cycle(x, 1).interior_terms(1).values())
+    assert not shift_cycle(x, 1).interior_terms(1)
     # perturb an interior slice: the kernel property must break
     bad = x + zero_series(n_max, {(2,): 1})
-    broken = shift_cycle(bad, 1).interior_terms(1)
-    assert any(not p.is_zero() for p in broken.values())
+    assert shift_cycle(bad, 1).interior_terms(1)
 
 
 def test_kernel_extraction_on_a_second_variable():
@@ -305,6 +308,32 @@ def test_koszul_reduce_all_partitions_up_to_three_variables():
         assert report.checks_passed
 
 
+# an order-preserving renaming of the variables 1, 2, 3 into 1..MAX_INDEX
+RENAMED = {1: 7, 2: 300, 3: MAX_INDEX}
+
+
+def renamed(report):
+    """A report's dict with every variable index renamed by RENAMED."""
+    d = report.to_dict()
+    d["i_set"], d["j_set"] = [RENAMED[v] for v in d["i_set"]], [RENAMED[v] for v in d["j_set"]]
+    for entry in d["steps"] + d["congruences"]:
+        entry["variable"] = RENAMED[entry["variable"]]
+    return d
+
+
+def test_reports_are_the_same_under_a_renaming_of_the_variables():
+    # a reduction computes in its own variables, ranked by index, so an index
+    # only names a variable: each of the 26 partitions of up to three of 1, 2,
+    # 3 reports the same under the renaming, at any size of the indices
+    for p in (1, 2, 3):
+        for variables in itertools.combinations((1, 2, 3), p):
+            for in_j in itertools.product((False, True), repeat=p):
+                i_set = [v for v, j in zip(variables, in_j) if not j]
+                j_set = [v for v, j in zip(variables, in_j) if j]
+                moved = koszul_reduce([RENAMED[v] for v in i_set], [RENAMED[v] for v in j_set], 4)
+                assert moved.to_dict() == renamed(koszul_reduce(i_set, j_set, 4)), (i_set, j_set)
+
+
 def test_round_trip_is_checked_off_the_samples(monkeypatch):
     # a solver that is right only on the sample inputs passes solve_exact; the
     # round trip solves on a sample's image, so it must catch that solver
@@ -359,6 +388,13 @@ def test_koszul_disjointness_required():
         koszul_reduce((1,), (1,), 8)
 
 
+def test_a_window_too_long_to_index_overflows():
+    # a window of more than sys.maxsize indices has no len(); it is refused as
+    # any window above MAX_WINDOW is
+    with pytest.raises(TruncationOverflow, match=r"is above 10000$"):
+        koszul_reduce((1,), (2,), 10 ** 20)
+
+
 def sample_series(arity, axes, salt):
     """The reductions' raw sample series, wrapped as a TailSeries."""
     return TailSeries(arity, axes)._wrapped(koszul._sample_terms(arity, axes, salt))
@@ -392,8 +428,9 @@ def test_kernel_values_are_pinned():
 
 
 def test_shift_rows_stay_few_and_exact(monkeypatch):
-    # one table per (variable, steps), one row per exponents in it, built from
-    # ints alone on its first lookup and then reused
+    # at most two tables per variable, of the unit steps +1 (the passes) and
+    # -1 (the kernel elements), one row per exponents in each, built from ints
+    # alone on its first lookup and then reused
     builds, lookups = [], []
 
     class Counted(shiftpoly._Rows):
@@ -410,6 +447,7 @@ def test_shift_rows_stay_few_and_exact(monkeypatch):
     monkeypatch.setattr(shiftpoly, "_ROWS", {})
     monkeypatch.setattr(shiftpoly, "_Rows", Counted)
     koszul_reduce((1, 2, 3), (), 12)
+    assert set(shiftpoly._ROWS) <= {(jj, steps) for jj in range(3) for steps in (1, -1)}
     tables = shiftpoly._ROWS.values()
     rows = [row for table in tables for row in table.values()]
     assert all(type(table) is Counted for table in tables)

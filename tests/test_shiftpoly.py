@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mellinops import ShiftPolynomial
-from mellinops.shiftpoly import binomial_shift
+from mellinops.shiftpoly import binomial_shift, shift_rows, shift_sub
 
 
 def polys(arity, degree=4, coeffs=None):
@@ -91,11 +91,13 @@ def moved(point, jj, k):
 @settings(max_examples=100, deadline=None, database=None)
 @given(kernel_cases, st.integers(-5, 5))
 def test_shift_kernel_is_substitution_less_the_other(case, steps):
-    # _shift_sub against the ring operations, and both it and shift against
-    # pointwise values, which use no binomial row: on the box -2..2 a
-    # polynomial of degree <= 4 in each variable is fixed by its values
+    # the kernel shift_sub, at the unit step of the shift-cycle recursions,
+    # against the ring operations, and both it and shift against pointwise
+    # values, which use no binomial row: on the box -2..2 a polynomial of
+    # degree <= 4 in each variable is fixed by its values
     p, q, jj = case
-    r, shifted = p._shift_sub(jj, q), p.shift(jj + 1, steps)
+    r = p._made(shift_sub(p.terms, shift_rows(jj, 1), q.terms))
+    shifted = p.shift(jj + 1, steps)
     assert r == p.shift(jj + 1, 1) - q
     for point in product(range(-2, 3), repeat=p.arity):
         assert value_at(r, point) == value_at(p, moved(point, jj, 1)) - value_at(q, point)
