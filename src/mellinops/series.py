@@ -26,9 +26,7 @@ coefficient shift even though th and tau commute in the combined algebra.
 The Koszul differential :func:`shift_cycle` is the one operator with its own
 single pass; it equals the word tau_j t_j^-1 minus the identity.  That pass,
 :func:`cycle_terms`, runs on raw terms (index -> the coefficient's own term
-dict), which is how the Koszul eliminations check their samples: they never
-wrap a coefficient and compare results by plain dict ``==``.  ``shift_cycle``
-unwraps a series, runs the pass and wraps the result.
+dict); ``shift_cycle`` unwraps a series, runs the pass and wraps the result.
 """
 
 from __future__ import annotations
@@ -200,18 +198,15 @@ class TailSeries(SparseSum):
     # -- window helpers ----------------------------------------------------------
 
     def interior_terms(self, var):
-        """Terms with the given variable's index in the window interior."""
-        return window_interior(self.terms, *self.axis_for(var))
+        """Terms with the given variable's index in the window interior,
+        below the window top."""
+        pos, axis = self.axis_for(var)
+        interior = axis.window[:-1]
+        return {i: p for i, p in self.terms.items() if i[pos] in interior}
 
     def agrees_on_interior(self, other, var):
         self._check(other)
         return self.interior_terms(var) == other.interior_terms(var)
-
-
-def window_interior(terms, pos, axis):
-    """The terms whose index at ``pos``, on ``axis``, is below the window top."""
-    interior = axis.window[:-1]
-    return {i: p for i, p in terms.items() if i[pos] in interior}
 
 
 def shift_cycle(series, var):

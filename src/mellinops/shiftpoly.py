@@ -12,7 +12,7 @@ reductions have a handful of terms, so a shift costs per-call work more than
 arithmetic.  The rows of one (variable, steps) therefore live in one table
 keyed by exponents (:func:`shift_rows`), which a pass fetches once, and the
 one kernel, :func:`shift_sub`, works on raw term dicts.  The passes over a
-series run on raw dicts too: the Koszul eliminations check their samples
+series run on raw dicts too: the Koszul eliminations solve their samples
 without wrapping a coefficient, and a series operation wraps each result once.
 """
 

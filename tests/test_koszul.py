@@ -1,5 +1,7 @@
 import hashlib
+import io
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,9 @@ from mellinops import (
     solve_inf,
     solve_zero,
 )
-from mellinops import shiftpoly
+from mellinops import cli, shiftpoly
 from mellinops.ore import MAX_INDEX
+from mellinops.sparse import binomial_shift
 
 S = ShiftPolynomial.variable(1)
 
@@ -205,8 +208,7 @@ def test_kernel_linear_and_square():
 def test_kernel_characterization(n_max, phi):
     # a window series is cycle-annihilated on the interior exactly when it
     # is the kernel representative of its own first slice (top slice free);
-    # a series holds no zero coefficient, so that is an empty interior, as
-    # koszul_reduce's kernel check reads it
+    # a series holds no zero coefficient, so that is an empty interior
     x = kernel_element(phi, 1, n_max)
     assert not shift_cycle(x, 1).interior_terms(1)
     # perturb an interior slice: the kernel property must break
@@ -308,6 +310,15 @@ def test_koszul_reduce_all_partitions_up_to_three_variables():
         assert report.checks_passed
 
 
+def partitions_of_up_to_three():
+    """The 26 splits into (I, J) of the non-empty subsets of 1, 2, 3."""
+    for p in (1, 2, 3):
+        for variables in itertools.combinations((1, 2, 3), p):
+            for in_j in itertools.product((False, True), repeat=p):
+                yield (tuple(v for v, j in zip(variables, in_j) if not j),
+                       tuple(v for v, j in zip(variables, in_j) if j))
+
+
 # an order-preserving renaming of the variables 1, 2, 3 into 1..MAX_INDEX
 RENAMED = {1: 7, 2: 300, 3: MAX_INDEX}
 
@@ -325,48 +336,34 @@ def test_reports_are_the_same_under_a_renaming_of_the_variables():
     # a reduction computes in its own variables, ranked by index, so an index
     # only names a variable: each of the 26 partitions of up to three of 1, 2,
     # 3 reports the same under the renaming, at any size of the indices
-    for p in (1, 2, 3):
-        for variables in itertools.combinations((1, 2, 3), p):
-            for in_j in itertools.product((False, True), repeat=p):
-                i_set = [v for v, j in zip(variables, in_j) if not j]
-                j_set = [v for v, j in zip(variables, in_j) if j]
-                moved = koszul_reduce([RENAMED[v] for v in i_set], [RENAMED[v] for v in j_set], 4)
-                assert moved.to_dict() == renamed(koszul_reduce(i_set, j_set, 4)), (i_set, j_set)
-
-
-def test_round_trip_is_checked_off_the_samples(monkeypatch):
-    # a solver that is right only on the sample inputs passes solve_exact; the
-    # round trip solves on a sample's image, so it must catch that solver
-    right = koszul._solve_terms
-    axes = (Axis(1, "zero", 8), Axis(2, "inf", 8))
-    samples = [koszul._sample_terms(2, axes, salt) for salt in range(koszul._SAMPLES)]
-
-    def right_on_samples_only(terms, pos, axis):
-        return right(terms, pos, axis) if terms in samples else terms
-
-    monkeypatch.setattr(koszul, "_solve_terms", right_on_samples_only)
-    report = koszul_reduce((1,), (2,), 8)
-    (step,) = report.steps
-    assert step["solve_exact"] and not step["round_trip_exact"]
-    assert not report.checks_passed
+    for i_set, j_set in partitions_of_up_to_three():
+        moved = koszul_reduce([RENAMED[v] for v in i_set], [RENAMED[v] for v in j_set], 4)
+        assert moved.to_dict() == renamed(koszul_reduce(i_set, j_set, 4)), (i_set, j_set)
 
 
 @pytest.mark.parametrize("name, i_set, j_set, check", [
     ("_solve_terms", (1,), (2,), "solve_exact"),
-    ("cycle_terms", (1,), (2,), "round_trip_exact"),
+    # the kernel rows carry short ids, so their names differ early on
+    pytest.param("kernel_element", (2,), (1,), "kernel_check",
+                 id="kernel-i_set1-j_set1-kernel_check"),
     ("_solve_terms", (1, 2), (), "solve_exact_interior"),
-    ("cycle_terms", (1, 2), (), "solve_exact_interior"),
+    pytest.param("kernel_element", (1, 2), (), "kernel_check",
+                 id="kernel-i_set3-j_set3-kernel_check"),
 ])
 def test_each_elimination_check_fails_on_a_pass_that_drops_a_term(
         monkeypatch, name, i_set, j_set, check):
-    # the checks compare raw term dicts by ==, so a raw pass that loses the
-    # term at its lowest index must turn the check it is judged by false.  On
-    # the inf axis that index is 0, where the cycle's identity term stands alone
+    # the checks read the solves and kernel elements at every index they
+    # judge, so a solve pass that loses the term at its lowest index, or a
+    # kernel element that loses its top slice (the last one the interior
+    # relation reads), must turn the check it is judged by false
     assert koszul_reduce(i_set, j_set, 8).steps[0][check]
     right = getattr(koszul, name)
 
-    def dropping_one_term(terms, pos, axis):
-        out = dict(right(terms, pos, axis))
+    def dropping_one_term(*args):
+        out = right(*args)
+        if name == "kernel_element":
+            return out._like({i: p for i, p in out.terms.items() if i != max(out.terms)})
+        out = dict(out)
         if out:  # the congruences' solve_zero runs this pass on zero defects too
             del out[min(out)]
         return out
@@ -374,6 +371,98 @@ def test_each_elimination_check_fails_on_a_pass_that_drops_a_term(
     monkeypatch.setattr(koszul, name, dropping_one_term)
     report = koszul_reduce(i_set, j_set, 8)
     assert not report.steps[0][check] and not report.checks_passed
+
+
+def tau_by(factor):
+    """A row map that translates by factor * steps where tau translates by steps."""
+
+    def rows(self, expo):
+        jj = self.jj
+        head, tail = expo[:jj], expo[jj + 1 :]
+        row = self[expo] = tuple(
+            (head + (i,) + tail, w) for i, w in binomial_shift(expo[jj], factor * self.steps))
+        return row
+
+    return rows
+
+
+def three_times(self, expo):
+    row = self[expo] = ((expo, 3),)
+    return row
+
+
+def raise_and_subtract(self, expo):
+    # s^e -> s^(e+1) - 2 s^e in the translated variable
+    jj = self.jj
+    row = self[expo] = ((expo[:jj] + (expo[jj] + 1,) + expo[jj + 1 :], 1), (expo, -2))
+    return row
+
+
+RIGHT_SOLVE = koszul._solve_terms
+
+
+def solve_dropping(pick):
+    """A _solve_terms that loses the term at the index ``pick`` chooses."""
+
+    def solve(terms, pos, axis):
+        out = RIGHT_SOLVE(terms, pos, axis)
+        if out:
+            del out[pick(sorted(out))]
+        return out
+
+    return solve
+
+
+def solve_dropping_a_monomial(terms, pos, axis):
+    """A _solve_terms that loses one monomial inside one coefficient."""
+    out = RIGHT_SOLVE(terms, pos, axis)
+    if out:
+        idx = min(out)
+        coeff = dict(out[idx])
+        del coeff[min(coeff)]
+        if coeff:
+            out[idx] = coeff
+        else:
+            del out[idx]
+    return out
+
+
+@pytest.mark.parametrize("target, attr, wrong", [
+    (shiftpoly._Rows, "__missing__", tau_by(0)),
+    (shiftpoly._Rows, "__missing__", tau_by(2)),
+    (shiftpoly._Rows, "__missing__", tau_by(-1)),
+    (shiftpoly._Rows, "__missing__", three_times),
+    (shiftpoly._Rows, "__missing__", raise_and_subtract),
+    (koszul, "_solve_terms", solve_dropping(lambda idx: idx[0])),
+    (koszul, "_solve_terms", solve_dropping(lambda idx: idx[len(idx) // 2])),
+    (koszul, "_solve_terms", solve_dropping(lambda idx: idx[-1])),
+    (koszul, "_solve_terms", solve_dropping_a_monomial),
+], ids=["tau-by-0", "tau-by-2-steps", "tau-by-minus-steps", "three-times-identity",
+        "raise-and-subtract", "drop-lowest-index", "drop-middle-index",
+        "drop-highest-index", "drop-one-monomial"])
+def test_a_wrong_shift_or_solve_fails_every_partition(monkeypatch, target, attr, wrong):
+    # the solves are judged by the differential's definition read as numbers,
+    # not by a second pass through the same rows, so a translation that is not
+    # tau, or a solve that loses a term, fails each partition of up to three
+    # variables; its verdict then says so, and the prediction is not met
+    monkeypatch.setattr(shiftpoly, "_ROWS", {})
+    monkeypatch.setattr(target, attr, wrong)
+    for i_set, j_set in partitions_of_up_to_three():
+        report = koszul_reduce(i_set, j_set, 8)
+        assert not report.checks_passed, (i_set, j_set)
+        assert report.verdict == "unverified" and not report.matches_prediction
+
+
+def test_a_wrong_shift_makes_the_koszul_command_exit_1(monkeypatch):
+    # the verdict reads the evidence: under tau by 0 it is not the predicted
+    # outcome, and the command fails
+    monkeypatch.setattr(shiftpoly, "_ROWS", {})
+    monkeypatch.setattr(shiftpoly._Rows, "__missing__", tau_by(0))
+    out = io.StringIO()
+    assert cli.main(["koszul", "--I", "1", "--J", "2", "--N", "8"], stream=out) == 1
+    report = json.loads(out.getvalue())["report"]
+    assert report["verdict"] == "unverified" and report["predicted"] == "acyclic"
+    assert report["matches_prediction"] is False and report["checks_passed"] is False
 
 
 def test_koszul_report_serializes():
@@ -418,9 +507,9 @@ def kernel_values():
 
 
 def test_kernel_values_are_pinned():
-    # the reports pin verdicts, and an inf-only elimination is self-consistent
-    # for any linear tau, so the values themselves are pinned here: a unit
-    # shift stepped by 2 leaves the report digests but changes this one
+    # the reports pin verdicts, which a wrong translation now turns (see
+    # test_a_wrong_shift_or_solve_fails_every_partition); the values
+    # themselves, which no report carries, are pinned here
     digest = hashlib.sha256()
     for value in kernel_values():
         digest.update(repr(value).encode() + b"\n")
